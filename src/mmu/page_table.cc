@@ -37,8 +37,20 @@ void PageTable::Grow(uint64_t region) {
     target *= 2;
   }
   route_.resize(target, 0);
+  huge_bits_.resize(target / 64, 0);
+  base_bits_.resize(target / 64, 0);
   generations_.resize(target, 0);
   accesses_.resize(target, 0);
+}
+
+void PageTable::SetRoute(uint64_t region, uint64_t route) {
+  route_[region] = route;
+  const uint64_t bit = 1ull << (region & 63);
+  const bool huge = (route & 1) != 0;
+  uint64_t& huge_word = huge_bits_[region >> 6];
+  uint64_t& base_word = base_bits_[region >> 6];
+  huge_word = huge ? huge_word | bit : huge_word & ~bit;
+  base_word = route != 0 && !huge ? base_word | bit : base_word & ~bit;
 }
 
 void PageTable::MapBase(uint64_t vpn, uint64_t frame) {
@@ -52,7 +64,7 @@ void PageTable::MapBase(uint64_t vpn, uint64_t frame) {
   BaseRegion* br = BaseNode(region);
   if (br == nullptr) {
     br = pool_.Acquire();
-    route_[region] = reinterpret_cast<uint64_t>(br);
+    SetRoute(region, reinterpret_cast<uint64_t>(br));
     ++mapped_regions_;
   }
   SIM_CHECK_MSG(!br->Test(slot), "double map of vpn %llu",
@@ -72,7 +84,7 @@ void PageTable::MapHuge(uint64_t region, uint64_t frame) {
                 static_cast<unsigned long long>(region));
   // Huge leaves live entirely in the route word: no node is allocated, so
   // huge-heavy address spaces cost 8 bytes of hot state per region.
-  route_[region] = (frame << 1) | 1;
+  SetRoute(region, (frame << 1) | 1);
   BumpGeneration(region);
   ++mapped_regions_;
   ++huge_leaves_;
@@ -92,7 +104,7 @@ uint64_t PageTable::UnmapBase(uint64_t vpn) {
   --mapped_base_pages_;
   if (br->None()) {
     pool_.Release(br);
-    route_[region] = 0;
+    SetRoute(region, 0);
     --mapped_regions_;
   }
   return frame;
@@ -102,7 +114,7 @@ uint64_t PageTable::UnmapHuge(uint64_t region) {
   SIM_CHECK(region < route_.size());
   SIM_CHECK(route_[region] & 1);
   const uint64_t frame = route_[region] >> 1;
-  route_[region] = 0;
+  SetRoute(region, 0);
   BumpGeneration(region);
   --mapped_regions_;
   --huge_leaves_;
@@ -135,7 +147,7 @@ void PageTable::PromoteInPlace(uint64_t region) {
   BaseRegion* br = BaseNode(region);
   const uint64_t frame = br->frames[0];
   pool_.Release(br);
-  route_[region] = (frame << 1) | 1;
+  SetRoute(region, (frame << 1) | 1);
   BumpGeneration(region);
   mapped_base_pages_ -= kPagesPerHuge;
   ++huge_leaves_;
@@ -153,7 +165,7 @@ std::vector<std::pair<uint32_t, uint64_t>> PageTable::PromoteWithMigration(
   });
   mapped_base_pages_ -= old_pages.size();
   pool_.Release(br);
-  route_[region] = (new_frame << 1) | 1;
+  SetRoute(region, (new_frame << 1) | 1);
   BumpGeneration(region);
   ++huge_leaves_;
   return old_pages;
@@ -166,7 +178,7 @@ void PageTable::Demote(uint64_t region) {
   SIM_CHECK(frame + kPagesPerHuge <= kAbsentFrame);  // must fit 32-bit cells
   BaseRegion* node = pool_.Acquire();
   FillContiguous(node, frame);
-  route_[region] = reinterpret_cast<uint64_t>(node);
+  SetRoute(region, reinterpret_cast<uint64_t>(node));
   BumpGeneration(region);
   --huge_leaves_;
   mapped_base_pages_ += kPagesPerHuge;
@@ -192,23 +204,43 @@ void PageTable::DecayAccessCounts() {
   }
 }
 
-void PageTable::ForEachHuge(
-    const std::function<void(uint64_t, uint64_t)>& fn) const {
-  for (uint64_t region = 0; region < route_.size(); ++region) {
-    if (route_[region] & 1) {
-      fn(region, route_[region] >> 1);
+namespace {
+
+// Calls fn(region) for every set bit of an occupancy bitmap, ascending.
+// Each word is read once, before its regions are visited: the snapshot
+// the visitor contract in page_table.h refers to.
+template <typename Fn>
+void ForEachSetBit(const std::vector<uint64_t>& bits, const Fn& fn) {
+  for (uint64_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      fn(w * 64 + static_cast<uint64_t>(__builtin_ctzll(word)));
     }
   }
 }
 
+}  // namespace
+
+void PageTable::ForEachHuge(
+    const std::function<void(uint64_t, uint64_t)>& fn) const {
+  const uint64_t mutations = mutations_;
+  ForEachSetBit(huge_bits_, [&](uint64_t region) {
+    fn(region, route_[region] >> 1);
+    SIM_CHECK_MSG(mutations_ == mutations,
+                  "ForEachHuge callback mutated the table at region %llu",
+                  static_cast<unsigned long long>(region));
+  });
+}
+
 void PageTable::ForEachBaseRegion(
     const std::function<void(uint64_t, uint32_t)>& fn) const {
-  for (uint64_t region = 0; region < route_.size(); ++region) {
-    const uint64_t route = route_[region];
-    if (route != 0 && (route & 1) == 0) {
-      fn(region, reinterpret_cast<const BaseRegion*>(route)->Count());
-    }
-  }
+  const uint64_t mutations = mutations_;
+  ForEachSetBit(base_bits_, [&](uint64_t region) {
+    fn(region, reinterpret_cast<const BaseRegion*>(route_[region])->Count());
+    SIM_CHECK_MSG(
+        mutations_ == mutations,
+        "ForEachBaseRegion callback mutated the table at region %llu",
+        static_cast<unsigned long long>(region));
+  });
 }
 
 void PageTable::ForEachBasePage(
@@ -299,8 +331,16 @@ void PageTable::CheckInvariants() const {
   uint64_t bases = 0;
   uint64_t huges = 0;
   uint64_t mapped = 0;
+  SIM_CHECK(huge_bits_.size() * 64 == route_.size());
+  SIM_CHECK(base_bits_.size() * 64 == route_.size());
   for (uint64_t region = 0; region < route_.size(); ++region) {
     const uint64_t route = route_[region];
+    // Occupancy bits agree with the route word: the visitors trust the
+    // bits alone.
+    const bool huge_bit = (huge_bits_[region >> 6] >> (region & 63)) & 1;
+    const bool base_bit = (base_bits_[region >> 6] >> (region & 63)) & 1;
+    SIM_CHECK(huge_bit == ((route & 1) != 0));
+    SIM_CHECK(base_bit == (route != 0 && (route & 1) == 0));
     if (route & 1) {
       SIM_CHECK((route >> 1) % kPagesPerHuge == 0);
       ++huges;

@@ -45,6 +45,18 @@
 // touches them once each, and the decay sweep becomes a contiguous
 // vectorizable loop.
 //
+// Region-occupancy bitmaps.  Beside the route vector the table keeps two
+// bitmaps with one bit per region: `huge_bits_` marks huge leaves and
+// `base_bits_` marks regions backed by a base-page node.  Every route
+// transition writes the route word and both bits through one helper
+// (SetRoute), so the bitmaps are a function of the route vector, and
+// CheckInvariants verifies them against it.  The daemon-facing visitors
+// (ForEachHuge, ForEachBaseRegion) are ctz scans over the bitmap words, so
+// a visit costs O(span / 64 + mapped regions) rather than one route-word
+// read per region of the address span.  That matters because a guest
+// table starts at 4 GiB (region 2048): a full-span walk read thousands of
+// words to find a few dozen mappings, on every MHPS scan and promoter tick.
+//
 // Each region carries a *generation counter*, bumped by every mapping
 // mutation that touches the region (map, unmap, promote, demote).  The
 // translation engine stamps TLB entries with the generations they were
@@ -230,6 +242,16 @@ class PageTable {
   void DecayAccessCounts();  // halves all counters (aging)
 
   // --- Iteration / sweeps --------------------------------------------------
+  //
+  // Contract of the two region visitors below:
+  //  * regions are visited in ascending region order;
+  //  * a callback must not map, unmap, promote or demote in this table.
+  //    The scan reads a snapshot of each 64-region bitmap word before
+  //    visiting its regions, so a mutation inside a visit could be missed
+  //    or leave a stale region to visit.  Collect candidates first and act
+  //    after the visit returns.  Reads and access-counter traffic are
+  //    fine.  Each callback is followed by a SIM_CHECK that mutations()
+  //    has not moved.
 
   // Visits every huge leaf as (region, frame).
   void ForEachHuge(const std::function<void(uint64_t, uint64_t)>& fn) const;
@@ -376,6 +398,9 @@ class PageTable {
     }
   }
   void Grow(uint64_t region);
+  // Writes a region's route word together with its two occupancy bits;
+  // every route transition goes through here.
+  void SetRoute(uint64_t region, uint64_t route);
   void BumpGeneration(uint64_t region) {
     ++generations_[region];
     ++mutations_;
@@ -387,6 +412,11 @@ class PageTable {
   // aligned, so the tag is free and pointers round-trip through the
   // shift-free representation).
   std::vector<uint64_t> route_;
+  // Occupancy bitmaps, bit (r & 63) of word (r >> 6) for region r: huge
+  // leaf / base-page node.  route_.size() is always a multiple of 64, and
+  // these hold route_.size() / 64 words each.
+  std::vector<uint64_t> huge_bits_;
+  std::vector<uint64_t> base_bits_;
   std::vector<uint64_t> generations_;
   std::vector<uint64_t> accesses_;
   NodePool pool_;

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "base/rng.h"
 #include "base/types.h"
@@ -293,55 +297,123 @@ TEST(PageTable, LookupAndReadsDoNotBumpGeneration) {
   EXPECT_EQ(table.generation(0), gen);
 }
 
-// Property: random map/unmap/promote/demote sequences keep Lookup
-// consistent with a reference map.
+TEST(PageTableDeathTest, VisitorThatMutatesAborts) {
+  PageTable table;
+  table.MapHuge(1, 512);
+  table.MapBase(3ull << kHugeOrder, 7);
+  const auto map_inside_visit = [&] {
+    table.ForEachHuge([&](uint64_t, uint64_t) { table.MapBase(0, 1); });
+  };
+  const auto unmap_inside_visit = [&] {
+    table.ForEachBaseRegion([&](uint64_t region, uint32_t) {
+      table.UnmapBase(region << kHugeOrder);
+    });
+  };
+  EXPECT_DEATH(map_inside_visit(), "mutated the table");
+  EXPECT_DEATH(unmap_inside_visit(), "mutated the table");
+}
+
+// Property: random map/unmap/promote/demote sequences keep Lookup and the
+// two region visitors consistent with a reference map.  The regions span
+// four 64-region occupancy words, word edges included, and the first
+// kGrowStep steps stay inside word 0, so the table grows mid-run.
 class PageTablePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PageTablePropertyTest, MatchesReference) {
   base::Rng rng(GetParam());
   PageTable table;
-  constexpr uint64_t kRegions = 8;
+  constexpr std::array<uint64_t, 12> kRegions = {0,   5,   63,  64,  65,  100,
+                                                 127, 128, 190, 191, 192, 255};
+  constexpr uint64_t kWordZeroRegions = 3;  // kRegions[0..3) lie in word 0
+  constexpr int kGrowStep = 150;
   // Reference: per-vpn frame (base granularity), or region-level huge.
   std::map<uint64_t, uint64_t> ref_base;  // vpn -> frame
   std::map<uint64_t, uint64_t> ref_huge;  // region -> first frame
   uint64_t next_block = 0;                // allocator of fresh aligned blocks
+  int in_place_promotions = 0;
+  int migrations = 0;
+  const auto pages_of = [&](uint64_t region) {
+    return std::make_pair(ref_base.lower_bound(region << kHugeOrder),
+                          ref_base.lower_bound((region + 1) << kHugeOrder));
+  };
+  const auto empty = [&](uint64_t region) {
+    const auto [begin, end] = pages_of(region);
+    return ref_huge.count(region) == 0 && begin == end;
+  };
 
-  for (int step = 0; step < 600; ++step) {
-    const uint64_t region = rng.NextBelow(kRegions);
+  for (int step = 0; step < 800; ++step) {
+    const uint64_t choices =
+        step < kGrowStep ? kWordZeroRegions : kRegions.size();
+    const uint64_t region = kRegions[rng.NextBelow(choices)];
+    const uint64_t first_vpn = region << kHugeOrder;
+    const auto [begin, end] = pages_of(region);
     const double dice = rng.NextDouble();
-    if (dice < 0.4) {  // map a base page if possible
-      const uint64_t vpn = (region << kHugeOrder) + rng.NextBelow(kPagesPerHuge);
+    if (dice < 0.3) {  // map a base page if possible
+      const uint64_t vpn = first_vpn + rng.NextBelow(kPagesPerHuge);
       if (ref_huge.count(region) == 0 && ref_base.count(vpn) == 0) {
         const uint64_t frame = 1000000 + step;
         table.MapBase(vpn, frame);
         ref_base[vpn] = frame;
       }
-    } else if (dice < 0.55) {  // map huge if region empty
-      bool region_used = ref_huge.count(region) != 0;
-      for (const auto& [vpn, f] : ref_base) {
-        if (vpn >> kHugeOrder == region) {
-          region_used = true;
-        }
-      }
-      if (!region_used) {
+    } else if (dice < 0.4) {  // map huge if region empty
+      if (empty(region)) {
         const uint64_t frame = (++next_block) * kPagesPerHuge;
         table.MapHuge(region, frame);
         ref_huge[region] = frame;
       }
-    } else if (dice < 0.7) {  // unmap a random base page of the region
-      for (auto it = ref_base.begin(); it != ref_base.end(); ++it) {
-        if (it->first >> kHugeOrder == region) {
-          EXPECT_EQ(table.UnmapBase(it->first), it->second);
-          ref_base.erase(it);
-          break;
+    } else if (dice < 0.45) {  // fill an empty region contiguously
+      if (empty(region)) {
+        const uint64_t frame = (++next_block) * kPagesPerHuge;
+        for (uint32_t slot = 0; slot < kPagesPerHuge; ++slot) {
+          table.MapBase(first_vpn + slot, frame + slot);
+          ref_base[first_vpn + slot] = frame + slot;
         }
       }
-    } else if (dice < 0.8 && ref_huge.count(region)) {  // demote
+    } else if (dice < 0.55) {  // unmap the region's lowest base page
+      if (begin != end) {
+        EXPECT_EQ(table.UnmapBase(begin->first), begin->second);
+        ref_base.erase(begin);
+      }
+    } else if (dice < 0.6) {  // unmap every base page of the region
+      for (auto it = begin; it != end; ++it) {
+        EXPECT_EQ(table.UnmapBase(it->first), it->second);
+      }
+      ref_base.erase(begin, end);
+    } else if (dice < 0.68) {  // promote in place when eligible
+      // Eligible: all 512 slots present at anchor + slot, anchor aligned.
+      bool eligible = static_cast<uint64_t>(std::distance(begin, end)) ==
+                      kPagesPerHuge;
+      const uint64_t anchor = eligible ? begin->second : 0;
+      for (auto it = begin; eligible && it != end; ++it) {
+        eligible = it->second == anchor + (it->first - first_vpn);
+      }
+      eligible = eligible && anchor % kPagesPerHuge == 0;
+      ASSERT_EQ(table.CanPromoteInPlace(region), eligible);
+      if (eligible) {
+        table.PromoteInPlace(region);
+        ref_base.erase(begin, end);
+        ref_huge[region] = anchor;
+        ++in_place_promotions;
+      }
+    } else if (dice < 0.76) {  // migrate a base-mapped region to a new block
+      if (begin != end) {
+        std::vector<std::pair<uint32_t, uint64_t>> old_pages;
+        for (auto it = begin; it != end; ++it) {
+          old_pages.emplace_back(static_cast<uint32_t>(it->first - first_vpn),
+                                 it->second);
+        }
+        const uint64_t frame = (++next_block) * kPagesPerHuge;
+        ASSERT_EQ(table.PromoteWithMigration(region, frame), old_pages);
+        ref_base.erase(begin, end);
+        ref_huge[region] = frame;
+        ++migrations;
+      }
+    } else if (dice < 0.86 && ref_huge.count(region)) {  // demote
       table.Demote(region);
       const uint64_t frame = ref_huge[region];
       ref_huge.erase(region);
       for (uint32_t slot = 0; slot < kPagesPerHuge; ++slot) {
-        ref_base[(region << kHugeOrder) + slot] = frame + slot;
+        ref_base[first_vpn + slot] = frame + slot;
       }
     } else if (ref_huge.count(region)) {  // unmap huge
       EXPECT_EQ(table.UnmapHuge(region), ref_huge[region]);
@@ -350,8 +422,9 @@ TEST_P(PageTablePropertyTest, MatchesReference) {
 
     // Verify random probes.
     for (int probe = 0; probe < 8; ++probe) {
-      const uint64_t vpn =
-          (rng.NextBelow(kRegions) << kHugeOrder) + rng.NextBelow(kPagesPerHuge);
+      const uint64_t vpn = (kRegions[rng.NextBelow(kRegions.size())]
+                            << kHugeOrder) +
+                           rng.NextBelow(kPagesPerHuge);
       const auto got = table.Lookup(vpn);
       const uint64_t r = vpn >> kHugeOrder;
       if (ref_huge.count(r)) {
@@ -364,8 +437,34 @@ TEST_P(PageTablePropertyTest, MatchesReference) {
         ASSERT_FALSE(got.has_value());
       }
     }
+
+    // Both visitors against the reference: the same regions with the same
+    // frames / present counts, in ascending order.
+    std::vector<std::pair<uint64_t, uint64_t>> huge_seen;
+    table.ForEachHuge([&](uint64_t r, uint64_t frame) {
+      huge_seen.emplace_back(r, frame);
+    });
+    ASSERT_EQ(huge_seen, (std::vector<std::pair<uint64_t, uint64_t>>(
+                             ref_huge.begin(), ref_huge.end())));
+    std::vector<std::pair<uint64_t, uint32_t>> base_seen;
+    table.ForEachBaseRegion([&](uint64_t r, uint32_t present) {
+      base_seen.emplace_back(r, present);
+    });
+    std::vector<std::pair<uint64_t, uint32_t>> base_expected;
+    for (const auto& [vpn, frame] : ref_base) {
+      if (base_expected.empty() ||
+          base_expected.back().first != vpn >> kHugeOrder) {
+        base_expected.emplace_back(vpn >> kHugeOrder, 0);
+      }
+      ++base_expected.back().second;
+    }
+    ASSERT_EQ(base_seen, base_expected);
     table.CheckInvariants();
   }
+  // The run took both promotion paths and grew into the last bitmap word.
+  EXPECT_GT(in_place_promotions, 0);
+  EXPECT_GT(migrations, 0);
+  EXPECT_GT(table.generation(kRegions.back()), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PageTablePropertyTest,
