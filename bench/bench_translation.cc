@@ -1,6 +1,6 @@
 // Microbenchmark for the translation hot path (engineering benchmark, not
 // a paper figure): measures raw TranslationEngine::Translate throughput in
-// three regimes and writes BENCH_translation.json for regression tracking.
+// six regimes and writes BENCH_translation.json for regression tracking.
 //
 //   hit_heavy        TLB-resident working set; nearly every access takes
 //                    the O(1) generation-compare fast path.
@@ -19,14 +19,6 @@
 //                    consecutive accesses in different PD/PDPT groups —
 //                    stressing the upper walk levels and memo validation.
 //
-// Each of hit_heavy / miss_heavy / mixed also runs in a batched variant
-// (batched_hit / batched_miss / batched_mixed) that drives the same access
-// sequence through TranslationEngine::TranslateBatch in GEMINI_BATCH-sized
-// chunks (default 64).  The batched variants self-check against their
-// scalar counterparts: checksum and TLB counters must match exactly, or
-// the bench aborts — this is the perf-side witness of the batch pipeline's
-// observational-equivalence contract.
-//
 // The simulated side is deterministic: same seed, same access sequence,
 // same frame checksum and TLB counters on every run and at any optimization
 // level.  Only wall_ms and mops_per_s are host-performance numbers; each
@@ -35,19 +27,18 @@
 //
 // Output: BENCH_translation.json in $GEMINI_EXPORT (if set) or the current
 // directory — an array of one object per scenario:
-//   {scenario, batch, ops, wall_ms, mops_per_s, tlb_hits, tlb_misses,
+//   {scenario, ops, wall_ms, mops_per_s, tlb_hits, tlb_misses,
 //    stale_hits, walk_mem_refs, walk_cached_refs, walk_nested_hits,
 //    walk_memo_hits, walk_memo_upper_hits, lat_p50, lat_p90, lat_p99,
 //    checksum}
-// plus WALK_breakdown.txt, the per-level walk table for the scalar
-// scenarios (metrics::RenderWalkLevelBreakdown).  Schema documented in
+// plus WALK_breakdown.txt, the per-level walk table for every scenario
+// (metrics::RenderWalkLevelBreakdown).  Schema documented in
 // BENCHMARKS.md.
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -71,7 +62,6 @@ using mmu::TranslationEngine;
 
 struct ScenarioResult {
   std::string scenario;
-  uint64_t batch = 0;  // TranslateBatch chunk size; 0 = scalar Translate
   uint64_t ops = 0;
   double wall_ms = 0.0;
   uint64_t tlb_hits = 0;
@@ -100,18 +90,6 @@ enum class Pattern {
   kSequential,  // vpn = i mod span
   kStride,      // one access per region, regions in a 513-step permutation
 };
-
-// Same resolution rule as workload::Driver: $GEMINI_BATCH, default 64.
-uint64_t ResolveBatch() {
-  const char* env = std::getenv("GEMINI_BATCH");
-  if (env != nullptr && env[0] != '\0') {
-    const uint64_t parsed = std::strtoull(env, nullptr, 10);
-    if (parsed > 0) {
-      return parsed;
-    }
-  }
-  return 64;
-}
 
 // Repetitions per scenario ($GEMINI_BENCH_REPS, default 3).  Each scenario
 // is run this many times and the best (minimum) wall time is reported:
@@ -174,10 +152,8 @@ uint64_t NextVpn(Pattern pattern, base::Rng& rng, uint64_t span, uint64_t i) {
 
 ScenarioResult RunScenario(const std::string& name, uint64_t regions,
                            uint64_t ops, uint64_t churn_period,
-                           uint64_t batch = 0, Layout layout = Layout::kMixed,
+                           Layout layout = Layout::kMixed,
                            Pattern pattern = Pattern::kRandom) {
-  SIM_CHECK(churn_period == 0 || batch == 0);  // churn is scalar-only
-  SIM_CHECK(batch == 0 || pattern == Pattern::kRandom);  // patterns: scalar
   PageTable guest;
   PageTable ept;
   BuildLayout(guest, ept, regions, layout);
@@ -186,49 +162,29 @@ ScenarioResult RunScenario(const std::string& name, uint64_t regions,
   base::Rng rng(42);
   const uint64_t span = regions << kHugeOrder;
   uint64_t checksum = 0;
-  std::vector<uint64_t> vpns(batch);
-  std::vector<mmu::TranslateResult> out(batch);
 
   const auto start = std::chrono::steady_clock::now();
-  if (batch == 0) {
-    for (uint64_t i = 0; i < ops; ++i) {
-      if (churn_period != 0 && i % churn_period == churn_period - 1) {
-        // Demote and re-promote a well-aligned region in place: frames are
-        // unchanged, so cached entries stay correct but their generation
-        // stamps go stale — the next access must re-derive and restamp.
-        const uint64_t r = rng.NextBelow(regions / 2) * 2;
-        guest.Demote(r);
-        ept.Demote(r);
-        guest.PromoteInPlace(r);
-        ept.PromoteInPlace(r);
-      }
-      const uint64_t vpn = NextVpn(pattern, rng, span, i);
-      const auto t = engine.Translate(vpn);
-      if (t.status == TranslateStatus::kOk) {
-        checksum = checksum * 1099511628211ull + t.frame;
-      }
+  for (uint64_t i = 0; i < ops; ++i) {
+    if (churn_period != 0 && i % churn_period == churn_period - 1) {
+      // Demote and re-promote a well-aligned region in place: frames are
+      // unchanged, so cached entries stay correct but their generation
+      // stamps go stale — the next access must re-derive and restamp.
+      const uint64_t r = rng.NextBelow(regions / 2) * 2;
+      guest.Demote(r);
+      ept.Demote(r);
+      guest.PromoteInPlace(r);
+      ept.PromoteInPlace(r);
     }
-  } else {
-    // Identical rng draw order to the scalar loop; only the translate calls
-    // are chunked, so results must match the scalar counterpart exactly.
-    for (uint64_t i = 0; i < ops;) {
-      const uint64_t n = std::min(batch, ops - i);
-      for (uint64_t j = 0; j < n; ++j) {
-        vpns[j] = rng.NextBelow(span);
-      }
-      const size_t ok =
-          engine.TranslateBatch(std::span(vpns.data(), n), out.data());
-      for (size_t j = 0; j < ok; ++j) {
-        checksum = checksum * 1099511628211ull + out[j].frame;
-      }
-      i += n;
+    const uint64_t vpn = NextVpn(pattern, rng, span, i);
+    const auto t = engine.Translate(vpn);
+    if (t.status == TranslateStatus::kOk) {
+      checksum = checksum * 1099511628211ull + t.frame;
     }
   }
   const auto end = std::chrono::steady_clock::now();
 
   ScenarioResult res;
   res.scenario = name;
-  res.batch = batch;
   res.ops = ops;
   res.wall_ms =
       std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
@@ -236,7 +192,7 @@ ScenarioResult RunScenario(const std::string& name, uint64_t regions,
           .count();
   res.tlb_hits = engine.tlb().hits();
   res.tlb_misses = engine.tlb().misses();
-  res.stale_hits = engine.tlb().stale_drops();
+  res.stale_hits = engine.tlb().stale_hits();
   res.checksum = checksum;
   res.walk = engine.walk_stats();
   const auto& lat = engine.latency_histogram().buckets();
@@ -258,8 +214,7 @@ std::string ToJson(const std::vector<ScenarioResult>& results) {
     const double mops =
         r.wall_ms > 0.0 ? static_cast<double>(r.ops) / (r.wall_ms * 1000.0)
                         : 0.0;
-    out << "  {\"scenario\": \"" << r.scenario << "\", \"batch\": " << r.batch
-        << ", \"ops\": " << r.ops
+    out << "  {\"scenario\": \"" << r.scenario << "\", \"ops\": " << r.ops
         << ", \"wall_ms\": " << r.wall_ms << ", \"mops_per_s\": " << mops
         << ", \"tlb_hits\": " << r.tlb_hits
         << ", \"tlb_misses\": " << r.tlb_misses
@@ -280,40 +235,19 @@ std::string ToJson(const std::vector<ScenarioResult>& results) {
   return out.str();
 }
 
-// Aborts unless the batched run reproduced its scalar counterpart exactly:
-// same frame digest, same TLB hit/miss/stale counters.
-void CheckEquivalent(const ScenarioResult& scalar,
-                     const ScenarioResult& batched) {
-  SIM_CHECK_MSG(scalar.checksum == batched.checksum &&
-                    scalar.tlb_hits == batched.tlb_hits &&
-                    scalar.tlb_misses == batched.tlb_misses &&
-                    scalar.stale_hits == batched.stale_hits &&
-                    scalar.lat_p50 == batched.lat_p50 &&
-                    scalar.lat_p90 == batched.lat_p90 &&
-                    scalar.lat_p99 == batched.lat_p99,
-                "%s diverged from %s", batched.scenario.c_str(),
-                scalar.scenario.c_str());
-}
-
-double Mops(const ScenarioResult& r) {
-  return r.wall_ms > 0.0
-             ? static_cast<double>(r.ops) / (r.wall_ms * 1000.0)
-             : 0.0;
-}
-
 // Runs the scenario ResolveReps() times and keeps the fastest repetition.
 // Every repetition must produce identical simulated results — a repeated
-// determinism check on top of the scalar/batched equivalence check.
+// determinism check.
 ScenarioResult RunBest(const std::string& name, uint64_t regions,
                        uint64_t ops, uint64_t churn_period,
-                       uint64_t batch = 0, Layout layout = Layout::kMixed,
+                       Layout layout = Layout::kMixed,
                        Pattern pattern = Pattern::kRandom) {
   ScenarioResult best =
-      RunScenario(name, regions, ops, churn_period, batch, layout, pattern);
+      RunScenario(name, regions, ops, churn_period, layout, pattern);
   const uint64_t reps = ResolveReps();
   for (uint64_t rep = 1; rep < reps; ++rep) {
     ScenarioResult r =
-        RunScenario(name, regions, ops, churn_period, batch, layout, pattern);
+        RunScenario(name, regions, ops, churn_period, layout, pattern);
     SIM_CHECK_MSG(r.checksum == best.checksum && r.tlb_hits == best.tlb_hits &&
                       r.tlb_misses == best.tlb_misses &&
                       r.stale_hits == best.stale_hits,
@@ -328,7 +262,6 @@ ScenarioResult RunBest(const std::string& name, uint64_t regions,
 }  // namespace
 
 int main() {
-  const uint64_t batch = ResolveBatch();
   std::vector<ScenarioResult> results;
   // 4 regions = 2 huge entries + 1024 base entries: fully TLB-resident at
   // 128x12, so after warm-up every access is a fast-path hit.
@@ -341,22 +274,11 @@ int main() {
   // 256 regions: the 128 huge entries stay resident while the 64K base
   // pages thrash — roughly half hits, half misses.
   results.push_back(RunBest("mixed", 256, 1ull << 22, 0));
-
-  // Batched variants of the churn-free scenarios.  Same seed, same params,
-  // so each must reproduce its scalar counterpart bit-for-bit.
-  results.push_back(RunBest("batched_hit", 4, 1ull << 24, 0, batch));
-  CheckEquivalent(results[0], results[4]);
-  results.push_back(RunBest("batched_miss", 4096, 1ull << 22, 0, batch));
-  CheckEquivalent(results[1], results[5]);
-  results.push_back(RunBest("batched_mixed", 256, 1ull << 22, 0, batch));
-  CheckEquivalent(results[3], results[6]);
-
-  // Walker-depth scenarios (scalar; appended so the paired indices above
-  // stay stable).  walk_seq: full-depth walks with maximal memo locality.
-  // walk_deep: PD-leaf walks with upper-level pressure.
-  results.push_back(RunBest("walk_seq", 4096, 1ull << 22, 0, 0,
+  // Walker-depth scenarios.  walk_seq: full-depth walks with maximal memo
+  // locality.  walk_deep: PD-leaf walks with upper-level pressure.
+  results.push_back(RunBest("walk_seq", 4096, 1ull << 22, 0,
                             Layout::kAllBase, Pattern::kSequential));
-  results.push_back(RunBest("walk_deep", 4096, 1ull << 22, 0, 0,
+  results.push_back(RunBest("walk_deep", 4096, 1ull << 22, 0,
                             Layout::kAllHuge, Pattern::kStride));
 
   for (const ScenarioResult& r : results) {
@@ -373,21 +295,6 @@ int main() {
         static_cast<unsigned long long>(r.checksum));
   }
 
-  // Paired speedups: batched wall time vs the same scenario run scalar.
-  // "aggregate" is total-ops / total-wall over the paired scenarios.
-  const int pairs[][2] = {{0, 4}, {1, 5}, {3, 6}};
-  double scalar_wall = 0.0;
-  double batched_wall = 0.0;
-  std::printf("batch %llu speedup:", static_cast<unsigned long long>(batch));
-  for (const auto& p : pairs) {
-    scalar_wall += results[p[0]].wall_ms;
-    batched_wall += results[p[1]].wall_ms;
-    std::printf("  %s %.2fx", results[p[0]].scenario.c_str(),
-                Mops(results[p[1]]) / Mops(results[p[0]]));
-  }
-  std::printf("  aggregate %.2fx\n",
-              batched_wall > 0.0 ? scalar_wall / batched_wall : 0.0);
-
   const char* dir = std::getenv("GEMINI_EXPORT");
   const std::string prefix =
       dir != nullptr && dir[0] != '\0' ? std::string(dir) + "/" : "";
@@ -395,14 +302,9 @@ int main() {
   metrics::WriteFile(path, ToJson(results));
   std::printf("wrote %s\n", path.c_str());
 
-  // Per-level walk table for the scalar scenarios (the batched variants
-  // reproduce their scalar counterparts exactly, so their rows would be
-  // duplicates).
   std::vector<metrics::WalkLevelRow> walk_rows;
   for (const ScenarioResult& r : results) {
-    if (r.batch == 0) {
-      walk_rows.push_back(metrics::WalkLevelRow{r.scenario, r.walk});
-    }
+    walk_rows.push_back(metrics::WalkLevelRow{r.scenario, r.walk});
   }
   const std::string walk_path = prefix + "WALK_breakdown.txt";
   metrics::WriteFile(walk_path, metrics::RenderWalkLevelBreakdown(walk_rows));

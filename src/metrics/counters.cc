@@ -54,13 +54,6 @@ StackSnapshot StackSnapshot::Delta(const StackSnapshot& earlier) const {
   d.bookings_started = bookings_started - earlier.bookings_started;
   d.bookings_expired = bookings_expired - earlier.bookings_expired;
   d.bucket_hits = bucket_hits - earlier.bucket_hits;
-  d.batches = batches - earlier.batches;
-  d.batched_accesses = batched_accesses - earlier.batched_accesses;
-  d.batch_region_groups = batch_region_groups - earlier.batch_region_groups;
-  d.batch_fastpath_hits = batch_fastpath_hits - earlier.batch_fastpath_hits;
-  for (size_t i = 0; i < batch_size_hist.size(); ++i) {
-    d.batch_size_hist[i] = batch_size_hist[i] - earlier.batch_size_hist[i];
-  }
   for (size_t l = 0; l < d.walk.guest_mem.size(); ++l) {
     d.walk.guest_mem[l] = walk.guest_mem[l] - earlier.walk.guest_mem[l];
     d.walk.guest_cached[l] =
@@ -132,12 +125,6 @@ StackSnapshot Snapshot(osim::Machine& machine, int32_t vm_id) {
   s.bookings_started = gt.bookings_started + ht.bookings_started;
   s.bookings_expired = gt.bookings_expired + ht.bookings_expired;
   s.bucket_hits = gt.bucket_hits + ht.bucket_hits;
-  const mmu::TranslationEngine::BatchStats& b = vm.engine().batch_stats();
-  s.batches = b.batches;
-  s.batched_accesses = b.batched_translations;
-  s.batch_region_groups = b.region_groups;
-  s.batch_fastpath_hits = b.fastpath_hits;
-  s.batch_size_hist = b.size_hist;
   s.walk = vm.engine().walk_stats();
   return s;
 }

@@ -86,13 +86,6 @@ struct StackSnapshot {
   uint64_t bookings_started = 0;
   uint64_t bookings_expired = 0;
   uint64_t bucket_hits = 0;
-  // Batch-path effectiveness (host-side only: batching never changes
-  // simulation results; see TranslationEngine::BatchStats).
-  uint64_t batches = 0;
-  uint64_t batched_accesses = 0;
-  uint64_t batch_region_groups = 0;
-  uint64_t batch_fastpath_hits = 0;
-  std::array<uint64_t, 8> batch_size_hist{};  // log2 batch-size buckets
   // Per-level page-walk accounting (DESIGN.md §3e): where each walk level's
   // references were served (memory vs PWC vs nested cache) plus the walk
   // memo's replay tallies.  Levels are indexed L4..L1 (see WalkLevelStats).

@@ -85,9 +85,6 @@ std::string ToCsv(const std::vector<ResultRow>& rows) {
          "stale_hits,tlb_miss_rate,well_aligned_rate,guest_huge,host_huge,"
          "bookings_started,bookings_expired,bucket_hits,demotions,"
          "tier_demoted,tier_refaults,tier_resident,"
-         "batches,batched_accesses,batch_region_groups,batch_fastpath_hits,"
-         "batch_hist_b0,batch_hist_b1,batch_hist_b2,batch_hist_b3,"
-         "batch_hist_b4,batch_hist_b5,batch_hist_b6,batch_hist_b7,"
          "tlb_mode,cross_vm_evictions,vm_invalidated,conflict_evictions,"
          "capacity_evictions,"
          "displaced_by_self,displaced_by_other,util_shadow_hits,"
@@ -115,13 +112,7 @@ std::string ToCsv(const std::vector<ResultRow>& rows) {
         << ',' << r.counters.bucket_hits << ',' << r.counters.demotions
         << ',' << r.counters.tier_demoted_pages << ','
         << r.counters.tier_refaults << ',' << r.counters.tier_resident
-        << ',' << r.counters.batches << ',' << r.counters.batched_accesses
-        << ',' << r.counters.batch_region_groups << ','
-        << r.counters.batch_fastpath_hits;
-    for (const uint64_t bucket : r.counters.batch_size_hist) {
-      out << ',' << bucket;
-    }
-    out << ',' << EscapeCsv(row.tlb_mode) << ','
+        << ',' << EscapeCsv(row.tlb_mode) << ','
         << r.counters.tlb_cross_vm_evictions << ','
         << r.counters.tlb_vm_invalidated << ','
         << (r.counters.tlb_conflict_evictions_base +
@@ -188,15 +179,7 @@ std::string ToJson(const std::vector<ResultRow>& rows) {
         << ", \"tier_demoted\": " << r.counters.tier_demoted_pages
         << ", \"tier_refaults\": " << r.counters.tier_refaults
         << ", \"tier_resident\": " << r.counters.tier_resident
-        << ", \"batches\": " << r.counters.batches
-        << ", \"batched_accesses\": " << r.counters.batched_accesses
-        << ", \"batch_region_groups\": " << r.counters.batch_region_groups
-        << ", \"batch_fastpath_hits\": " << r.counters.batch_fastpath_hits;
-    for (size_t b = 0; b < r.counters.batch_size_hist.size(); ++b) {
-      out << ", \"batch_hist_b" << b
-          << "\": " << r.counters.batch_size_hist[b];
-    }
-    out << ", \"tlb_mode\": \"" << EscapeJson(rows[i].tlb_mode) << '"'
+        << ", \"tlb_mode\": \"" << EscapeJson(rows[i].tlb_mode) << '"'
         << ", \"cross_vm_evictions\": " << r.counters.tlb_cross_vm_evictions
         << ", \"vm_invalidated\": " << r.counters.tlb_vm_invalidated
         << ", \"conflict_evictions\": "

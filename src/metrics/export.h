@@ -30,12 +30,6 @@
 //   tier_refaults     | int    | far-tier pages faulted back to near memory
 //   tier_resident     | int    | far-resident pages when the phase ended (a
 //                     |        | level, like ways_assigned — not a count)
-//   batches           | int    | AccessBatch calls over the measured phase
-//   batched_accesses  | int    | accesses issued through those batches
-//   batch_region_groups | int  | same-region runs summed over batches
-//   batch_fastpath_hits | int  | translations resolved by the batch memo
-//   batch_hist_b0..b7 | int    | batches with floor(log2(size)) == b
-//                     |        | (b7 holds 128+)
 //   tlb_mode          | string | TLB sharing arrangement of the cell:
 //                     |        | private / shared / partitioned
 //   cross_vm_evictions| int    | this VM's TLB entries evicted by another
@@ -90,9 +84,7 @@
 //
 // Every field except wall_ms is deterministic: same seed, same values, at
 // any GEMINI_JOBS count.  wall_ms is real host time — use it to track the
-// simulator's own performance, never to compare systems.  The batch_*
-// fields describe how the batch pipeline was driven (GEMINI_BATCH), not
-// simulation behavior: results are identical at any batch size.
+// simulator's own performance, never to compare systems.
 #ifndef SRC_METRICS_EXPORT_H_
 #define SRC_METRICS_EXPORT_H_
 
@@ -121,9 +113,7 @@ struct ResultRow {
 // workload,system,throughput,mean_latency,p99_latency,tlb_misses,stale_hits,
 // tlb_miss_rate,well_aligned_rate,guest_huge,host_huge,bookings_started,
 // bookings_expired,bucket_hits,demotions,tier_demoted,tier_refaults,
-// tier_resident,batches,batched_accesses,
-// batch_region_groups,batch_fastpath_hits,batch_hist_b0..batch_hist_b7,
-// tlb_mode,cross_vm_evictions,vm_invalidated,conflict_evictions,
+// tier_resident,tlb_mode,cross_vm_evictions,vm_invalidated,conflict_evictions,
 // capacity_evictions,displaced_by_self,displaced_by_other,util_shadow_hits,
 // util_shadow_misses,util_min_ways_90,ways_assigned,repartitions,
 // repartition_evictions,lat_p50,lat_p90,lat_p99,

@@ -195,33 +195,22 @@ class PageTable {
 
   // Table-wide mutation count: bumped exactly when any region's generation
   // is bumped.  Two equal reads bracket an interval in which *no* region's
-  // generation moved, so any validation performed in between is still
-  // current — this is what lets a batched translation validate a region's
-  // generations once and reuse the result for later accesses of the batch
-  // (see translation_engine.h).  Unlike generation(), the counter lives on
-  // one hot cache line regardless of which region is asked about.
+  // generation moved; the ForEachHuge / ForEachBaseRegion visitors compare
+  // it around every callback to enforce the no-mutation contract below.
   uint64_t mutations() const { return mutations_; }
 
-  // --- Batched-translation prefetch ---------------------------------------
-  //
-  // Purely advisory cache warming for a translation that will be issued
-  // shortly; no observable state is read or written.  Split in two stages
-  // because the base-page frame cell is behind the region's route word:
-  // stage 1 pulls the route word, stage 2 (issued a few accesses later,
-  // once the route line has arrived) chases the pointer to the frame cell.
-  void PrefetchRegion(uint64_t region) const {
-    if (region < route_.size()) {
-      __builtin_prefetch(&route_[region], 0, 1);
-    }
-  }
+  // Advisory cache warming for the route word and (for a base region) the
+  // frame cell a Lookup of `vpn` will read; no observable state is read or
+  // written.  The translation miss path issues it for the host lookup that
+  // follows the guest walk.
   void PrefetchPage(uint64_t vpn) const {
     const uint64_t region = vpn >> base::kHugeOrder;
     if (region >= route_.size()) {
       return;
     }
     const uint64_t route = route_[region];
-    // Huge routes hold their frame inline: the route load (stage 1) already
-    // warmed everything.  Only base regions have a frame cell to chase.
+    // Huge routes hold their frame inline: the route load already warmed
+    // everything.  Only base regions have a frame cell to chase.
     if (route != 0 && (route & 1) == 0) {
       const uint32_t slot =
           static_cast<uint32_t>(vpn & (base::kPagesPerHuge - 1));

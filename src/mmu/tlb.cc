@@ -51,11 +51,9 @@ Tlb::Tlb(const TlbConfig& config) : config_(config) {
   SIM_CHECK(config_.sets > 0 && (config_.sets & (config_.sets - 1)) == 0);
   SIM_CHECK(config_.ways > 0);
   const size_t n = static_cast<size_t>(config_.sets) * config_.ways;
-  SIM_CHECK(n < static_cast<size_t>(INT32_MAX));  // memo stores int32 indices
   tags_.assign(n, 0);
   lru_.assign(n, 0);
   entries_.resize(n);
-  huge_hit_memo_.assign(kHugeMemoSlots, -1);
   set_valid_.assign(config_.sets, 0);
   RegisterVm(0);
 }
@@ -192,7 +190,6 @@ Tlb::LookupResult Tlb::Lookup(uint64_t vpn, uint16_t vmid) {
     lru_[i] = clock_;
     ++Counters(vmid).hits;
     last_hit_ = i;
-    huge_hit_memo_[region & (kHugeMemoSlots - 1)] = static_cast<int32_t>(i);
     if (__builtin_expect(monitor_ != nullptr, 0)) {
       monitor_->OnAccess(region, base::PageSize::kHuge, vmid);
     }
@@ -250,9 +247,6 @@ void Tlb::Insert(uint64_t vpn, base::PageSize size, uint64_t frame,
     lru_[i] = clock_;
     entries_[i].frame = frame;
     entries_[i].stamp = stamp;
-    if (size == base::PageSize::kHuge) {
-      huge_hit_memo_[key & (kHugeMemoSlots - 1)] = static_cast<int32_t>(i);
-    }
     if (monitor_ != nullptr) {
       monitor_->OnInsert(key, size, vmid);
     }
@@ -320,9 +314,6 @@ void Tlb::InsertMiss(uint64_t vpn, base::PageSize size, uint64_t frame,
   lru_[victim] = clock_;
   entries_[victim].frame = frame;
   entries_[victim].stamp = stamp;
-  if (size == base::PageSize::kHuge) {
-    huge_hit_memo_[key & (kHugeMemoSlots - 1)] = static_cast<int32_t>(victim);
-  }
   if (monitor_ != nullptr) {
     monitor_->OnInsert(key, size, vmid);
   }

@@ -161,33 +161,14 @@ class Tlb {
   // on hit.
   LookupResult Lookup(uint64_t vpn, uint16_t vmid = 0);
 
-  // O(1) repeat-probe for a huge entry of `region`, used by the batched
-  // translation fast path.  If a recently hit or inserted huge entry for
-  // the region is still valid, performs exactly what Lookup would have
-  // done for any vpn of the region — huge entries probe first, and tags
-  // are unique per (set, size, vmid), so the memoized entry *is* the entry
-  // Lookup would return — counts the hit, touches LRU, fills `out`, and
-  // returns true.  Otherwise touches nothing (no miss counted; the caller
-  // falls back to Lookup) and returns false.  Defined inline below the
-  // class: it is the innermost step of the batch fast path.
-  bool RehitHuge(uint64_t region, LookupResult* out, uint16_t vmid = 0);
-
   // Side-effect-free presence probe: true iff a Lookup of `vpn` would hit
-  // right now.  Touches no counters and no LRU state.  The batch prefetch
-  // planner uses it to skip side-walking accesses that will hit anyway
-  // (the answer is advisory — state may change before the real access —
-  // so correctness never depends on it).
+  // right now.  Touches no counters and no LRU state, so tests can check
+  // residency without disturbing what they observe.
   bool Probe(uint64_t vpn, uint16_t vmid = 0) const {
     return FindEntry(vpn >> base::kHugeOrder, base::PageSize::kHuge, vmid) >=
                0 ||
            FindEntry(vpn, base::PageSize::kBase, vmid) >= 0;
   }
-
-  // Advisory prefetch of the two sets a Lookup of `vpn` will probe.  A
-  // probe scans the packed tag words of every way, so the tag lines of
-  // both sets are pulled (payload lines are only needed on a hit and are
-  // not worth the traffic).
-  void PrefetchSets(uint64_t vpn) const;
 
   // Inserts a translation for `vpn` at the given granularity, evicting the
   // LRU way of the target set (within the inserting VM's way window).  The
@@ -247,7 +228,6 @@ class Tlb {
   // splits out how many misses were precise invalidations rather than
   // capacity/cold misses.
   uint64_t stale_hits() const { return Sum(&VmTlbCounters::stale_drops); }
-  uint64_t stale_drops() const { return Sum(&VmTlbCounters::stale_drops); }
   uint64_t flushes() const { return flushes_; }  // full Flush() calls
 
   // Per-VM counter set (zeroes for a vmid never registered or used).
@@ -342,18 +322,10 @@ class Tlb {
   void AddSlot(size_t i);
   uint64_t Sum(uint64_t VmTlbCounters::* field) const;
 
-  // Direct-mapped cache of recently hit/inserted huge entry indices, by
-  // region; -1 = empty.  Eviction/shootdown/reuse of a slot — or reuse by
-  // another VM's region in a shared array — is caught by re-checking the
-  // packed tag (which includes the VMID) before trusting it (see
-  // RehitHuge).
-  static constexpr uint32_t kHugeMemoSlots = 1024;  // power of two
-
   TlbConfig config_;
   std::vector<uint64_t> tags_;     // sets * ways packed way identities
   std::vector<uint64_t> lru_;      // lru_[i]: last touch of entry i
   std::vector<Entry> entries_;     // sets * ways payloads
-  std::vector<int32_t> huge_hit_memo_;  // kHugeMemoSlots, region-indexed
   std::vector<VmState> vms_;       // indexed by vmid; grown by RegisterVm
   std::vector<uint32_t> set_valid_;  // per-set residency
   uint32_t valid_total_ = 0;
@@ -362,38 +334,6 @@ class Tlb {
   uint64_t flushes_ = 0;
   TlbUtilityMonitor* monitor_ = nullptr;  // not owned; null in private mode
 };
-
-inline void Tlb::PrefetchSets(uint64_t vpn) const {
-  const uint64_t region = vpn >> base::kHugeOrder;
-  const size_t hset = static_cast<size_t>(SetIndex(region)) * config_.ways;
-  const size_t bset = static_cast<size_t>(SetIndex(vpn)) * config_.ways;
-  // A set's packed tags span at most two cache lines; touch both ends.
-  __builtin_prefetch(&tags_[hset], 0, 1);
-  __builtin_prefetch(&tags_[hset + config_.ways - 1], 0, 1);
-  __builtin_prefetch(&tags_[bset], 0, 1);
-  __builtin_prefetch(&tags_[bset + config_.ways - 1], 0, 1);
-}
-
-inline bool Tlb::RehitHuge(uint64_t region, LookupResult* out,
-                           uint16_t vmid) {
-  const int32_t i = huge_hit_memo_[region & (kHugeMemoSlots - 1)];
-  // Re-check what Lookup would have established: the slot may have been
-  // evicted, shot down, or reused for another region (or another VM's
-  // region — the memo is shared, the tag is not) since it was memoized.
-  if (i < 0 || tags_[i] != PackedTag(region, base::PageSize::kHuge, vmid)) {
-    return false;
-  }
-  ++clock_;
-  lru_[i] = clock_;
-  ++Counters(vmid).hits;
-  last_hit_ = i;
-  if (__builtin_expect(monitor_ != nullptr, 0)) {
-    monitor_->OnAccess(region, base::PageSize::kHuge, vmid);
-  }
-  const Entry& e = entries_[i];
-  *out = LookupResult{true, base::PageSize::kHuge, e.frame, e.stamp};
-  return true;
-}
 
 }  // namespace mmu
 

@@ -100,19 +100,6 @@ class TlbView {
     }
     return physical_->Lookup(vpn, vmid_);
   }
-  bool RehitHuge(uint64_t region, Tlb::LookupResult* out) {
-    if (__builtin_expect(stage_ != nullptr, 0)) {
-      return stage_->RehitHuge(region, out);
-    }
-    return physical_->RehitHuge(region, out, vmid_);
-  }
-  bool Probe(uint64_t vpn) const {
-    if (__builtin_expect(stage_ != nullptr, 0)) {
-      return stage_->Probe(vpn);
-    }
-    return physical_->Probe(vpn, vmid_);
-  }
-  void PrefetchSets(uint64_t vpn) const { physical_->PrefetchSets(vpn); }
   void Insert(uint64_t vpn, base::PageSize size, uint64_t frame,
               const Tlb::Stamp& stamp) {
     if (__builtin_expect(stage_ != nullptr, 0)) {
@@ -160,9 +147,14 @@ class TlbView {
     }
     return physical_->ShootdownPage(vpn, vmid_);
   }
-  // Range shootdowns, VM-wide flushes, and counter resets are kernel-path
-  // operations; the epoch-parallel model confines those to the serial
-  // phase, so they must never see an attached stage.
+  // Residency probes, range shootdowns, VM-wide flushes, and counter
+  // resets are kernel-path or test operations; the epoch-parallel model
+  // confines those to the serial phase, so they must never see an attached
+  // stage.
+  bool Probe(uint64_t vpn) const {
+    SIM_CHECK(stage_ == nullptr);
+    return physical_->Probe(vpn, vmid_);
+  }
   uint32_t ShootdownRange(uint64_t vpn, uint64_t pages) {
     SIM_CHECK(stage_ == nullptr);
     return physical_->ShootdownRange(vpn, pages, vmid_);
@@ -191,9 +183,6 @@ class TlbView {
     return Staged(counters().shootdowns, &TlbEpochStage::Deltas::shootdowns);
   }
   uint64_t stale_hits() const {
-    return Staged(counters().stale_drops, &TlbEpochStage::Deltas::stale_drops);
-  }
-  uint64_t stale_drops() const {
     return Staged(counters().stale_drops, &TlbEpochStage::Deltas::stale_drops);
   }
   uint64_t vm_invalidated() const { return counters().vm_invalidated; }

@@ -69,28 +69,6 @@ Tlb::LookupResult TlbEpochStage::Lookup(uint64_t vpn) {
   return Tlb::LookupResult{};
 }
 
-bool TlbEpochStage::RehitHuge(uint64_t region, Tlb::LookupResult* out) {
-  // Semantically "Lookup would hit the region's huge entry": the staged
-  // view needs no memo — the overlay map is already O(1) — so this is the
-  // plain epoch-visible probe with hit accounting.
-  uint64_t frame = 0;
-  Tlb::Stamp stamp;
-  if (!ProbeOne(region, base::PageSize::kHuge, &frame, &stamp)) {
-    return false;
-  }
-  LogHit(region, base::PageSize::kHuge);
-  *out = Tlb::LookupResult{true, base::PageSize::kHuge, frame, stamp};
-  return true;
-}
-
-bool TlbEpochStage::Probe(uint64_t vpn) const {
-  uint64_t frame = 0;
-  Tlb::Stamp stamp;
-  return ProbeOne(vpn >> base::kHugeOrder, base::PageSize::kHuge, &frame,
-                  &stamp) ||
-         ProbeOne(vpn, base::PageSize::kBase, &frame, &stamp);
-}
-
 void TlbEpochStage::Insert(uint64_t vpn, base::PageSize size, uint64_t frame,
                            const Tlb::Stamp& stamp) {
   const uint64_t key =
@@ -157,10 +135,6 @@ void TlbEpochStage::Commit() {
         const int64_t i = t.FindEntry(e.key, e.size, vmid_);
         if (i >= 0) {
           t.lru_[i] = t.clock_;
-          if (e.size == base::PageSize::kHuge) {
-            t.huge_hit_memo_[e.key & (Tlb::kHugeMemoSlots - 1)] =
-                static_cast<int32_t>(i);
-          }
           t.last_hit_ = i;
         } else {
           t.last_hit_ = -1;

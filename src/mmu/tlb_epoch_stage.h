@@ -76,8 +76,6 @@ class TlbEpochStage {
 
   // --- the TlbView operation surface, vmid bound at construction ---
   Tlb::LookupResult Lookup(uint64_t vpn);
-  bool RehitHuge(uint64_t region, Tlb::LookupResult* out);
-  bool Probe(uint64_t vpn) const;
   void Insert(uint64_t vpn, base::PageSize size, uint64_t frame,
               const Tlb::Stamp& stamp);
   void RestampHit(const Tlb::Stamp& stamp);
@@ -125,7 +123,7 @@ class TlbEpochStage {
   std::unordered_map<uint64_t, Overlay> overlay_;
   std::vector<Event> events_;
   Deltas deltas_;
-  // Entry the most recent staged Lookup/RehitHuge hit (for RestampHit).
+  // Entry the most recent staged Lookup hit (for RestampHit).
   bool last_was_hit_ = false;
   uint64_t last_hit_key_ = 0;
   base::PageSize last_hit_size_ = base::PageSize::kBase;

@@ -46,7 +46,7 @@
 // outside epoch-parallel phases (at epoch barriers, after the canonical
 // VM-ID-ordered stage replay), so repartitions are a pure function of the
 // simulated access stream: byte-identical output at any GEMINI_VM_THREADS
-// / GEMINI_JOBS / GEMINI_BATCH setting.  All tick math is integer except
+// / GEMINI_JOBS setting.  All tick math is integer except
 // the hysteresis product, a single deterministic double multiply.
 #ifndef SRC_MMU_TLB_REPARTITIONER_H_
 #define SRC_MMU_TLB_REPARTITIONER_H_

@@ -41,7 +41,7 @@
 // Determinism: sampled-set selection is a fixed stride (not random), the
 // stacks and table are updated by the access stream only, and every
 // structure is fixed-size — so all counters are byte-reproducible for a
-// given (workload, seed), at any GEMINI_JOBS / GEMINI_BATCH setting.
+// given (workload, seed), at any GEMINI_JOBS setting.
 //
 // The monitor is attached to a `Tlb` by the owning `TlbDomain` in shared
 // and partitioned modes only; in private mode the pointer stays null and

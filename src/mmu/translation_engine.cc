@@ -1,22 +1,11 @@
 #include "mmu/translation_engine.h"
 
-#include <algorithm>
-
 #include "base/check.h"
 
 namespace mmu {
 
 using base::kHugeOrder;
 using base::kPagesPerHuge;
-
-namespace {
-
-bool SameStamp(const Tlb::Stamp& a, const Tlb::Stamp& b) {
-  return a.guest_gen == b.guest_gen && a.host_region == b.host_region &&
-         a.host_gen == b.host_gen && a.well_aligned == b.well_aligned;
-}
-
-}  // namespace
 
 TranslationEngine::TranslationEngine(const Config& config,
                                      PageTable* guest_table,
@@ -42,46 +31,11 @@ TranslationEngine::TranslationEngine(const Config& config,
 }
 
 TranslateResult TranslationEngine::Translate(uint64_t vpn) {
-  const TranslateResult result = TranslateImpl<false>(vpn);
-  if (result.status == TranslateStatus::kOk) {
-    latency_hist_.Add(result.cycles);
-  }
-  return result;
-}
-
-template <bool kBatched>
-TranslateResult TranslationEngine::TranslateImpl(uint64_t vpn) {
   ++translations_;
   TranslateResult result;
   const uint64_t region = vpn >> kHugeOrder;
 
-  Tlb::LookupResult cached;
-  bool have_lookup = false;
-  if constexpr (kBatched) {
-    // Memo fast path.  If the memo slot matches the region and neither
-    // table has mutated since it was armed, the generation compare the
-    // scalar path would perform is already known to pass — provided the
-    // huge entry still carries the stamp the memo recorded.  RehitHuge
-    // performs exactly the observable effects of the huge-probe-first
-    // Lookup hit, so returning here is equivalent to the scalar
-    // validated-hit branch.
-    const RegionMemo& m = memo_[region & (kMemoSlots - 1)];
-    if (MemoValid(m, region) && tlb_.RehitHuge(region, &cached)) {
-      have_lookup = true;
-      if (SameStamp(cached.stamp, m.stamp)) {
-        ++batch_stats_.fastpath_hits;
-        result.tlb_hit = true;
-        result.cycles = config_.tlb_hit_cycles;
-        translation_cycles_ += result.cycles;
-        result.frame = cached.frame + (vpn & (kPagesPerHuge - 1));
-        result.well_aligned_huge = cached.stamp.well_aligned;
-        return result;
-      }
-    }
-  }
-  if (!have_lookup) {
-    cached = tlb_.Lookup(vpn);
-  }
+  const Tlb::LookupResult cached = tlb_.Lookup(vpn);
   // Translations threaded from hit validation into the miss path, so a
   // stale hit never walks the tables twice.
   std::optional<Translation> guest;
@@ -99,14 +53,9 @@ TranslateResult TranslationEngine::TranslateImpl(uint64_t vpn) {
         (host_table_ == nullptr ||
          cached.stamp.host_gen ==
              host_table_->generation(cached.stamp.host_region))) {
-      if constexpr (kBatched) {
-        if (cached.size == base::PageSize::kHuge) {
-          ArmMemo(region, cached.stamp);
-        }
-      }
       result.tlb_hit = true;
       result.cycles = config_.tlb_hit_cycles;
-      translation_cycles_ += result.cycles;
+      Charge(result.cycles);
       result.frame = cached.size == base::PageSize::kHuge
                          ? cached.frame + (vpn & (kPagesPerHuge - 1))
                          : cached.frame;
@@ -118,11 +67,7 @@ TranslateResult TranslationEngine::TranslateImpl(uint64_t vpn) {
     // every frame) — keep the hit and restamp the entry for the new
     // generations.  Otherwise the entry is stale: drop it and fall through
     // to the miss path, reusing the lookups performed here.
-    if constexpr (kBatched) {
-      guest = BatchedGuestWalk(vpn);
-    } else {
-      guest = guest_table_->Lookup(vpn);
-    }
+    guest = guest_table_->Lookup(vpn);
     guest_fetched = true;
     bool valid = guest.has_value();
     uint64_t frame = 0;
@@ -158,14 +103,9 @@ TranslateResult TranslationEngine::TranslateImpl(uint64_t vpn) {
     if (valid) {
       stamp.well_aligned = aligned;
       tlb_.RestampHit(stamp);
-      if constexpr (kBatched) {
-        if (cached.size == base::PageSize::kHuge) {
-          ArmMemo(region, stamp);
-        }
-      }
       result.tlb_hit = true;
       result.cycles = config_.tlb_hit_cycles;
-      translation_cycles_ += result.cycles;
+      Charge(result.cycles);
       result.frame = frame;
       result.well_aligned_huge = aligned;
       return result;
@@ -175,20 +115,13 @@ TranslateResult TranslationEngine::TranslateImpl(uint64_t vpn) {
   }
 
   // TLB miss: walk.
-  if constexpr (kBatched) {
-    plan_wanted_ = true;  // this batch has walks: prefetch lookahead helps
-  }
   // The walker's memo line for this region will be probed right after the
   // table lookups; starting its fill now overlaps it with both of them.
   // (Prefetching before the TLB probe was measured and lost: it taxes the
   // hit path, which outnumbers misses everywhere but miss_heavy.)
   walker_.PrefetchMemo(region);
   if (!guest_fetched) {
-    if constexpr (kBatched) {
-      guest = BatchedGuestWalk(vpn);
-    } else {
-      guest = guest_table_->Lookup(vpn);
-    }
+    guest = guest_table_->Lookup(vpn);
   }
   if (!guest.has_value()) {
     result.status = TranslateStatus::kGuestFault;
@@ -209,7 +142,7 @@ TranslateResult TranslationEngine::TranslateImpl(uint64_t vpn) {
     const WalkResult walk = walker_.NativeWalk(vpn, guest->size);
     result.frame = guest->frame;
     result.cycles = walk.cycles;
-    translation_cycles_ += result.cycles;
+    Charge(result.cycles);
     const bool huge = guest->size == base::PageSize::kHuge;
     result.well_aligned_huge = huge;
     Tlb::Stamp stamp;
@@ -218,11 +151,6 @@ TranslateResult TranslationEngine::TranslateImpl(uint64_t vpn) {
     tlb_.InsertMiss(vpn, guest->size,
                 huge ? (guest->frame & ~(kPagesPerHuge - 1)) : guest->frame,
                 stamp);
-    if constexpr (kBatched) {
-      if (huge) {
-        ArmMemo(region, stamp);
-      }
-    }
     return result;
   }
 
@@ -241,7 +169,7 @@ TranslateResult TranslationEngine::TranslateImpl(uint64_t vpn) {
       walker_.NestedWalk(vpn, guest->size, guest->frame, host->size);
   result.frame = host->frame;
   result.cycles = walk.cycles;
-  translation_cycles_ += result.cycles;
+  Charge(result.cycles);
 
   // The well-alignment rule: only a huge guest page backed by a huge host
   // page yields a combined translation at 2 MiB granularity.  (A guest huge
@@ -259,179 +187,10 @@ TranslateResult TranslationEngine::TranslateImpl(uint64_t vpn) {
   if (aligned) {
     tlb_.InsertMiss(vpn, base::PageSize::kHuge,
                 host->frame & ~(kPagesPerHuge - 1), stamp);
-    if constexpr (kBatched) {
-      ArmMemo(region, stamp);
-    }
   } else {
     tlb_.InsertMiss(vpn, base::PageSize::kBase, host->frame, stamp);
   }
   return result;
-}
-
-void TranslationEngine::PlanFar(uint64_t vpn, size_t pos) {
-  PlanSlot& slot = plan_ring_[pos & (kPlanRing - 1)];
-  slot.vpn = ~0ull;
-  const uint64_t region = vpn >> kHugeOrder;
-  // Classify the position once, here: an access the memo or the TLB will
-  // absorb needs no walk planning, and the Probe doubles as the prefetch
-  // of the very tag lines the real probe will scan.  The verdict is
-  // advisory (state can move before the access executes; a wrong skip only
-  // costs an unplanned slow path), so the later stages trust it and
-  // early-out on slot.skip instead of re-deciding.
-  slot.skip = MemoValid(memo_[region & (kMemoSlots - 1)], region) ||
-              tlb_.Probe(vpn);
-  if (slot.skip) {
-    return;
-  }
-  guest_table_->PrefetchRegion(region);
-}
-
-void TranslationEngine::PlanMid(uint64_t vpn, size_t pos) const {
-  if (plan_ring_[pos & (kPlanRing - 1)].skip) {
-    return;
-  }
-  // Reads the guest region slot (pulled by PlanFar) and prefetches the
-  // frame-array line the walk will read.
-  guest_table_->PrefetchPage(vpn);
-}
-
-void TranslationEngine::PlanNear(uint64_t vpn, size_t pos) {
-  PlanSlot& slot = plan_ring_[pos & (kPlanRing - 1)];
-  if (slot.skip) {
-    return;
-  }
-  // Side-walk the guest layer (const, no side effects; its lines were
-  // pulled by the far/mid stages), record the result for the real
-  // translation to reuse, and pull the host region-slot line.
-  slot.guest = guest_table_->Lookup(vpn);
-  slot.guest_muts = guest_table_->mutations();
-  slot.vpn = vpn;
-  if (slot.guest.has_value() && host_table_ != nullptr) {
-    host_table_->PrefetchRegion(slot.guest->frame >> kHugeOrder);
-  }
-}
-
-void TranslationEngine::PlanLast(size_t pos) const {
-  const PlanSlot& slot = plan_ring_[pos & (kPlanRing - 1)];
-  if (slot.vpn != ~0ull && slot.guest.has_value() && host_table_ != nullptr) {
-    // Reads the host region slot (pulled by PlanNear) and prefetches the
-    // host frame-array line — the final link of the nested-walk chain.
-    host_table_->PrefetchPage(slot.guest->frame);
-  }
-}
-
-std::optional<Translation> TranslationEngine::BatchedGuestWalk(
-    uint64_t vpn) const {
-  const PlanSlot& slot = plan_ring_[batch_pos_ & (kPlanRing - 1)];
-  if (slot.vpn == vpn && slot.guest_muts == guest_table_->mutations()) {
-    return slot.guest;
-  }
-  // Unplanned position (pipeline not armed yet, fault-retry drift, or a
-  // mutation since the side-walk): walk for real.
-  return guest_table_->Lookup(vpn);
-}
-
-void TranslationEngine::BeginBatch(std::span<const uint64_t> vpns) {
-  plan_window_ = vpns;
-  batch_pos_ = 0;
-  plan_far_pos_ = 0;
-  plan_mid_pos_ = 0;
-  plan_near_pos_ = 0;
-  plan_last_pos_ = 0;
-  plan_enabled_ = false;
-  plan_wanted_ = false;
-  batch_run_region_ = ~0ull;
-  if (vpns.empty()) {
-    return;
-  }
-  ++batch_stats_.batches;
-  batch_stats_.batched_translations += vpns.size();
-  uint32_t bucket = 0;
-  for (size_t n = vpns.size(); n > 1 && bucket < 7; n >>= 1) {
-    ++bucket;
-  }
-  ++batch_stats_.size_hist[bucket];
-}
-
-TranslateResult TranslationEngine::TranslateBatched(uint64_t vpn) {
-  const uint64_t region = vpn >> kHugeOrder;
-  if (region != batch_run_region_) {
-    batch_run_region_ = region;
-    ++batch_stats_.region_groups;
-  }
-  // Advance the prefetch pipeline one step ahead of execution.  The
-  // cursors are advisory: fault retries repeat a vpn without repeating the
-  // plan, which only shifts the lookahead distance, never correctness.
-  // Stage order matters within a call only in that PlanNear fills the gfn
-  // ring slots PlanLast later reads, and the near cursor always leads.
-  if (plan_enabled_) {
-    const size_t end = plan_window_.size();
-    if (plan_far_pos_ < end) {
-      PlanFar(plan_window_[plan_far_pos_], plan_far_pos_);
-      ++plan_far_pos_;
-    }
-    if (plan_mid_pos_ < end) {
-      PlanMid(plan_window_[plan_mid_pos_], plan_mid_pos_);
-      ++plan_mid_pos_;
-    }
-    if (plan_near_pos_ < end) {
-      PlanNear(plan_window_[plan_near_pos_], plan_near_pos_);
-      ++plan_near_pos_;
-    }
-    if (plan_last_pos_ < plan_near_pos_) {
-      PlanLast(plan_last_pos_++);
-    }
-  }
-  const TranslateResult result = TranslateImpl<true>(vpn);
-  if (plan_wanted_ && !plan_enabled_) {
-    // First real miss of the batch: arm the pipeline and run its prologue
-    // over the next few window entries so lookahead is established before
-    // the next access executes.  Each stage starts at its own depth; the
-    // near stage runs before the last stage so ring slots are filled
-    // before they are read.
-    plan_enabled_ = true;
-    const size_t next = std::min(batch_pos_ + 1, plan_window_.size());
-    plan_far_pos_ = next;
-    plan_mid_pos_ = next;
-    plan_near_pos_ = next;
-    plan_last_pos_ = next;
-    const size_t far_end = std::min(plan_window_.size(), next + kPlanFar);
-    while (plan_far_pos_ < far_end) {
-      PlanFar(plan_window_[plan_far_pos_], plan_far_pos_);
-      ++plan_far_pos_;
-    }
-    const size_t mid_end = std::min(plan_window_.size(), next + kPlanMid);
-    while (plan_mid_pos_ < mid_end) {
-      PlanMid(plan_window_[plan_mid_pos_], plan_mid_pos_);
-      ++plan_mid_pos_;
-    }
-    const size_t near_end = std::min(plan_window_.size(), next + kPlanNear);
-    while (plan_near_pos_ < near_end) {
-      PlanNear(plan_window_[plan_near_pos_], plan_near_pos_);
-      ++plan_near_pos_;
-    }
-    const size_t last_end = std::min(plan_near_pos_, next + kPlanLast);
-    while (plan_last_pos_ < last_end) {
-      PlanLast(plan_last_pos_++);
-    }
-  }
-  ++batch_pos_;
-  if (result.status == TranslateStatus::kOk) {
-    latency_hist_.Add(result.cycles);
-  }
-  return result;
-}
-
-size_t TranslationEngine::TranslateBatch(std::span<const uint64_t> vpns,
-                                         TranslateResult* out) {
-  BeginBatch(vpns);
-  for (size_t i = 0; i < vpns.size(); ++i) {
-    out[i] = TranslateBatched(vpns[i]);
-    if (out[i].status != TranslateStatus::kOk) {
-      return i;
-    }
-  }
-  return vpns.size();
 }
 
 void TranslationEngine::FlushAll() {
@@ -444,7 +203,6 @@ void TranslationEngine::ResetCounters() {
   translation_cycles_ = 0;
   tlb_.ResetCounters();
   walker_.ResetStats();
-  batch_stats_ = BatchStats{};
   latency_hist_ = base::Log2Histogram{};
 }
 

@@ -22,12 +22,8 @@
 #ifndef SRC_MMU_TRANSLATION_ENGINE_H_
 #define SRC_MMU_TRANSLATION_ENGINE_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <span>
-#include <vector>
 
 #include "base/stats.h"
 #include "base/types.h"
@@ -78,65 +74,6 @@ class TranslationEngine {
   // fault and retry.
   TranslateResult Translate(uint64_t vpn);
 
-  // --- Batched translation -------------------------------------------------
-  //
-  // The batch path translates the same access stream the scalar path
-  // would, strictly in order, with identical observable effects (results,
-  // TLB counters and LRU order, page-table state, cycle charges) — proven
-  // equivalent in DESIGN.md §3d and enforced by tests/test_access_batch.cc.
-  // What batching buys is host-side speed, by two invisible mechanisms:
-  //
-  //  * a per-region memo of validated generation stamps: while neither
-  //    table's mutation counter (PageTable::mutations()) has moved, a
-  //    region validated once is revalidated by two hot counter compares
-  //    and an O(1) Tlb::RehitHuge instead of a set scan plus per-region
-  //    generation loads;
-  //  * a plan-ahead prefetch pipeline over the announced window, staged to
-  //    break the miss path's serial chain of dependent cache lines: a far
-  //    stage classifies the access (a side-effect-free TLB probe, which
-  //    doubles as the prefetch of the tag lines) and pulls the guest
-  //    region-slot line for the walk-bound ones, a mid stage the guest
-  //    frame-array line, a near stage side-walks the guest table (const
-  //    Lookup, no side effects) to discover the GFN and pull the host
-  //    region-slot line, and a last stage pulls the host frame-array
-  //    line — each a few accesses before the real walk consumes it.
-
-  // Announces the next `vpns.size()` accesses as one batch: records batch
-  // stats (size histogram) and exposes the window to the prefetch planner.
-  // Planning itself stays dormant until the batch takes its first real TLB
-  // miss, so steady-state hit streams pay no planning overhead at all.
-  // Only batch_stats() observes this call.
-  void BeginBatch(std::span<const uint64_t> vpns);
-
-  // Translates the next access of the current batch.  Callers pass the
-  // window's vpns in order (fault retries repeat one vpn; the prefetch
-  // cursor does not care).  Observationally identical to Translate(vpn).
-  TranslateResult TranslateBatched(uint64_t vpn);
-
-  // Whole-batch convenience used by benchmarks and tests: BeginBatch +
-  // TranslateBatched per element, stopping at the first fault.  Returns
-  // the number of leading kOk results written to out[0..count); if count <
-  // vpns.size(), out[count] holds the fault result for vpns[count].
-  size_t TranslateBatch(std::span<const uint64_t> vpns, TranslateResult* out);
-
-  // Host-side effectiveness counters for the batch path (simulation state
-  // is unaffected by batching; these only describe how it was driven).
-  struct BatchStats {
-    uint64_t batches = 0;
-    uint64_t batched_translations = 0;
-    // Sum over batches of the number of same-region runs (maximal
-    // stretches of consecutive accesses to one 2 MiB region);
-    // batched_translations / region_groups is the average run length the
-    // per-region memo can amortize over.
-    uint64_t region_groups = 0;
-    // Translations resolved by the memoized O(1) fast path.
-    uint64_t fastpath_hits = 0;
-    // size_hist[b] counts batches with floor(log2(size)) == b, capped at 7
-    // (so b7 holds every batch of 128+ accesses).
-    std::array<uint64_t, 8> size_hist{};
-  };
-  const BatchStats& batch_stats() const { return batch_stats_; }
-
   // Invalidation hooks for unmap/migration/promotion events.
   void ShootdownPage(uint64_t vpn) { tlb_.ShootdownPage(vpn); }
   void ShootdownRange(uint64_t vpn, uint64_t pages) {
@@ -166,57 +103,11 @@ class TranslationEngine {
   bool virtualized() const { return host_table_ != nullptr; }
 
  private:
-  // Per-region validation memo for the batch fast path.  A slot is trusted
-  // only if the tables' mutation counters still equal the recorded ones,
-  // so it can never go stale undetected (counters are monotonic); a slot
-  // invalidated by a mutation is simply re-armed by the next slow-path
-  // success for its region.
-  struct RegionMemo {
-    uint64_t region = ~0ull;  // ~0 = never armed
-    uint64_t guest_muts = 0;
-    uint64_t host_muts = 0;
-    Tlb::Stamp stamp;  // the stamp the region's huge entry carried
-  };
-  // Sized so working sets with a few hundred resident huge regions (the
-  // mixed regimes the figures sweep) do not alias-thrash the memo.
-  static constexpr uint32_t kMemoSlots = 512;  // power of two
-  // Prefetch pipeline depths (accesses of lookahead).  A miss is a serial
-  // chain of four dependent cache lines — guest region slot, guest frame
-  // array, host region slot, host frame array — so the planner runs four
-  // staggered stages, each resolving one link and prefetching the next a
-  // few accesses before the real walk consumes it.
-  static constexpr size_t kPlanFar = 12;   // TLB set lines + guest slot line
-  static constexpr size_t kPlanMid = 8;    // guest frame-array line
-  static constexpr size_t kPlanNear = 5;   // guest side-walk -> host slot
-  static constexpr size_t kPlanLast = 2;   // host frame-array line
-  static constexpr size_t kPlanRing = 32;  // > kPlanFar; power of two
-
-  // The shared scalar/batched body; kBatched gates the memo fast path and
-  // memo arming so the scalar path compiles exactly as before.
-  template <bool kBatched>
-  TranslateResult TranslateImpl(uint64_t vpn);
-
-  bool MemoValid(const RegionMemo& m, uint64_t region) const {
-    return m.region == region &&
-           m.guest_muts == guest_table_->mutations() &&
-           (host_table_ == nullptr ||
-            m.host_muts == host_table_->mutations());
+  // Accounts the cycles of a successful translation.
+  void Charge(base::Cycles cycles) {
+    translation_cycles_ += cycles;
+    latency_hist_.Add(cycles);
   }
-  void ArmMemo(uint64_t region, const Tlb::Stamp& stamp) {
-    RegionMemo& m = memo_[region & (kMemoSlots - 1)];
-    m.region = region;
-    m.guest_muts = guest_table_->mutations();
-    m.host_muts = host_table_ != nullptr ? host_table_->mutations() : 0;
-    m.stamp = stamp;
-  }
-  void PlanFar(uint64_t vpn, size_t pos);         // probe/classify + slot
-  void PlanMid(uint64_t vpn, size_t pos) const;   // guest frame-array line
-  void PlanNear(uint64_t vpn, size_t pos);        // side-walk -> ring
-  void PlanLast(size_t pos) const;                // host frame line
-
-  // Guest walk for the batched path: returns the ring's side-walk result
-  // when it provably still holds, else walks for real.
-  std::optional<Translation> BatchedGuestWalk(uint64_t vpn) const;
 
   Config config_;
   PageTable* guest_table_;
@@ -229,36 +120,6 @@ class TranslationEngine {
   uint64_t translations_ = 0;
   base::Cycles translation_cycles_ = 0;
   base::Log2Histogram latency_hist_;
-
-  std::array<RegionMemo, kMemoSlots> memo_;
-  std::span<const uint64_t> plan_window_;
-  size_t batch_pos_ = 0;       // accesses consumed from the window
-  size_t plan_far_pos_ = 0;
-  size_t plan_mid_pos_ = 0;
-  size_t plan_near_pos_ = 0;
-  size_t plan_last_pos_ = 0;
-  // Guest side-walk results, keyed by window position.  PlanNear fills a
-  // slot; PlanLast prefetches from it; the real translation at that
-  // position reuses the walk outright when the guest table's mutation
-  // counter proves the table unchanged since the side-walk (Lookup is a
-  // pure function of table state, so the result is identical by
-  // construction).  vpn == ~0 marks an empty slot.
-  struct PlanSlot {
-    uint64_t vpn = ~0ull;
-    uint64_t guest_muts = 0;
-    // Set by the far stage when the access looks hit-bound (memo valid or
-    // TLB probe hit): the later stages early-out on it.
-    bool skip = false;
-    std::optional<Translation> guest;
-  };
-  std::array<PlanSlot, kPlanRing> plan_ring_;
-  // Planning is armed lazily, by the first real TLB miss of the batch
-  // (plan_wanted_ latches in the walk path): a batch the memo and TLB fully
-  // absorb never pays a cycle of planning overhead.
-  bool plan_enabled_ = false;
-  bool plan_wanted_ = false;
-  uint64_t batch_run_region_ = ~0ull;  // current same-region run (stats)
-  BatchStats batch_stats_;
 };
 
 }  // namespace mmu

@@ -13,7 +13,7 @@ namespace {
 // repartitioner.  Being a PeriodicTask, it only ever fires from
 // RunDueDaemons — outside epoch-parallel phases, at a logical_now_ pinned
 // to the period boundary — so window moves are deterministic at any
-// GEMINI_VM_THREADS / batch size.
+// GEMINI_VM_THREADS.
 class RepartitionTask final : public PeriodicTask {
  public:
   explicit RepartitionTask(mmu::TlbDomain* domain) : domain_(domain) {}
@@ -106,7 +106,7 @@ VirtualMachine::AccessResult Machine::Access(int32_t vm_id, uint64_t vpn,
   SIM_CHECK(!in_epoch_);
   VirtualMachine::AccessResult result = vm(vm_id).Access(vpn);
   result.cycles += work_cycles;
-  AdvanceTime(result.cycles);
+  StepClock(result.cycles);
   return result;
 }
 
@@ -114,31 +114,27 @@ void Machine::AccessBatch(int32_t vm_id, std::span<const uint64_t> vpns,
                           base::Cycles work_cycles,
                           std::vector<VirtualMachine::AccessResult>* out) {
   SIM_CHECK(!in_epoch_);
-  VirtualMachine& v = vm(vm_id);
   out->resize(vpns.size());
-  v.engine().BeginBatch(vpns);
   for (size_t i = 0; i < vpns.size(); ++i) {
-    VirtualMachine::AccessResult result = v.AccessBatched(vpns[i]);
-    result.cycles += work_cycles;
-    (*out)[i] = result;
-    // Per-access clock semantics, exactly as AdvanceTime: daemons run the
-    // moment an access crosses their boundary, and any code reading Now()
-    // mid-batch (fault handlers, tracepoints) sees the scalar timeline.
-    // The cached next-event time makes the common no-daemon-due case one
-    // compare; RunDueDaemons would reach the same conclusion by scanning.
-    now_ += result.cycles;
-    if (now_ >= next_event_) {
-      RunDueDaemons();
-    } else {
-      logical_now_ = now_;
-    }
+    (*out)[i] = Access(vm_id, vpns[i], work_cycles);
   }
 }
 
 void Machine::AdvanceTime(base::Cycles cycles) {
   SIM_CHECK(!in_epoch_);
+  StepClock(cycles);
+}
+
+void Machine::StepClock(base::Cycles cycles) {
   now_ += cycles;
-  RunDueDaemons();
+  // next_event_ is the earliest due time (AddTask and RunDueDaemons keep
+  // it so), so the common nothing-due case is one compare; RunDueDaemons
+  // would reach the same conclusion by scanning every task.
+  if (now_ >= next_event_) {
+    RunDueDaemons();
+  } else {
+    logical_now_ = now_;
+  }
 }
 
 void Machine::BeginEpoch() {
@@ -161,12 +157,11 @@ size_t Machine::EpochAccessBatch(
   SIM_CHECK(in_epoch_);
   VirtualMachine& v = vm(vm_id);
   SIM_CHECK(out->size() >= vpns.size());
-  v.engine().BeginBatch(vpns);
   base::Cycles lane_cycles = 0;
   size_t done = 0;
   for (; done < vpns.size(); ++done) {
     VirtualMachine::AccessResult result;
-    if (!v.TryAccessBatchedClean(vpns[done], &result)) {
+    if (!v.TryAccessClean(vpns[done], &result)) {
       break;  // would fault: suspend; the serial phase re-runs this access
     }
     result.cycles += work_cycles;
@@ -195,8 +190,7 @@ void Machine::EpochBarrier() {
     total += c;
   }
   in_epoch_ = false;
-  now_ += total;
-  RunDueDaemons();
+  StepClock(total);
 }
 
 void Machine::RunDueDaemons() {
@@ -212,8 +206,8 @@ void Machine::RunDueDaemons() {
       break;
     }
     // Daemons and tasks observe the boundary they fire at, never the raw
-    // clock: a coarse access batch that overshoots the boundary must look
-    // identical to many fine-grained batches reaching it exactly.
+    // clock: a coarse clock step that overshoots the boundary must look
+    // identical to many fine-grained steps reaching it exactly.
     logical_now_ = next_event;
     if (next_daemon_ == next_event) {
       for (auto& vm : vms_) {

@@ -104,14 +104,11 @@ class Machine final : public MachineHooks {
   VirtualMachine::AccessResult Access(int32_t vm_id, uint64_t vpn,
                                       base::Cycles work_cycles = 0);
 
-  // A batch of accesses, each including `work_cycles` of compute.  Resizes
-  // `out` to vpns.size() and fills one result per VPN.  Equivalent to
-  // calling Access per element — the clock advances and due daemons run
-  // after every access, so daemon schedules, fault interleavings, and
-  // Now() observations are identical at any batch size (the differential
-  // tests in tests/test_access_batch.cc pin this down).  Batching only
-  // engages the engine's memoized fast path and prefetch pipeline, plus an
-  // O(1) due-daemon check against the cached next event time.
+  // A span of accesses, each including `work_cycles` of compute.  Resizes
+  // `out` to vpns.size() and fills one result per VPN by calling Access per
+  // element, so the clock advances and due daemons run after every access
+  // and the way a stream is split into spans is unobservable
+  // (tests/test_access_batch.cc pins this down).
   void AccessBatch(int32_t vm_id, std::span<const uint64_t> vpns,
                    base::Cycles work_cycles,
                    std::vector<VirtualMachine::AccessResult>* out);
@@ -157,13 +154,16 @@ class Machine final : public MachineHooks {
   void FlushVmTranslations(int32_t vm_id) override;
   uint64_t VmTlbMisses(int32_t vm_id) const override;
   // Logical time: equal to the raw clock between accesses, but pinned to
-  // the period boundary while a daemon or periodic task runs.  A batched
-  // access that overshoots a boundary therefore cannot leak the overshoot
-  // into daemon decisions, keeping runs with different access batching
+  // the period boundary while a daemon or periodic task runs.  A clock step
+  // that overshoots a boundary therefore cannot leak the overshoot into
+  // daemon decisions, keeping runs that chunk their cycles differently
   // byte-identical.
   base::Cycles Now() const override { return logical_now_; }
 
  private:
+  // The one clock-step rule: advances now_ by `cycles`, then runs every
+  // daemon and task that became due (or just tracks logical_now_).
+  void StepClock(base::Cycles cycles);
   void RunDueDaemons();
 
   MachineConfig config_;
@@ -189,8 +189,8 @@ class Machine final : public MachineHooks {
   std::vector<ScheduledTask> tasks_;
   base::Cycles next_daemon_ = 0;
   // min(next_daemon_, all tasks' next_run): the earliest time any periodic
-  // work is due.  Maintained by AddTask and RunDueDaemons so the per-access
-  // daemon check in AccessBatch is one compare instead of a task scan.
+  // work is due.  Maintained by AddTask and RunDueDaemons so the daemon
+  // check in StepClock is one compare instead of a task scan.
   base::Cycles next_event_ = 0;
   // Epoch-parallel phase state: while in_epoch_, only EpochAccessBatch may
   // run, and each lane accumulates its cycles here (indexed by vm id) for

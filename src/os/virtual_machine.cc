@@ -17,35 +17,12 @@ VirtualMachine::VirtualMachine(
 }
 
 VirtualMachine::AccessResult VirtualMachine::Access(uint64_t vpn) {
-  return AccessImpl<false>(vpn);
-}
-
-VirtualMachine::AccessResult VirtualMachine::AccessBatched(uint64_t vpn) {
-  return AccessImpl<true>(vpn);
-}
-
-bool VirtualMachine::TryAccessBatchedClean(uint64_t vpn, AccessResult* out) {
-  const mmu::TranslateResult tr = engine_.TranslateBatched(vpn);
-  if (tr.status != mmu::TranslateStatus::kOk) {
-    return false;  // needs a kernel fault handler: serial-phase work
-  }
-  ++accesses_;  // only completed accesses count, as in AccessImpl
-  out->cycles = tr.cycles;
-  out->tlb_hit = tr.tlb_hit;
-  out->well_aligned = tr.well_aligned_huge;
-  out->faults_taken = 0;
-  return true;
-}
-
-template <bool kBatched>
-VirtualMachine::AccessResult VirtualMachine::AccessImpl(uint64_t vpn) {
   ++accesses_;
   AccessResult result;
   // A single access takes at most: guest fault, then host fault (the guest
   // mapping may target a not-yet-backed GFN), then a clean translation.
   for (int attempt = 0; attempt < 4; ++attempt) {
-    const mmu::TranslateResult tr = kBatched ? engine_.TranslateBatched(vpn)
-                                             : engine_.Translate(vpn);
+    const mmu::TranslateResult tr = engine_.Translate(vpn);
     switch (tr.status) {
       case mmu::TranslateStatus::kOk:
         result.cycles += tr.cycles;
@@ -65,6 +42,19 @@ VirtualMachine::AccessResult VirtualMachine::AccessImpl(uint64_t vpn) {
   SIM_CHECK_MSG(false, "access to vpn %llu did not converge",
                 static_cast<unsigned long long>(vpn));
   return result;
+}
+
+bool VirtualMachine::TryAccessClean(uint64_t vpn, AccessResult* out) {
+  const mmu::TranslateResult tr = engine_.Translate(vpn);
+  if (tr.status != mmu::TranslateStatus::kOk) {
+    return false;  // needs a kernel fault handler: serial-phase work
+  }
+  ++accesses_;  // only completed accesses count, as in Access
+  out->cycles = tr.cycles;
+  out->tlb_hit = tr.tlb_hit;
+  out->well_aligned = tr.well_aligned_huge;
+  out->faults_taken = 0;
+  return true;
 }
 
 }  // namespace osim

@@ -37,26 +37,17 @@ class VirtualMachine {
   };
   AccessResult Access(uint64_t vpn);
 
-  // Batch-path variant: identical semantics and observable effects, but
-  // translations go through the engine's batched fast path.  The caller
-  // (Machine::AccessBatch) has announced the access window with
-  // TranslationEngine::BeginBatch.
-  AccessResult AccessBatched(uint64_t vpn);
-
-  // Epoch-parallel clean path (Machine::EpochAccessBatch): one batched
-  // translation attempt, no fault handling.  On a clean hit/walk, fills
-  // `out` and returns true.  If the translation would fault, returns false
-  // with the VM untouched *except* the engine's deterministic miss
-  // bookkeeping for the aborted attempt — the access runs again, from
-  // scratch, in the serial phase (DESIGN.md §3g records the double-count).
-  bool TryAccessBatchedClean(uint64_t vpn, AccessResult* out);
+  // Epoch-parallel clean path (Machine::EpochAccessBatch): one translation
+  // attempt, no fault handling.  On a clean hit/walk, fills `out` and
+  // returns true.  If the translation would fault, returns false with the
+  // VM untouched *except* the engine's deterministic miss bookkeeping for
+  // the aborted attempt — the access runs again, from scratch, in the
+  // serial phase (DESIGN.md §3g records the double-count).
+  bool TryAccessClean(uint64_t vpn, AccessResult* out);
 
   uint64_t accesses() const { return accesses_; }
 
  private:
-  template <bool kBatched>
-  AccessResult AccessImpl(uint64_t vpn);
-
   int32_t id_;
   std::unique_ptr<GuestKernel> guest_;
   HostVmKernel* host_slice_;

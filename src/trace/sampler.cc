@@ -64,16 +64,9 @@ void StackSampler::Run(base::Cycles now) {
     p.lat_p50 = base::Log2Histogram::PercentileOfCounts(s.lat_hist, 0.50);
     p.lat_p90 = base::Log2Histogram::PercentileOfCounts(s.lat_hist, 0.90);
     p.lat_p99 = base::Log2Histogram::PercentileOfCounts(s.lat_hist, 0.99);
-    p.batches = s.batches;
-    p.batched_accesses = s.batched_accesses;
-    p.batch_region_groups = s.batch_region_groups;
-    p.batch_fastpath_hits = s.batch_fastpath_hits;
     p.tier_demoted = s.tier_demoted_pages;
     p.tier_refaults = s.tier_refaults;
     p.tier_resident = s.tier_resident;
-    for (size_t b = 0; b < s.batch_size_hist.size(); ++b) {
-      p.batch_size_hist[b] = s.batch_size_hist[b];
-    }
     for (int o = 0; o < kMaxOrder; ++o) {
       p.guest_free[o] = vm.guest().buddy().FreeBlocksOfOrder(o);
       p.host_free[o] = host_buddy.FreeBlocksOfOrder(o);
@@ -89,12 +82,8 @@ std::string StackSampler::ToCsv() const {
          "stale_hits,cross_vm_evictions,vm_invalidated,"
          "displaced_by_self,displaced_by_other,util_shadow_hits,"
          "util_shadow_misses,ways_assigned,repartitions,"
-         "repartition_evictions,lat_p50,lat_p90,lat_p99,batches,"
-         "batched_accesses,batch_region_groups,batch_fastpath_hits,"
+         "repartition_evictions,lat_p50,lat_p90,lat_p99,"
          "tier_demoted,tier_refaults,tier_resident";
-  for (int b = 0; b < 8; ++b) {
-    out << ",batch_hist_b" << b;
-  }
   for (int o = 0; o < kMaxOrder; ++o) {
     out << ",guest_free_o" << o;
   }
@@ -113,13 +102,8 @@ std::string StackSampler::ToCsv() const {
         << ',' << p.ways_assigned << ',' << p.repartitions
         << ',' << p.repartition_evictions
         << ',' << p.lat_p50 << ',' << p.lat_p90 << ',' << p.lat_p99
-        << ',' << p.batches << ',' << p.batched_accesses << ','
-        << p.batch_region_groups << ',' << p.batch_fastpath_hits
         << ',' << p.tier_demoted << ',' << p.tier_refaults
         << ',' << p.tier_resident;
-    for (int b = 0; b < 8; ++b) {
-      out << ',' << p.batch_size_hist[b];
-    }
     for (int o = 0; o < kMaxOrder; ++o) {
       out << ',' << p.guest_free[o];
     }

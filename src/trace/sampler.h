@@ -60,19 +60,12 @@ struct SamplePoint {
   uint64_t lat_p50 = 0;
   uint64_t lat_p90 = 0;
   uint64_t lat_p99 = 0;
-  // Cumulative batch-pipeline counters (host-side effectiveness only;
-  // simulation state is batch-size-invariant).
-  uint64_t batches = 0;
-  uint64_t batched_accesses = 0;
-  uint64_t batch_region_groups = 0;
-  uint64_t batch_fastpath_hits = 0;
   // Far-tier footprint (zero without GEMINI_OVERCOMMIT): cumulative pages
   // demoted / refaulted, and the VM's far residency at this boundary (a
   // level, not a counter — it falls when pages refault back).
   uint64_t tier_demoted = 0;
   uint64_t tier_refaults = 0;
   uint64_t tier_resident = 0;
-  uint64_t batch_size_hist[8] = {};  // log2 batch-size buckets
   uint64_t guest_free[base::kMaxOrder] = {};  // free blocks per order
   uint64_t host_free[base::kMaxOrder] = {};
 };

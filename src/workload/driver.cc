@@ -1,7 +1,6 @@
 #include "workload/driver.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "base/check.h"
 
@@ -9,19 +8,10 @@ namespace workload {
 
 namespace {
 
-uint64_t ResolveBatchSize(uint64_t requested) {
-  if (requested > 0) {
-    return requested;
-  }
-  if (const char* env = std::getenv("GEMINI_BATCH");
-      env != nullptr && env[0] != '\0') {
-    const uint64_t parsed = std::strtoull(env, nullptr, 10);
-    if (parsed > 0) {
-      return parsed;
-    }
-  }
-  return 64;
-}
+// Accesses per Machine::AccessBatch call.  Machine::AccessBatch is a loop
+// over scalar Access, so the chunk size never changes simulation results;
+// it only bounds the scratch buffers.
+constexpr uint64_t kChunk = 64;
 
 }  // namespace
 
@@ -68,7 +58,7 @@ void WorkloadDriver::TouchRange(uint64_t start_page, uint64_t count,
                                 TouchKind kind, bool charge_request) {
   const base::Cycles work = TouchWorkCycles(spec_, kind);
   for (uint64_t done = 0; done < count;) {
-    const uint64_t n = std::min(batch_size_, count - done);
+    const uint64_t n = std::min(kChunk, count - done);
     batch_vpns_.clear();
     for (uint64_t i = 0; i < n; ++i) {
       batch_vpns_.push_back(start_page + done + i);
@@ -95,7 +85,6 @@ void WorkloadDriver::Begin(const WorkloadSpec& spec,
   SIM_CHECK(spec.working_set_pages >= spec.vma_count);
   spec_ = spec;
   options_ = options;
-  batch_size_ = ResolveBatchSize(options.batch_size);
 
   osim::GuestKernel& guest = machine_->vm(vm_id_).guest();
   pages_per_vma_ = spec_.working_set_pages / spec_.vma_count;
@@ -149,9 +138,8 @@ uint64_t WorkloadDriver::Step(uint64_t op_budget) {
 uint64_t WorkloadDriver::EventFreeOps() const {
   // How many operations from op_ onward run without any per-op event
   // firing (other than the ones the caller just handled for op_ itself).
-  // Any cap here is safe: AccessBatch is access-for-access equivalent to
-  // scalar Access, so chunk boundaries never change simulation results —
-  // they only bound how much the batch path can amortize.
+  // Any cap here is safe: AccessBatch is a loop over scalar Access, so
+  // chunk boundaries never change simulation results.
   uint64_t n = spec_.ops - op_;
   if (!measuring_) {
     // The measurement flip at warmup_ops_ re-snapshots counters and must
@@ -229,8 +217,7 @@ uint64_t WorkloadDriver::RunOps(uint64_t op_budget) {
   }
 
   // The event-free tail: one batch of request accesses.
-  const uint64_t n =
-      std::min({op_budget, EventFreeOps(), batch_size_, uint64_t{1} << 20});
+  const uint64_t n = std::min({op_budget, EventFreeOps(), kChunk});
   const uint64_t active_pages = pages_per_vma_ * vma_ids_.size();
   batch_vpns_.clear();
   for (uint64_t i = 0; i < n; ++i) {
@@ -309,8 +296,7 @@ uint64_t WorkloadDriver::StepEpoch(uint64_t op_budget, bool* suspended) {
     }
     // The same batch the serial path would issue (EventFreeOps guarantees
     // no event, including a latency record boundary, lands inside it).
-    const uint64_t n = std::min(
-        {op_budget - ran, EventFreeOps(), batch_size_, uint64_t{1} << 20});
+    const uint64_t n = std::min({op_budget - ran, EventFreeOps(), kChunk});
     const uint64_t active_pages = pages_per_vma_ * vma_ids_.size();
     batch_vpns_.clear();
     for (uint64_t i = 0; i < n; ++i) {

@@ -60,11 +60,6 @@ struct DriverOptions {
   // Tear the workload's VMAs down after the run (models process exit; used
   // between phases of the reused-VM experiments).
   bool teardown = false;
-  // Maximum accesses per Machine::AccessBatch call.  0 resolves to
-  // $GEMINI_BATCH, or 64 if unset.  Simulation results are identical at
-  // any value (Machine::AccessBatch is access-for-access equivalent to
-  // scalar Access); this only tunes host-side amortization.
-  uint64_t batch_size = 0;
 };
 
 // The workload's per-access compute charged by each of the driver's three
@@ -111,8 +106,8 @@ class WorkloadDriver {
 
  private:
   // Runs pending per-op events (measurement flip, gradual growth, GC
-  // sweep, churn), then a batch of up to min(op_budget, batch_size_)
-  // event-free operations.  Returns how many operations ran (>= 1).
+  // sweep, churn), then a chunk of up to min(op_budget, 64) event-free
+  // operations.  Returns how many operations ran (>= 1).
   uint64_t RunOps(uint64_t op_budget);
   // Number of operations starting at op_ before the next per-op event
   // (warmup flip, growth step, GC sweep, churn, latency record boundary).
@@ -125,7 +120,7 @@ class WorkloadDriver {
   // Records a latency sample if op_ just landed on a request boundary.
   void MaybeRecordLatency();
   void InitVma(uint64_t start_page, uint64_t pages);
-  // Issues pages [start, start + count) as batches of batch_size_.
+  // Issues pages [start, start + count) in chunks of 64.
   void TouchRange(uint64_t start_page, uint64_t count, TouchKind kind,
                   bool charge_request);
 
@@ -150,7 +145,6 @@ class WorkloadDriver {
   base::Cycles request_overhead_base_ = 0;
   uint64_t requests_ = 0;
   uint64_t faulting_accesses_ = 0;
-  uint64_t batch_size_ = 64;  // resolved in Begin
   // Scratch buffers reused across batches.
   std::vector<uint64_t> batch_vpns_;
   std::vector<osim::VirtualMachine::AccessResult> batch_results_;

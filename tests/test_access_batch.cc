@@ -1,11 +1,12 @@
-// Differential property test for the batched access pipeline: the PR's
-// equivalence contract says Machine::AccessBatch IS Machine::Access, only
-// faster on the host.  We drive byte-identical machines through the same
-// access plan — one scalar, one batched at each size in {1, 7, 64, 4096} —
-// and require every observable to match exactly:
+// Differential property test for the span API: Machine::AccessBatch is a
+// plain loop over scalar Machine::Access, so how an access stream is split
+// into spans must be unobservable.  We drive byte-identical machines
+// through the same access plan — one scalar, one through AccessBatch at
+// each span size in {1, 7, 64, 4096} — and require every observable to
+// match exactly:
 //
 //  * the AccessResult stream (cycles, tlb_hit, well_aligned, faults),
-//  * TLB counters including stale drops and shootdowns, LRU state
+//  * TLB counters including stale hits and shootdowns, LRU state
 //    (witnessed indirectly through hit/miss equality under later reuse),
 //  * translation counters and charged cycles,
 //  * logical time, so daemon schedules never skew, and
@@ -13,7 +14,10 @@
 //
 // The plan interleaves access bursts with think time, and the daemon
 // period is chosen so promotions, demotions, and reclaim fire in the
-// middle of large batches — the hard case the contract must survive.
+// middle of large spans — the hard case the contract must survive.  One
+// configuration also runs the watermark reclaim daemon, a registered
+// PeriodicTask on its own period, so the machine's cached next-event time
+// is exercised with tasks pending.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +30,7 @@
 #include "harness/systems.h"
 #include "mmu/page_table.h"
 #include "os/machine.h"
+#include "os/reclaim_daemon.h"
 #include "os/virtual_machine.h"
 
 namespace {
@@ -34,7 +39,7 @@ using base::kPagesPerHuge;
 using osim::VirtualMachine;
 
 // One scripted run: VMA layout, then segments of accesses separated by
-// think time.  Everything is derived from `seed` so scalar and batched
+// think time.  Everything is derived from `seed` so the scalar and span
 // drivers replay the identical plan.
 struct Plan {
   struct Segment {
@@ -47,7 +52,7 @@ struct Plan {
 Plan BuildPlan(uint64_t seed) {
   base::Rng rng(seed);
   Plan plan;
-  // ~6000 accesses across segments of irregular length, so every batch
+  // ~6000 accesses across segments of irregular length, so every span
   // size under test splits the stream at different points.
   for (int s = 0; s < 12; ++s) {
     Plan::Segment seg;
@@ -73,6 +78,8 @@ struct Observation {
   uint64_t translations = 0;
   base::Cycles translation_cycles = 0;
   base::Cycles now = 0;
+  uint64_t reclaim_ticks = 0;
+  uint64_t reclaim_pages_demoted = 0;
   uint64_t guest_digest = 0;
   uint64_t host_digest = 0;
 };
@@ -99,19 +106,36 @@ uint64_t DigestTable(const mmu::PageTable& table) {
   return h;
 }
 
+// One machine configuration under test: the system stack, and whether the
+// watermark reclaim daemon runs as a PeriodicTask.
+struct MachineSetup {
+  harness::SystemKind kind;
+  bool reclaim = false;
+};
+
 // Replays `plan`, scalar when batch == 0, else via AccessBatch in
-// `batch`-sized chunks.  The machine is built identically for every
-// driver: one VM under `kind`, fragmented memory at both layers, a daemon
-// period short enough that promotion/demotion/reclaim work fires mid-batch
-// at size 4096 (~400 accesses apart at 50 work cycles per access).
-Observation Drive(harness::SystemKind kind, uint64_t seed, const Plan& plan,
+// `batch`-sized spans.  The machine is built identically for every
+// driver: one VM under `setup.kind`, fragmented memory at both layers, a
+// daemon period short enough that promotion/demotion/reclaim work fires
+// mid-span at size 4096 (~400 accesses apart at 50 work cycles per
+// access).  With `setup.reclaim`, the host is overcommitted and the
+// reclaim daemon ticks on a period of its own, interleaved with the
+// promotion daemons.
+Observation Drive(const MachineSetup& setup, uint64_t seed, const Plan& plan,
                   uint64_t batch) {
   osim::MachineConfig config;
   config.host_frames = 16384;
   config.daemon_period = 20000;
   config.seed = seed;
+  if (setup.reclaim) {
+    // The plan touches ~2600 distinct pages: more than this host holds, so
+    // reclaim demotes pages to the far tier and later accesses refault.
+    config.host_frames = 2048;
+    config.reclaim.enabled = true;
+    config.reclaim.interval = 30000;
+  }
   osim::Machine machine(config);
-  VirtualMachine& vm = harness::AddSystemVm(machine, kind, 8192);
+  VirtualMachine& vm = harness::AddSystemVm(machine, setup.kind, 8192);
   machine.FragmentGuestMemory(0, 0.6);
   machine.FragmentHostMemory(0.6);
   // Plan vpns are offsets into this VMA.
@@ -145,11 +169,15 @@ Observation Drive(harness::SystemKind kind, uint64_t seed, const Plan& plan,
   const mmu::TlbView& tlb = vm.engine().tlb();
   obs.tlb_hits = tlb.hits();
   obs.tlb_misses = tlb.misses();
-  obs.tlb_stale = tlb.stale_drops();
+  obs.tlb_stale = tlb.stale_hits();
   obs.tlb_shootdowns = tlb.shootdowns();
   obs.translations = vm.engine().translations();
   obs.translation_cycles = vm.engine().translation_cycles();
   obs.now = machine.Now();
+  if (const osim::ReclaimDaemon* daemon = machine.reclaim_daemon()) {
+    obs.reclaim_ticks = daemon->stats().ticks;
+    obs.reclaim_pages_demoted = daemon->stats().pages_demoted;
+  }
   obs.guest_digest = DigestTable(vm.guest().table());
   obs.host_digest = DigestTable(vm.host_slice().table());
   return obs;
@@ -176,18 +204,21 @@ void ExpectSameObservation(const Observation& scalar, const Observation& b,
   EXPECT_EQ(scalar.translation_cycles, b.translation_cycles)
       << "batch " << batch;
   EXPECT_EQ(scalar.now, b.now) << "batch " << batch;
+  EXPECT_EQ(scalar.reclaim_ticks, b.reclaim_ticks) << "batch " << batch;
+  EXPECT_EQ(scalar.reclaim_pages_demoted, b.reclaim_pages_demoted)
+      << "batch " << batch;
   EXPECT_EQ(scalar.guest_digest, b.guest_digest) << "batch " << batch;
   EXPECT_EQ(scalar.host_digest, b.host_digest) << "batch " << batch;
 }
 
 class AccessBatchDifferentialTest
-    : public ::testing::TestWithParam<harness::SystemKind> {};
+    : public ::testing::TestWithParam<MachineSetup> {};
 
 TEST_P(AccessBatchDifferentialTest, BatchSizeIsUnobservable) {
-  const harness::SystemKind kind = GetParam();
+  const MachineSetup& setup = GetParam();
   const uint64_t seed = 20230425;
   const Plan plan = BuildPlan(seed);
-  const Observation scalar = Drive(kind, seed, plan, 0);
+  const Observation scalar = Drive(setup, seed, plan, 0);
   // The plan must actually exercise the interesting machinery, or the
   // equivalence claim is vacuous.
   uint64_t faults = 0;
@@ -197,78 +228,28 @@ TEST_P(AccessBatchDifferentialTest, BatchSizeIsUnobservable) {
   ASSERT_GT(faults, 0u);
   ASSERT_GT(scalar.tlb_hits, 0u);
   ASSERT_GT(scalar.tlb_misses, 0u);
+  if (setup.reclaim) {
+    ASSERT_GT(scalar.reclaim_ticks, 0u);
+    ASSERT_GT(scalar.reclaim_pages_demoted, 0u);
+  }
 
   for (const uint64_t batch : {1ull, 7ull, 64ull, 4096ull}) {
-    const Observation batched = Drive(kind, seed, plan, batch);
+    const Observation batched = Drive(setup, seed, plan, batch);
     ExpectSameObservation(scalar, batched, batch);
   }
 }
 
 // Gemini exercises promotion + demotion + reclaim daemons (the hardest
-// mid-batch mutations); THP and HawkEye cover the other promotion styles;
-// kHostBVmB pins the no-huge-page baseline.
-INSTANTIATE_TEST_SUITE_P(Systems, AccessBatchDifferentialTest,
-                         ::testing::Values(harness::SystemKind::kGemini,
-                                           harness::SystemKind::kThp,
-                                           harness::SystemKind::kHawkEye,
-                                           harness::SystemKind::kHostBVmB));
-
-// The generation-stamp churn path: in-place demote/promote cycles leave
-// TLB entries stale-stamped but still correct, so the batched memo must
-// revalidate (not trust) them.  Covered at the engine level here because
-// Machine has no direct demote hook.
-TEST(AccessBatchChurn, MemoSurvivesGenerationChurn) {
-  mmu::PageTable guest;
-  mmu::PageTable ept;
-  for (uint64_t r = 0; r < 8; ++r) {
-    guest.MapHuge(r, r * kPagesPerHuge);
-    ept.MapHuge(r, (8 + r) * kPagesPerHuge);
-  }
-  mmu::TranslationEngine scalar(mmu::TranslationEngine::Config{}, &guest,
-                                &ept);
-  // A second identical layout for the scalar reference.
-  mmu::PageTable guest2;
-  mmu::PageTable ept2;
-  for (uint64_t r = 0; r < 8; ++r) {
-    guest2.MapHuge(r, r * kPagesPerHuge);
-    ept2.MapHuge(r, (8 + r) * kPagesPerHuge);
-  }
-  mmu::TranslationEngine batched(mmu::TranslationEngine::Config{}, &guest2,
-                                 &ept2);
-
-  base::Rng rng(7);
-  std::vector<uint64_t> vpns(64);
-  std::vector<mmu::TranslateResult> out(64);
-  for (int round = 0; round < 200; ++round) {
-    for (auto& v : vpns) {
-      v = rng.NextBelow(8 * kPagesPerHuge);
-    }
-    for (const uint64_t v : vpns) {
-      const auto s = scalar.Translate(v);
-      ASSERT_EQ(s.status, mmu::TranslateStatus::kOk);
-    }
-    const size_t ok = batched.TranslateBatch(vpns, out.data());
-    ASSERT_EQ(ok, vpns.size());
-    // Mutate between batches: demote + re-promote one region in place on
-    // both sides (frames unchanged, generations bumped), so armed memo
-    // slots and ring side-walks are invalidated by the mutation counter.
-    const uint64_t r = rng.NextBelow(8);
-    guest.Demote(r);
-    guest.PromoteInPlace(r);
-    guest2.Demote(r);
-    guest2.PromoteInPlace(r);
-    ASSERT_EQ(scalar.tlb().hits(), batched.tlb().hits()) << round;
-    ASSERT_EQ(scalar.tlb().misses(), batched.tlb().misses()) << round;
-    ASSERT_EQ(scalar.tlb().stale_drops(), batched.tlb().stale_drops())
-        << round;
-    ASSERT_EQ(scalar.translation_cycles(), batched.translation_cycles())
-        << round;
-  }
-  // Churn actually hit the revalidation path.
-  EXPECT_GT(scalar.tlb().hits(), 0u);
-  const auto& stats = batched.batch_stats();
-  EXPECT_EQ(stats.batched_translations, 200u * 64u);
-  EXPECT_GT(stats.fastpath_hits, 0u);
-}
+// mid-span mutations); THP and HawkEye cover the other promotion styles;
+// kHostBVmB pins the no-huge-page baseline.  The last setup adds the
+// overcommit reclaim daemon as a registered PeriodicTask.
+INSTANTIATE_TEST_SUITE_P(
+    Systems, AccessBatchDifferentialTest,
+    ::testing::Values(
+        MachineSetup{harness::SystemKind::kGemini},
+        MachineSetup{harness::SystemKind::kThp},
+        MachineSetup{harness::SystemKind::kHawkEye},
+        MachineSetup{harness::SystemKind::kHostBVmB},
+        MachineSetup{harness::SystemKind::kGemini, /*reclaim=*/true}));
 
 }  // namespace

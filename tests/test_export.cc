@@ -31,11 +31,6 @@ workload::RunResult SampleResult() {
   r.counters.tier_demoted_pages = 30;
   r.counters.tier_refaults = 12;
   r.counters.tier_resident = 18;
-  r.counters.batches = 13;
-  r.counters.batched_accesses = 832;
-  r.counters.batch_region_groups = 40;
-  r.counters.batch_fastpath_hits = 700;
-  r.counters.batch_size_hist = {1, 0, 0, 0, 0, 0, 12, 0};
   r.counters.tlb_cross_vm_evictions = 4;
   r.counters.tlb_vm_invalidated = 8;
   r.counters.tlb_conflict_evictions_base = 3;
@@ -77,7 +72,7 @@ TEST(Export, CsvHasHeaderAndRow) {
       metrics::ToCsv({metrics::ResultRow{"Redis", "Gemini", &r}});
   EXPECT_NE(csv.find("workload,system,throughput"), std::string::npos);
   EXPECT_NE(csv.find("Redis,Gemini,1.5,1000,2000,42,6,0.25,0.875,7,9,11,3,5,"
-                     "2,30,12,18,13,832,40,700,1,0,0,0,0,0,12,0,private,4,8,4,4,"
+                     "2,30,12,18,private,4,8,4,4,"
                      "5,9,15,5,2,6,2,14,3,63,255,"
                      "1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,"
                      "21,22,123456"),
@@ -142,8 +137,7 @@ TEST(Export, CarriesMechanismCounters) {
   const std::string csv =
       metrics::ToCsv({metrics::ResultRow{"Redis", "Gemini", &r}});
   EXPECT_NE(csv.find("bookings_started,bookings_expired,bucket_hits,"
-                     "demotions,tier_demoted,tier_refaults,tier_resident,"
-                     "batches"),
+                     "demotions,tier_demoted,tier_refaults,tier_resident"),
             std::string::npos);
   const std::string json =
       metrics::ToJson({metrics::ResultRow{"Redis", "Gemini", &r}});
@@ -167,24 +161,14 @@ TEST(Export, CarriesStaleHitColumn) {
   EXPECT_NE(json.find("\"stale_hits\": 6"), std::string::npos);
 }
 
-TEST(Export, CarriesBatchPipelineColumns) {
+TEST(Export, TierColumnsAdjoinTlbMode) {
   const auto r = SampleResult();
   const std::string csv =
       metrics::ToCsv({metrics::ResultRow{"Redis", "Gemini", &r}});
-  EXPECT_NE(csv.find("batches,batched_accesses,batch_region_groups,"
-                     "batch_fastpath_hits,batch_hist_b0"),
-            std::string::npos);
-  EXPECT_NE(csv.find("batch_hist_b7,tlb_mode,cross_vm_evictions,"
+  EXPECT_NE(csv.find("tier_resident,tlb_mode,cross_vm_evictions,"
                      "vm_invalidated,conflict_evictions,capacity_evictions,"
                      "displaced_by_self"),
             std::string::npos);
-  const std::string json =
-      metrics::ToJson({metrics::ResultRow{"Redis", "Gemini", &r}});
-  EXPECT_NE(json.find("\"batches\": 13"), std::string::npos);
-  EXPECT_NE(json.find("\"batched_accesses\": 832"), std::string::npos);
-  EXPECT_NE(json.find("\"batch_region_groups\": 40"), std::string::npos);
-  EXPECT_NE(json.find("\"batch_fastpath_hits\": 700"), std::string::npos);
-  EXPECT_NE(json.find("\"batch_hist_b6\": 12"), std::string::npos);
 }
 
 TEST(Export, CarriesWalkLevelColumns) {

@@ -91,11 +91,10 @@ TEST_P(MachineFuzzTest, RandomOpsKeepInvariants) {
       vm.guest().UnmapVma(vmas[victim].id);
       vmas.erase(vmas.begin() + static_cast<long>(victim));
     } else if (dice < 0.9 && !vmas.empty()) {
-      // A burst of accesses into a random VMA — scalar and batched epochs
-      // interleave freely, with batch sizes spanning sub-daemon-period
-      // chunks up to batches long enough that promotions, demotions, and
-      // reclaim fire mid-batch.  The batch path shares all machine state
-      // with the scalar path, so the invariants below (and the engine
+      // A burst of accesses into a random VMA — scalar and AccessBatch
+      // bursts interleave freely, with span sizes from sub-daemon-period
+      // chunks up to spans long enough that promotions, demotions, and
+      // reclaim fire mid-span.  The invariants below (and the engine
       // re-derivation check) must hold regardless of the interleaving.
       const LiveVma& vma = vmas[rng.NextBelow(vmas.size())];
       if (rng.NextBool(0.5)) {

@@ -125,7 +125,7 @@ TEST(Tlb, StaleHitDiscountMovesCounters) {
   tlb.DiscountStaleHit();
   EXPECT_EQ(tlb.hits(), 0u);
   EXPECT_EQ(tlb.misses(), 1u);
-  EXPECT_EQ(tlb.stale_drops(), 1u);
+  EXPECT_EQ(tlb.stale_hits(), 1u);
 }
 
 TEST(Tlb, HugeCoverageBeatsBaseCoverage) {

@@ -121,7 +121,7 @@ TEST_F(EngineTest, StaleEntryDetectedAfterGuestRemap) {
   EXPECT_EQ(r.status, TranslateStatus::kOk);
   EXPECT_FALSE(r.tlb_hit);  // stale entry was discarded, walk repeated
   EXPECT_EQ(r.frame, 800u);
-  EXPECT_GT(engine.tlb().stale_drops(), 0u);
+  EXPECT_GT(engine.tlb().stale_hits(), 0u);
 }
 
 TEST_F(EngineTest, StaleHugeEntryDetectedAfterHostRemap) {
