@@ -37,13 +37,11 @@
 // and keeps the fastest, with every repetition digest-checked.
 //
 // Output: BENCH_collocation.json in $GEMINI_EXPORT (if set) or the
-// current directory — an array of one object per scenario:
-//   {scenario, vms, threads, ops, wall_ms, mops_per_s, epochs,
-//    parallel_ops, serial_ops, parallel_frac, tlb_hits, tlb_misses,
-//    digest}
-// tools/bench_diff.py consumes it by the shared "scenario"/"mops_per_s"
-// keys (report-only in CI: collocation wall time on shared runners is too
-// noisy to gate).  Schema documented in BENCHMARKS.md.
+// current directory — an array of one object per scenario, with the
+// columns RowColumns declares below.  tools/bench_diff.py consumes it by
+// the shared "scenario"/"mops_per_s" keys (report-only in CI: collocation
+// wall time on shared runners is too noisy to gate).  Schema documented in
+// BENCHMARKS.md.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -290,26 +288,22 @@ Row RunScaleCell(mmu::TlbShareMode mode, uint64_t n, bool fast,
 
 // ---------------------------------------------------------------------------
 
-std::string ToJson(const std::vector<Row>& rows) {
-  std::ostringstream out;
-  out << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << "  {\"scenario\": \"" << r.scenario << "\", \"vms\": " << r.vms
-        << ", \"threads\": " << r.threads << ", \"ops\": " << r.ops
-        << ", \"wall_ms\": " << r.wall_ms
-        << ", \"mops_per_s\": " << Mops(r) << ", \"epochs\": " << r.epochs
-        << ", \"parallel_ops\": " << r.parallel_ops
-        << ", \"serial_ops\": " << r.serial_ops
-        << ", \"parallel_frac\": " << ParallelFrac(r)
-        << ", \"tlb_hits\": " << r.tlb_hits
-        << ", \"tlb_misses\": " << r.tlb_misses
-        << ", \"digest\": " << r.digest << '}'
-        << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  out << "]\n";
-  return out.str();
-}
+// The BENCH_collocation.json columns of one row.
+constexpr auto RowColumns = [](const Row& r, auto& sink) {
+  sink("scenario", r.scenario);
+  sink("vms", r.vms);
+  sink("threads", r.threads);
+  sink("ops", r.ops);
+  sink("wall_ms", r.wall_ms);
+  sink("mops_per_s", Mops(r));
+  sink("epochs", r.epochs);
+  sink("parallel_ops", r.parallel_ops);
+  sink("serial_ops", r.serial_ops);
+  sink("parallel_frac", ParallelFrac(r));
+  sink("tlb_hits", r.tlb_hits);
+  sink("tlb_misses", r.tlb_misses);
+  sink("digest", r.digest);
+};
 
 }  // namespace
 
@@ -360,14 +354,11 @@ int main() {
     }
   }
 
-  const char* dir = std::getenv("GEMINI_EXPORT");
-  const std::string prefix =
-      dir != nullptr && dir[0] != '\0' ? std::string(dir) + "/" : "";
-  const std::string path = prefix + "BENCH_collocation.json";
-  metrics::WriteFile(path, ToJson(rows));
+  const std::string path = bench::ExportPath("BENCH_collocation.json");
+  metrics::WriteFile(path, metrics::RenderJson(rows, RowColumns));
   std::printf("wrote %s\n", path.c_str());
   if (!interference_text.empty()) {
-    const std::string ipath = prefix + "INTERFERENCE_scale.txt";
+    const std::string ipath = bench::ExportPath("INTERFERENCE_scale.txt");
     metrics::WriteFile(ipath, interference_text);
     std::printf("wrote %s\n", ipath.c_str());
   }

@@ -58,16 +58,28 @@ inline workload::WorkloadSpec MaybeFast(const workload::WorkloadSpec& spec) {
   return harness::FastMode() ? harness::ScaleSpec(spec, 0.3) : spec;
 }
 
+// The GEMINI_EXPORT directory; empty when unset.
+inline std::string ExportDir() {
+  const char* dir = std::getenv("GEMINI_EXPORT");
+  return dir != nullptr ? dir : "";
+}
+
+// Where the artifact `file` goes: into GEMINI_EXPORT when set, else into
+// the working directory.
+inline std::string ExportPath(const std::string& file) {
+  const std::string dir = ExportDir();
+  return dir.empty() ? file : dir + "/" + file;
+}
+
 // If GEMINI_EXPORT=<dir> is set, writes <dir>/<label>.csv and .json.
-// Every exported field except wall_ms is deterministic (see
-// metrics/export.h for the schema).
+// Every exported field except wall_ms is deterministic (BENCHMARKS.md
+// "Export schema").
 inline void ExportRows(const std::string& label,
                        const std::vector<metrics::ResultRow>& rows) {
-  const char* dir = std::getenv("GEMINI_EXPORT");
-  if (dir == nullptr || dir[0] == '\0') {
+  if (ExportDir().empty()) {
     return;
   }
-  const std::string base = std::string(dir) + "/" + label;
+  const std::string base = ExportPath(label);
   metrics::WriteFile(base + ".csv", metrics::ToCsv(rows));
   metrics::WriteFile(base + ".json", metrics::ToJson(rows));
   std::fprintf(stderr, "[%s] exported %s.{csv,json}\n", label.c_str(),
@@ -115,11 +127,7 @@ inline void WriteInterferenceArtifact(const std::string& text) {
   if (text.empty()) {
     return;
   }
-  const char* dir = std::getenv("GEMINI_EXPORT");
-  const std::string path =
-      (dir != nullptr && dir[0] != '\0' ? std::string(dir) + "/"
-                                        : std::string()) +
-      "INTERFERENCE_matrix.txt";
+  const std::string path = ExportPath("INTERFERENCE_matrix.txt");
   metrics::WriteFile(path, text);
   std::fprintf(stderr, "[interference] wrote %s\n", path.c_str());
 }

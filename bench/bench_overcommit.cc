@@ -34,13 +34,10 @@
 // wall-clock and Mops/s appear only in the JSON export.
 //
 // Output: BENCH_overcommit.json in $GEMINI_EXPORT (if set) or the current
-// directory — an array of one object per cell:
-//   {scenario, system, ratio, policy, vms, host_frames, ops, wall_ms,
-//    mops_per_s, tlb_misses, tlb_miss_rate, host_coverage,
-//    well_aligned_rate, final_host_fmfi, tier_demoted, tier_refaults,
-//    tier_resident, tier_peak_resident, reclaim_passes, digest}
-// tools/bench_diff.py consumes it by the shared "scenario"/"mops_per_s"
-// keys (report-only in CI).  Schema documented in BENCHMARKS.md.
+// directory — an array of one object per cell, with the columns
+// RowColumns declares below.  tools/bench_diff.py consumes it by the
+// shared "scenario"/"mops_per_s" keys (report-only in CI).  Schema
+// documented in BENCHMARKS.md.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -50,6 +47,7 @@
 #include <vector>
 
 #include "base/check.h"
+#include "bench/bench_common.h"
 #include "harness/experiment.h"
 #include "harness/systems.h"
 #include "metrics/export.h"
@@ -262,33 +260,29 @@ double Mops(const Row& r) {
              : 0.0;
 }
 
-std::string ToJson(const std::vector<Row>& rows) {
-  std::ostringstream out;
-  out << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    out << "  {\"scenario\": \"" << r.scenario << "\", \"system\": \""
-        << r.system << "\", \"ratio\": " << r.ratio << ", \"policy\": \""
-        << r.policy << "\", \"vms\": " << r.vms
-        << ", \"host_frames\": " << r.host_frames << ", \"ops\": " << r.ops
-        << ", \"wall_ms\": " << r.wall_ms
-        << ", \"mops_per_s\": " << Mops(r)
-        << ", \"tlb_misses\": " << r.tlb_misses
-        << ", \"tlb_miss_rate\": " << r.tlb_miss_rate
-        << ", \"host_coverage\": " << r.host_coverage
-        << ", \"well_aligned_rate\": " << r.well_aligned_rate
-        << ", \"final_host_fmfi\": " << r.final_host_fmfi
-        << ", \"tier_demoted\": " << r.tier_demoted
-        << ", \"tier_refaults\": " << r.tier_refaults
-        << ", \"tier_resident\": " << r.tier_resident
-        << ", \"tier_peak_resident\": " << r.tier_peak_resident
-        << ", \"reclaim_passes\": " << r.reclaim_passes
-        << ", \"digest\": " << r.digest << '}'
-        << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  out << "]\n";
-  return out.str();
-}
+// The BENCH_overcommit.json columns of one cell.
+constexpr auto RowColumns = [](const Row& r, auto& sink) {
+  sink("scenario", r.scenario);
+  sink("system", r.system);
+  sink("ratio", r.ratio);
+  sink("policy", r.policy);
+  sink("vms", r.vms);
+  sink("host_frames", r.host_frames);
+  sink("ops", r.ops);
+  sink("wall_ms", r.wall_ms);
+  sink("mops_per_s", Mops(r));
+  sink("tlb_misses", r.tlb_misses);
+  sink("tlb_miss_rate", r.tlb_miss_rate);
+  sink("host_coverage", r.host_coverage);
+  sink("well_aligned_rate", r.well_aligned_rate);
+  sink("final_host_fmfi", r.final_host_fmfi);
+  sink("tier_demoted", r.tier_demoted);
+  sink("tier_refaults", r.tier_refaults);
+  sink("tier_resident", r.tier_resident);
+  sink("tier_peak_resident", r.tier_peak_resident);
+  sink("reclaim_passes", r.reclaim_passes);
+  sink("digest", r.digest);
+};
 
 }  // namespace
 
@@ -321,11 +315,8 @@ int main() {
     }
   }
 
-  const char* dir = std::getenv("GEMINI_EXPORT");
-  const std::string prefix =
-      dir != nullptr && dir[0] != '\0' ? std::string(dir) + "/" : "";
-  const std::string path = prefix + "BENCH_overcommit.json";
-  metrics::WriteFile(path, ToJson(rows));
+  const std::string path = bench::ExportPath("BENCH_overcommit.json");
+  metrics::WriteFile(path, metrics::RenderJson(rows, RowColumns));
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

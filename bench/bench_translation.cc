@@ -26,20 +26,15 @@
 // repetition, with all repetitions required to agree on the simulated side.
 //
 // Output: BENCH_translation.json in $GEMINI_EXPORT (if set) or the current
-// directory — an array of one object per scenario:
-//   {scenario, ops, wall_ms, mops_per_s, tlb_hits, tlb_misses,
-//    stale_hits, walk_mem_refs, walk_cached_refs, walk_nested_hits,
-//    walk_memo_hits, walk_memo_upper_hits, lat_p50, lat_p90, lat_p99,
-//    checksum}
-// plus WALK_breakdown.txt, the per-level walk table for every scenario
-// (metrics::RenderWalkLevelBreakdown).  Schema documented in
-// BENCHMARKS.md.
+// directory — an array of one object per scenario, with the columns
+// ScenarioColumns declares below — plus WALK_breakdown.txt, the per-level
+// walk table for every scenario (metrics::RenderWalkLevelBreakdown).
+// Schema documented in BENCHMARKS.md.
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -47,6 +42,7 @@
 #include "base/rng.h"
 #include "base/stats.h"
 #include "base/types.h"
+#include "bench/bench_common.h"
 #include "metrics/export.h"
 #include "metrics/miss_breakdown.h"
 #include "mmu/page_table.h"
@@ -202,38 +198,34 @@ ScenarioResult RunScenario(const std::string& name, uint64_t regions,
   return res;
 }
 
+double Mops(const ScenarioResult& r) {
+  return r.wall_ms > 0.0 ? static_cast<double>(r.ops) / (r.wall_ms * 1000.0)
+                         : 0.0;
+}
+
 uint64_t Sum(const std::array<uint64_t, 4>& a) {
   return a[0] + a[1] + a[2] + a[3];
 }
 
-std::string ToJson(const std::vector<ScenarioResult>& results) {
-  std::ostringstream out;
-  out << "[\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ScenarioResult& r = results[i];
-    const double mops =
-        r.wall_ms > 0.0 ? static_cast<double>(r.ops) / (r.wall_ms * 1000.0)
-                        : 0.0;
-    out << "  {\"scenario\": \"" << r.scenario << "\", \"ops\": " << r.ops
-        << ", \"wall_ms\": " << r.wall_ms << ", \"mops_per_s\": " << mops
-        << ", \"tlb_hits\": " << r.tlb_hits
-        << ", \"tlb_misses\": " << r.tlb_misses
-        << ", \"stale_hits\": " << r.stale_hits
-        << ", \"walk_mem_refs\": " << (Sum(r.walk.guest_mem) +
-                                       Sum(r.walk.host_mem))
-        << ", \"walk_cached_refs\": " << (Sum(r.walk.guest_cached) +
-                                          Sum(r.walk.host_cached))
-        << ", \"walk_nested_hits\": " << Sum(r.walk.nested_hit)
-        << ", \"walk_memo_hits\": " << r.walk.memo_hits
-        << ", \"walk_memo_upper_hits\": " << r.walk.memo_upper_hits
-        << ", \"lat_p50\": " << r.lat_p50 << ", \"lat_p90\": " << r.lat_p90
-        << ", \"lat_p99\": " << r.lat_p99
-        << ", \"checksum\": " << r.checksum << '}'
-        << (i + 1 < results.size() ? ",\n" : "\n");
-  }
-  out << "]\n";
-  return out.str();
-}
+// The BENCH_translation.json columns of one scenario.
+constexpr auto ScenarioColumns = [](const ScenarioResult& r, auto& sink) {
+  sink("scenario", r.scenario);
+  sink("ops", r.ops);
+  sink("wall_ms", r.wall_ms);
+  sink("mops_per_s", Mops(r));
+  sink("tlb_hits", r.tlb_hits);
+  sink("tlb_misses", r.tlb_misses);
+  sink("stale_hits", r.stale_hits);
+  sink("walk_mem_refs", Sum(r.walk.guest_mem) + Sum(r.walk.host_mem));
+  sink("walk_cached_refs", Sum(r.walk.guest_cached) + Sum(r.walk.host_cached));
+  sink("walk_nested_hits", Sum(r.walk.nested_hit));
+  sink("walk_memo_hits", r.walk.memo_hits);
+  sink("walk_memo_upper_hits", r.walk.memo_upper_hits);
+  sink("lat_p50", r.lat_p50);
+  sink("lat_p90", r.lat_p90);
+  sink("lat_p99", r.lat_p99);
+  sink("checksum", r.checksum);
+};
 
 // Runs the scenario ResolveReps() times and keeps the fastest repetition.
 // Every repetition must produce identical simulated results — a repeated
@@ -282,31 +274,25 @@ int main() {
                             Layout::kAllHuge, Pattern::kStride));
 
   for (const ScenarioResult& r : results) {
-    const double mops =
-        r.wall_ms > 0.0 ? static_cast<double>(r.ops) / (r.wall_ms * 1000.0)
-                        : 0.0;
     std::printf(
         "%-18s %10llu ops  %9.1f ms  %7.2f Mops/s  hits %llu  misses %llu  "
         "stale %llu  checksum %llu\n",
         r.scenario.c_str(), static_cast<unsigned long long>(r.ops), r.wall_ms,
-        mops, static_cast<unsigned long long>(r.tlb_hits),
+        Mops(r), static_cast<unsigned long long>(r.tlb_hits),
         static_cast<unsigned long long>(r.tlb_misses),
         static_cast<unsigned long long>(r.stale_hits),
         static_cast<unsigned long long>(r.checksum));
   }
 
-  const char* dir = std::getenv("GEMINI_EXPORT");
-  const std::string prefix =
-      dir != nullptr && dir[0] != '\0' ? std::string(dir) + "/" : "";
-  const std::string path = prefix + "BENCH_translation.json";
-  metrics::WriteFile(path, ToJson(results));
+  const std::string path = bench::ExportPath("BENCH_translation.json");
+  metrics::WriteFile(path, metrics::RenderJson(results, ScenarioColumns));
   std::printf("wrote %s\n", path.c_str());
 
   std::vector<metrics::WalkLevelRow> walk_rows;
   for (const ScenarioResult& r : results) {
     walk_rows.push_back(metrics::WalkLevelRow{r.scenario, r.walk});
   }
-  const std::string walk_path = prefix + "WALK_breakdown.txt";
+  const std::string walk_path = bench::ExportPath("WALK_breakdown.txt");
   metrics::WriteFile(walk_path, metrics::RenderWalkLevelBreakdown(walk_rows));
   std::printf("wrote %s\n", walk_path.c_str());
   return 0;

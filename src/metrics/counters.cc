@@ -4,69 +4,43 @@ namespace metrics {
 
 StackSnapshot StackSnapshot::Delta(const StackSnapshot& earlier) const {
   StackSnapshot d;
-  d.tlb_hits = tlb_hits - earlier.tlb_hits;
-  d.tlb_misses = tlb_misses - earlier.tlb_misses;
-  d.tlb_stale_hits = tlb_stale_hits - earlier.tlb_stale_hits;
-  d.tlb_shootdowns = tlb_shootdowns - earlier.tlb_shootdowns;
-  d.tlb_vm_invalidated = tlb_vm_invalidated - earlier.tlb_vm_invalidated;
-  d.tlb_cross_vm_evictions =
-      tlb_cross_vm_evictions - earlier.tlb_cross_vm_evictions;
-  d.tlb_conflict_evictions_base =
-      tlb_conflict_evictions_base - earlier.tlb_conflict_evictions_base;
-  d.tlb_conflict_evictions_huge =
-      tlb_conflict_evictions_huge - earlier.tlb_conflict_evictions_huge;
-  d.tlb_capacity_evictions_base =
-      tlb_capacity_evictions_base - earlier.tlb_capacity_evictions_base;
-  d.tlb_capacity_evictions_huge =
-      tlb_capacity_evictions_huge - earlier.tlb_capacity_evictions_huge;
-  d.tlb_flushes = tlb_flushes - earlier.tlb_flushes;
-  d.tlb_displaced_by_self =
-      tlb_displaced_by_self - earlier.tlb_displaced_by_self;
-  d.tlb_displaced_by_other =
-      tlb_displaced_by_other - earlier.tlb_displaced_by_other;
-  for (size_t i = 0; i < util_way_hits.size(); ++i) {
-    d.util_way_hits[i] = util_way_hits[i] - earlier.util_way_hits[i];
-  }
-  d.util_shadow_misses = util_shadow_misses - earlier.util_shadow_misses;
-  // A level, not a counter: the delta reports the allocation in force at
-  // the later snapshot (differencing window sizes would be meaningless).
-  d.tlb_ways_assigned = tlb_ways_assigned;
-  d.tlb_repartitions = tlb_repartitions - earlier.tlb_repartitions;
-  d.tlb_repartition_evictions =
-      tlb_repartition_evictions - earlier.tlb_repartition_evictions;
-  for (size_t i = 0; i < lat_hist.size(); ++i) {
-    d.lat_hist[i] = lat_hist[i] - earlier.lat_hist[i];
-  }
-  d.translation_cycles = translation_cycles - earlier.translation_cycles;
-  d.guest_fault_cycles = guest_fault_cycles - earlier.guest_fault_cycles;
-  d.guest_overhead_cycles =
-      guest_overhead_cycles - earlier.guest_overhead_cycles;
-  d.host_fault_cycles = host_fault_cycles - earlier.host_fault_cycles;
-  d.host_overhead_cycles = host_overhead_cycles - earlier.host_overhead_cycles;
-  d.guest_promotions = guest_promotions - earlier.guest_promotions;
-  d.host_promotions = host_promotions - earlier.host_promotions;
-  d.pages_copied = pages_copied - earlier.pages_copied;
-  d.demotions = demotions - earlier.demotions;
-  d.tier_demoted_pages = tier_demoted_pages - earlier.tier_demoted_pages;
-  d.tier_refaults = tier_refaults - earlier.tier_refaults;
-  // A level, not a counter (see counters.h): report the later residency.
-  d.tier_resident = tier_resident;
-  d.bookings_started = bookings_started - earlier.bookings_started;
-  d.bookings_expired = bookings_expired - earlier.bookings_expired;
-  d.bucket_hits = bucket_hits - earlier.bucket_hits;
-  for (size_t l = 0; l < d.walk.guest_mem.size(); ++l) {
-    d.walk.guest_mem[l] = walk.guest_mem[l] - earlier.walk.guest_mem[l];
-    d.walk.guest_cached[l] =
-        walk.guest_cached[l] - earlier.walk.guest_cached[l];
-    d.walk.host_mem[l] = walk.host_mem[l] - earlier.walk.host_mem[l];
-    d.walk.host_cached[l] = walk.host_cached[l] - earlier.walk.host_cached[l];
-    d.walk.nested_hit[l] = walk.nested_hit[l] - earlier.walk.nested_hit[l];
-    d.walk.nested_walk[l] = walk.nested_walk[l] - earlier.walk.nested_walk[l];
-  }
-  d.walk.memo_hits = walk.memo_hits - earlier.walk.memo_hits;
-  d.walk.memo_upper_hits =
-      walk.memo_upper_hits - earlier.walk.memo_upper_hits;
+  ForEachField(
+      [](FieldKind kind, uint64_t& out, uint64_t later, uint64_t before) {
+        out = kind == FieldKind::kLevel ? later : later - before;
+      },
+      d, *this, earlier);
   return d;
+}
+
+double TlbMissRate(const StackSnapshot& s) {
+  const uint64_t lookups = s.tlb_hits + s.tlb_misses;
+  return lookups == 0 ? 0.0
+                      : static_cast<double>(s.tlb_misses) /
+                            static_cast<double>(lookups);
+}
+
+uint64_t UtilShadowHits(const StackSnapshot& s) {
+  uint64_t total = 0;
+  for (const uint64_t h : s.util_way_hits) {
+    total += h;
+  }
+  return total;
+}
+
+uint32_t UtilMinWays90(const StackSnapshot& s) {
+  const uint64_t total = UtilShadowHits(s);
+  if (total == 0) {
+    return 0;
+  }
+  const double want = 0.9 * static_cast<double>(total);
+  uint64_t cum = 0;
+  for (size_t d = 0; d < s.util_way_hits.size(); ++d) {
+    cum += s.util_way_hits[d];
+    if (static_cast<double>(cum) >= want) {
+      return static_cast<uint32_t>(d + 1);
+    }
+  }
+  return static_cast<uint32_t>(s.util_way_hits.size());
 }
 
 StackSnapshot Snapshot(osim::Machine& machine, int32_t vm_id) {

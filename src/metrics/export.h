@@ -2,101 +2,116 @@
 // collections, so bench outputs can be plotted or regression-tracked
 // without scraping the text tables.
 //
-// Row schema (one object per (workload, system) sweep cell; identical
-// field set and order in CSV and JSON — see BENCHMARKS.md for the env-var
-// contract that triggers export from the bench binaries):
+// Every exported artifact (the result rows here, the time series in
+// trace/sampler.cc, the BENCH_*.json writers in bench/) declares its
+// columns once, as a column list: a generic lambda
 //
-//   field             | type   | unit / meaning
-//   ------------------+--------+------------------------------------------
-//   workload          | string | workload spec name (JSON-escaped)
-//   system            | string | harness::SystemName of the column
-//   throughput        | number | ops per 1000 simulated cycles
-//   mean_latency      | number | simulated cycles per request
-//   p99_latency       | number | simulated cycles, 99th percentile
-//   tlb_misses        | int    | count over the measured phase
-//   stale_hits        | int    | TLB hits reclassified as misses because the
-//                     |        | cached translation went stale (precise
-//                     |        | invalidation); subset of tlb_misses
-//   tlb_miss_rate     | number | misses / accesses, 0..1
-//   well_aligned_rate | number | well-aligned huge pages / guest huge, 0..1
-//   guest_huge        | int    | guest huge pages at end of run
-//   host_huge         | int    | host (EPT) huge pages at end of run
-//   bookings_started  | int    | booking reservations made (both layers)
-//   bookings_expired  | int    | bookings lost to timeout (both layers)
-//   bucket_hits       | int    | huge-bucket regions reused by placement
-//   demotions         | int    | huge mappings demoted (both layers)
-//   tier_demoted      | int    | host pages demoted to the far tier over the
-//                     |        | measured phase (0 without GEMINI_OVERCOMMIT)
-//   tier_refaults     | int    | far-tier pages faulted back to near memory
-//   tier_resident     | int    | far-resident pages when the phase ended (a
-//                     |        | level, like ways_assigned — not a count)
-//   tlb_mode          | string | TLB sharing arrangement of the cell:
-//                     |        | private / shared / partitioned
-//   cross_vm_evictions| int    | this VM's TLB entries evicted by another
-//                     |        | VM's fills (0 under private)
-//   vm_invalidated    | int    | entries dropped by tagged selective
-//                     |        | invalidation of this VM (0 under private)
-//   conflict_evictions| int    | valid-entry evictions while free ways
-//                     |        | remained elsewhere in the inserter's window
-//   capacity_evictions| int    | valid-entry evictions with the window full
-//   displaced_by_self | int    | misses the utility monitor proved were
-//                     |        | caused by an entry this VM's own fills
-//                     |        | displaced (0 under private: no monitor)
-//   displaced_by_other| int    | misses proved caused by another VM's fill
-//                     |        | (cross-VM interference, by attribution)
-//   util_shadow_hits  | int    | shadow-tag sampler hits at any stack depth
-//   util_shadow_misses| int    | sampled accesses missing the full-depth
-//                     |        | per-VM LRU stack (would miss at any ways)
-//   util_min_ways_90  | int    | smallest dedicated way count covering 90%
-//                     |        | of the VM's shadow hits; 0 when none
-//   ways_assigned     | int    | ways the VM could fill when the phase
-//                     |        | ended (its way window's size; the full
-//                     |        | associativity under private mode).  A
-//                     |        | level, not a count — under dynamic mode it
-//                     |        | moves with every repartition
-//   repartitions      | int    | applied dynamic repartitions over the
-//                     |        | phase, domain-wide — but deltaed over
-//                     |        | each VM's own measured window, so
-//                     |        | collocated rows can differ (0 outside
-//                     |        | dynamic mode)
-//   repartition_evictions | int| this VM's entries dropped because a
-//                     |        | repartition moved its way window
-//   lat_p50           | int    | translation-latency percentiles, cycles:
-//   lat_p90           | int    | nearest-rank over the log2-bucket
-//   lat_p99           | int    | histogram, bucket upper bound reported
-//   walk_guest_mem_l{4,3,2,1}  | int | guest-dimension table reads served
-//                     |        | from memory, per walk level (L4 = PML4 ..
-//                     |        | L1 = PT); see DESIGN.md §3e
-//   walk_guest_pwc_l{4,3} | int | guest-dimension reads served by the
-//                     |        | page-walk cache (only L4/L3 are covered,
-//                     |        | so lower levels are omitted)
-//   walk_host_mem_l{4,3,2,1}   | int | host-dimension reads from memory
-//   walk_host_pwc_l{4,3}  | int | host-dimension reads PWC-served
-//   walk_nested_hit_l{4,3,2,1} | int | guest-table-page translations served
-//                     |        | by the nested translation caches
-//   walk_nested_walk_l{4,3,2,1}| int | guest-table-page translations that
-//                     |        | needed a full host-dimension walk
-//   walk_memo_hits    | int    | full walk-memo replays (all guest levels)
-//   walk_memo_upper_hits | int | upper-level replays with a live PT probe
-//   busy_cycles       | int    | simulated cycles of the measured phase
-//   wall_ms           | number | host wall-clock of the cell, milliseconds
-//   seed              | int    | BedOptions::seed that produced the cell
+//   [](const Row& row, auto& sink) { sink("name", value); ... }
 //
-// Every field except wall_ms is deterministic: same seed, same values, at
-// any GEMINI_JOBS count.  wall_ms is real host time — use it to track the
-// simulator's own performance, never to compare systems.
+// that calls sink(name, value) once per column, in output order.  A value
+// is a std::string, a double or an integer; numbers print with default
+// std::ostream formatting (doubles at 6 significant digits) and strings
+// are escaped per format.  RenderCsv and RenderJson turn a column list
+// into text.  BENCHMARKS.md describes every column; tests/test_export.cc
+// fails when its tables drift from the rendered headers.
 #ifndef SRC_METRICS_EXPORT_H_
 #define SRC_METRICS_EXPORT_H_
 
 #include <cstdint>
+#include <ostream>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
-namespace workload {
-struct RunResult;
-}  // namespace workload
+#include "base/check.h"
+#include "metrics/counters.h"
+#include "workload/driver.h"
 
 namespace metrics {
+
+std::string EscapeCsv(const std::string& s);
+std::string EscapeJson(const std::string& s);
+
+namespace column_sink {
+
+// Column names joined by commas: the CSV header line.
+struct CsvNames {
+  std::ostream& out;
+  bool first = true;
+  template <class T>
+  void operator()(std::string_view name, const T&) {
+    out << (first ? "" : ",") << name;
+    first = false;
+  }
+};
+
+// One row's values joined by commas.
+struct CsvValues {
+  std::ostream& out;
+  bool first = true;
+  template <class T>
+  void operator()(std::string_view, const T& value) {
+    out << (first ? "" : ",");
+    first = false;
+    if constexpr (std::is_same_v<T, std::string>) {
+      out << EscapeCsv(value);
+    } else {
+      out << value;
+    }
+  }
+};
+
+// One row's "name": value members joined by ", ".
+struct JsonMembers {
+  std::ostream& out;
+  bool first = true;
+  template <class T>
+  void operator()(std::string_view name, const T& value) {
+    out << (first ? "\"" : ", \"") << name << "\": ";
+    first = false;
+    if constexpr (std::is_same_v<T, std::string>) {
+      out << '"' << EscapeJson(value) << '"';
+    } else {
+      out << value;
+    }
+  }
+};
+
+}  // namespace column_sink
+
+// Renders rows as CSV: the header line, then one line per row.  The header
+// is rendered from `header_row`, so it prints even when `rows` is empty.
+template <class Row, class Columns>
+std::string RenderCsv(const std::vector<Row>& rows, const Columns& columns,
+                      const Row& header_row = Row{}) {
+  std::ostringstream out;
+  column_sink::CsvNames names{out};
+  columns(header_row, names);
+  out << '\n';
+  for (const Row& row : rows) {
+    column_sink::CsvValues values{out};
+    columns(row, values);
+    out << '\n';
+  }
+  return out.str();
+}
+
+// Renders rows as a JSON array holding one object per row.
+template <class Row, class Columns>
+std::string RenderJson(const std::vector<Row>& rows, const Columns& columns) {
+  std::ostringstream out;
+  out << "[\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    column_sink::JsonMembers members{out};
+    out << "  {";
+    columns(rows[i], members);
+    out << '}' << (i + 1 < rows.size() ? ",\n" : "\n");
+  }
+  out << "]\n";
+  return out.str();
+}
 
 // One measurement row: a (workload, system) cell of a sweep.
 struct ResultRow {
@@ -109,21 +124,60 @@ struct ResultRow {
   std::string tlb_mode = "private";
 };
 
-// Renders rows as CSV with a fixed header:
-// workload,system,throughput,mean_latency,p99_latency,tlb_misses,stale_hits,
-// tlb_miss_rate,well_aligned_rate,guest_huge,host_huge,bookings_started,
-// bookings_expired,bucket_hits,demotions,tier_demoted,tier_refaults,
-// tier_resident,tlb_mode,cross_vm_evictions,vm_invalidated,conflict_evictions,
-// capacity_evictions,displaced_by_self,displaced_by_other,util_shadow_hits,
-// util_shadow_misses,util_min_ways_90,ways_assigned,repartitions,
-// repartition_evictions,lat_p50,lat_p90,lat_p99,
-// walk_guest_mem_l4..l1,walk_guest_pwc_l4..l3,
-// walk_host_mem_l4..l1,walk_host_pwc_l4..l3,walk_nested_hit_l4..l1,
-// walk_nested_walk_l4..l1,walk_memo_hits,walk_memo_upper_hits,
-// busy_cycles,wall_ms,seed
-std::string ToCsv(const std::vector<ResultRow>& rows);
+// The export columns of one row.  Every value except wall_ms is
+// deterministic: same seed, same values, at any GEMINI_JOBS count.
+inline constexpr auto ResultColumns = [](const ResultRow& row, auto& sink) {
+  SIM_CHECK(row.result != nullptr);
+  const workload::RunResult& r = *row.result;
+  const StackSnapshot& c = r.counters;
+  sink("workload", row.workload);
+  sink("system", row.system);
+  sink("throughput", r.throughput);
+  sink("mean_latency", r.mean_latency);
+  sink("p99_latency", r.p99_latency);
+  sink("tlb_misses", r.tlb_misses);
+  StaleHitColumn(c, sink);
+  sink("tlb_miss_rate", r.tlb_miss_rate);
+  sink("well_aligned_rate", r.alignment.well_aligned_rate);
+  sink("guest_huge", r.alignment.guest_huge);
+  sink("host_huge", r.alignment.host_huge);
+  sink("bookings_started", c.bookings_started);
+  sink("bookings_expired", c.bookings_expired);
+  sink("bucket_hits", c.bucket_hits);
+  sink("demotions", c.demotions);
+  TierColumns(c, sink);
+  sink("tlb_mode", row.tlb_mode);
+  SharingColumns(c, sink);
+  sink("conflict_evictions",
+       c.tlb_conflict_evictions_base + c.tlb_conflict_evictions_huge);
+  sink("capacity_evictions",
+       c.tlb_capacity_evictions_base + c.tlb_capacity_evictions_huge);
+  UtilityColumns(c, sink);
+  sink("util_min_ways_90", UtilMinWays90(c));
+  RepartitionColumns(c, sink);
+  LatencyColumns(c, sink);
+  // Walk-level families, L4 first; the page-walk caches cover L4/L3 only.
+  static constexpr const char* kLevel[] = {"l4", "l3", "l2", "l1"};
+  const auto levels = [&](std::string_view family, const auto& values,
+                          size_t count) {
+    for (size_t l = 0; l < count; ++l) {
+      sink(std::string(family) + kLevel[l], values[l]);
+    }
+  };
+  levels("walk_guest_mem_", c.walk.guest_mem, 4);
+  levels("walk_guest_pwc_", c.walk.guest_cached, 2);
+  levels("walk_host_mem_", c.walk.host_mem, 4);
+  levels("walk_host_pwc_", c.walk.host_cached, 2);
+  levels("walk_nested_hit_", c.walk.nested_hit, 4);
+  levels("walk_nested_walk_", c.walk.nested_walk, 4);
+  sink("walk_memo_hits", c.walk.memo_hits);
+  sink("walk_memo_upper_hits", c.walk.memo_upper_hits);
+  sink("busy_cycles", r.busy_cycles);
+  sink("wall_ms", row.wall_ms);
+  sink("seed", row.seed);
+};
 
-// Renders rows as a JSON array of objects with the same fields.
+std::string ToCsv(const std::vector<ResultRow>& rows);
 std::string ToJson(const std::vector<ResultRow>& rows);
 
 // Writes content to a file; aborts on I/O failure (results must not be

@@ -9,10 +9,10 @@
 // controller's current effective timeout, booking/bucket occupancy, the
 // cumulative TLB miss rate, and the per-order buddy free-list depths.
 //
-// Counter fields are read through metrics::Snapshot and
-// policy::PolicyTelemetry — the same registries the aggregate RunResult
-// export uses — so a value in a series CSV always reconciles with the
-// corresponding GEMINI_EXPORT cell.
+// Counter columns are read through metrics::Snapshot and
+// policy::PolicyTelemetry, and the columns a series shares with the
+// GEMINI_EXPORT rows are declared once in metrics/counters.h, so a value in
+// a series CSV always reconciles with the corresponding export cell.
 #ifndef SRC_TRACE_SAMPLER_H_
 #define SRC_TRACE_SAMPLER_H_
 
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "base/types.h"
+#include "metrics/counters.h"
 #include "os/machine.h"
 
 namespace trace {
@@ -37,35 +38,8 @@ struct SamplePoint {
   uint64_t bookings_active = 0;      // live bookings, both layers
   uint64_t bucket_held = 0;          // regions retained by the huge bucket
   double tlb_miss_rate = 0.0;        // cumulative misses / lookups
-  uint64_t stale_hits = 0;           // cumulative precise-invalidation misses
-  // Cumulative TLB sharing-domain interference counters (zero under a
-  // private arrangement): this VM's entries evicted by other VMs' fills,
-  // and entries dropped by tagged selective invalidation.
-  uint64_t cross_vm_evictions = 0;
-  uint64_t vm_invalidated = 0;
-  // Cumulative utility-monitor attribution and shadow-sampler counts (zero
-  // under private: no monitor attached).
-  uint64_t displaced_by_self = 0;
-  uint64_t displaced_by_other = 0;
-  uint64_t util_shadow_hits = 0;
-  uint64_t util_shadow_misses = 0;
-  // Dynamic way repartitioning (zero outside GEMINI_TLB_MODE=dynamic):
-  // this VM's current way-window size, cumulative applied repartitions
-  // (domain-wide), and this VM's entries dropped by window moves.
-  uint64_t ways_assigned = 0;
-  uint64_t repartitions = 0;
-  uint64_t repartition_evictions = 0;
-  // Cumulative translation-latency percentiles, cycles (log2-bucket
-  // nearest-rank, bucket upper bound reported).
-  uint64_t lat_p50 = 0;
-  uint64_t lat_p90 = 0;
-  uint64_t lat_p99 = 0;
-  // Far-tier footprint (zero without GEMINI_OVERCOMMIT): cumulative pages
-  // demoted / refaulted, and the VM's far residency at this boundary (a
-  // level, not a counter — it falls when pages refault back).
-  uint64_t tier_demoted = 0;
-  uint64_t tier_refaults = 0;
-  uint64_t tier_resident = 0;
+  // The VM's cumulative counters at ts (not a phase delta).
+  metrics::StackSnapshot snapshot;
   uint64_t guest_free[base::kMaxOrder] = {};  // free blocks per order
   uint64_t host_free[base::kMaxOrder] = {};
 };

@@ -256,8 +256,9 @@ void WorkloadDriver::MaybeRecordLatency() {
   if (measuring_ && spec_.kind == Kind::kLatency &&
       spec_.accesses_per_request != 0 &&
       op_ % spec_.accesses_per_request == 0) {
-    const metrics::StackSnapshot s = metrics::Snapshot(*machine_, vm_id_);
-    const base::Cycles oh = s.guest_overhead_cycles + s.host_overhead_cycles;
+    osim::VirtualMachine& vm = machine_->vm(vm_id_);
+    const base::Cycles oh = vm.guest().stats().overhead_cycles +
+                            vm.host_slice().stats().overhead_cycles;
     latencies_->Record(static_cast<double>(request_cycles_) +
                        static_cast<double>(oh - request_overhead_base_));
     request_overhead_base_ = oh;
@@ -369,11 +370,7 @@ RunResult WorkloadDriver::Finish() {
   result.p99_latency = latencies_->Percentile(0.99);
   result.tlb_hits = delta.tlb_hits;
   result.tlb_misses = delta.tlb_misses;
-  const uint64_t lookups = delta.tlb_hits + delta.tlb_misses;
-  result.tlb_miss_rate = lookups == 0
-                             ? 0.0
-                             : static_cast<double>(delta.tlb_misses) /
-                                   static_cast<double>(lookups);
+  result.tlb_miss_rate = metrics::TlbMissRate(delta);
   result.faulting_accesses = faulting_accesses_;
   result.counters = delta;
   result.alignment = metrics::AuditAlignment(

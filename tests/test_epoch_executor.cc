@@ -26,6 +26,7 @@
 #include "base/rng.h"
 #include "harness/experiment.h"
 #include "harness/systems.h"
+#include "metrics/counters.h"
 #include "os/machine.h"
 
 namespace {
@@ -59,28 +60,12 @@ std::string DigestResult(const workload::RunResult& r) {
   Append(&d, "hit", r.tlb_hits);
   Append(&d, "miss", r.tlb_misses);
   Append(&d, "fault", r.faulting_accesses);
-  Append(&d, "stale", r.counters.tlb_stale_hits);
-  Append(&d, "shoot", r.counters.tlb_shootdowns);
-  Append(&d, "xvm", r.counters.tlb_cross_vm_evictions);
-  Append(&d, "inval", r.counters.tlb_vm_invalidated);
-  Append(&d, "dself", r.counters.tlb_displaced_by_self);
-  Append(&d, "dother", r.counters.tlb_displaced_by_other);
-  Append(&d, "shadow", r.counters.util_shadow_misses);
-  Append(&d, "ways", r.counters.tlb_ways_assigned);
-  Append(&d, "repart", r.counters.tlb_repartitions);
-  Append(&d, "revict", r.counters.tlb_repartition_evictions);
-  Append(&d, "tcyc", r.counters.translation_cycles);
-  Append(&d, "goh", r.counters.guest_overhead_cycles);
-  Append(&d, "hoh", r.counters.host_overhead_cycles);
-  Append(&d, "gprom", r.counters.guest_promotions);
-  Append(&d, "hprom", r.counters.host_promotions);
   Append(&d, "ghuge", r.alignment.guest_huge);
   Append(&d, "align", r.alignment.well_aligned_rate);
-  uint64_t lat_hist = 0;
-  for (size_t i = 0; i < r.counters.lat_hist.size(); ++i) {
-    lat_hist = lat_hist * 1099511628211ull + r.counters.lat_hist[i];
-  }
-  Append(&d, "lhist", lat_hist);
+  // Every StackSnapshot word, in field-list order.
+  metrics::ForEachField(
+      [&](metrics::FieldKind, uint64_t v) { Append(&d, "c", v); },
+      r.counters);
   return d;
 }
 

@@ -2,6 +2,8 @@
 // helpers, and table formatting.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "base/types.h"
 #include "metrics/alignment_audit.h"
 #include "metrics/counters.h"
@@ -79,6 +81,38 @@ TEST(Counters, SnapshotDeltaIsComponentwise) {
   EXPECT_GT(delta.guest_fault_cycles, 0u);
   EXPECT_GT(delta.host_fault_cycles, 0u);
   EXPECT_EQ(delta.guest_promotions, 0u);
+}
+
+// The field list covers every word of StackSnapshot exactly once, and a
+// phase delta subtracts every counter while exactly tlb_ways_assigned and
+// tier_resident (the levels) carry the later snapshot's value.
+TEST(Counters, FieldListCoversEveryWordAndDeltaCarriesOnlyLevels) {
+  metrics::StackSnapshot earlier;
+  metrics::StackSnapshot later;
+  std::set<const uint64_t*> visited;
+  uint64_t n = 0;
+  metrics::ForEachField(
+      [&](metrics::FieldKind, uint64_t& e, uint64_t& l) {
+        EXPECT_TRUE(visited.insert(&e).second) << "word visited twice";
+        e = ++n;
+        l = 1000 + 3 * n;
+      },
+      earlier, later);
+  EXPECT_EQ(n, sizeof(metrics::StackSnapshot) / sizeof(uint64_t));
+
+  const metrics::StackSnapshot delta = later.Delta(earlier);
+  std::set<const uint64_t*> carried;
+  metrics::ForEachField(
+      [&](metrics::FieldKind, const uint64_t& d, uint64_t e, uint64_t l) {
+        if (d == l) {
+          carried.insert(&d);
+        } else {
+          EXPECT_EQ(d, l - e);
+        }
+      },
+      delta, earlier, later);
+  EXPECT_EQ(carried, (std::set<const uint64_t*>{&delta.tlb_ways_assigned,
+                                                &delta.tier_resident}));
 }
 
 TEST(PerfModel, Normalize) {
