@@ -79,7 +79,8 @@ void BM_TlbInsertEvict(benchmark::State& state) {
   mmu::Tlb tlb(mmu::TlbConfig{});
   uint64_t vpn = 0;
   for (auto _ : state) {
-    tlb.Insert(vpn++, base::PageSize::kBase, vpn);
+    tlb.Insert(vpn, base::PageSize::kBase, vpn);
+    ++vpn;
   }
 }
 BENCHMARK(BM_TlbInsertEvict);

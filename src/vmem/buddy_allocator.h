@@ -14,15 +14,18 @@
 //    Gemini's booking-timeout controller (Algorithm 1) and preallocation
 //    gate.
 //
-// The allocator also exposes its free map so the Gemini contiguity list can
-// enumerate maximal free extents.
+// The free lists are bitmaps (DESIGN.md §3j): one free bit per frame, and
+// per order one bit per aligned slot that is set iff a free block of exactly
+// that order starts there.  Each bitmap carries a one-bit-per-word summary
+// for fast scans.  The allocator also exposes its maximal free runs so the
+// Gemini contiguity list can enumerate free extents.
 #ifndef SRC_VMEM_BUDDY_ALLOCATOR_H_
 #define SRC_VMEM_BUDDY_ALLOCATOR_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
-#include <set>
+#include <vector>
 
 #include "base/rng.h"
 #include "base/types.h"
@@ -96,23 +99,88 @@ class BuddyAllocator {
     trace_vm_ = vm_id;
   }
 
-  // Visits each free block as (first_frame, order), in address order.
+  // Visits each maximal run of free frames as (first_frame, count), in
+  // address order.
   template <typename Fn>
-  void ForEachFreeBlock(Fn&& fn) const {
-    for (const auto& [head, order] : free_blocks_) {
-      fn(head, order);
+  void ForEachFreeRun(Fn&& fn) const {
+    uint64_t frame = NextFrame<true>(0);
+    while (frame < frame_count_) {
+      const uint64_t end = NextFrame<false>(frame);
+      fn(frame, end - frame);
+      frame = NextFrame<true>(end);
     }
   }
 
-  // Verifies internal invariants (for tests): free lists and the block map
-  // agree, blocks are aligned, no two blocks overlap or are unmerged
-  // buddies.  Aborts on violation.
+  // Visits each free block as (first_frame, order), in address order.  The
+  // free map is always maximally merged, so the blocks of a free run are
+  // its greedy decomposition into the largest aligned blocks.
+  template <typename Fn>
+  void ForEachFreeBlock(Fn&& fn) const {
+    ForEachFreeRun([&](uint64_t lo, uint64_t count) {
+      const uint64_t hi = lo + count;
+      while (lo < hi) {
+        const int order = LargestBlockOrder(lo, hi);
+        fn(lo, order);
+        lo += 1ull << order;
+      }
+    });
+  }
+
+  // Verifies internal invariants (for tests): every bitmap agrees with its
+  // summaries and counts, and the head bitmaps hold exactly the maximally
+  // merged decomposition of the free frames.  Aborts on violation.
   void CheckInvariants() const;
 
  private:
-  // True if any frame of [frame, frame + count) is currently free; used to
-  // reject double frees.
-  bool Intersected(uint64_t frame, uint64_t count) const;
+  // A bitmap with one summary bit per 64-bit word.
+  struct Bitmap {
+    std::vector<uint64_t> words;
+    std::vector<uint64_t> summary;
+  };
+  // Free-block heads of one order: bit i is set iff a free block of this
+  // order starts at frame i << order.
+  struct HeadMap : Bitmap {
+    uint64_t count = 0;       // set bits
+    size_t low_summary = 0;   // no summary word below this one is nonzero
+  };
+
+  // Order of the largest naturally aligned block that starts at `lo` and
+  // ends at or before `hi`.
+  static int LargestBlockOrder(uint64_t lo, uint64_t hi) {
+    int order = std::min(base::kMaxOrder - 1, 63 - __builtin_clzll(hi - lo));
+    if (lo != 0) {
+      order = std::min(order, __builtin_ctzll(lo));
+    }
+    return order;
+  }
+
+  // First frame at or after `from` that is free (kFree) or allocated
+  // (!kFree), or frame_count_ if there is none.
+  template <bool kFree>
+  uint64_t NextFrame(uint64_t from) const {
+    return FindBit<kFree>(frames_.words,
+                          kFree ? frames_.summary : frames_all_, from,
+                          frame_count_);
+  }
+  // First index in [from, limit) whose bit equals kSet, or limit.  Skips
+  // whole words through `summary`, which must hold "word nonzero" bits for
+  // kSet and "word all ones" bits for !kSet.
+  template <bool kSet>
+  static uint64_t FindBit(const std::vector<uint64_t>& words,
+                          const std::vector<uint64_t>& summary, uint64_t from,
+                          uint64_t limit);
+
+  // Slot of the block (head, order) in its head bitmap; checks alignment
+  // and range.
+  uint64_t Slot(uint64_t head, int order) const;
+  bool HasHead(uint64_t head, int order) const {
+    const uint64_t slot = head >> order;
+    return (heads_[order].words[slot >> 6] >> (slot & 63)) & 1;
+  }
+  // Head of the k-th lowest free block of `order` (k < its block count).
+  uint64_t KthHead(int order, uint64_t k);
+  // Marks frames [lo, hi) free or allocated in the frame bitmap.
+  void MarkFrames(uint64_t lo, uint64_t hi, bool free);
 
   void InsertFreeBlock(uint64_t head, int order);
   void RemoveFreeBlock(uint64_t head, int order);
@@ -129,12 +197,46 @@ class BuddyAllocator {
   int32_t trace_vm_ = -1;
   bool randomize_ = false;
   base::Rng rng_;
-  // head frame -> order, for every free block.  Address-ordered.
-  std::map<uint64_t, int> free_blocks_;
-  // Per-order set of free block heads (address-ordered for low-first
-  // allocation).
-  std::array<std::set<uint64_t>, base::kMaxOrder> free_lists_;
+  // Bit f set iff frame f is free; bits past frame_count_ stay clear.  The
+  // summary bit of a word is set iff the word has a free frame.
+  Bitmap frames_;
+  // One bit per frames_ word: set iff all 64 of its frames are free.
+  std::vector<uint64_t> frames_all_;
+  std::array<HeadMap, base::kMaxOrder> heads_;
 };
+
+template <bool kSet>
+uint64_t BuddyAllocator::FindBit(const std::vector<uint64_t>& words,
+                                 const std::vector<uint64_t>& summary,
+                                 uint64_t from, uint64_t limit) {
+  constexpr uint64_t kFlip = kSet ? 0 : ~0ull;
+  if (from >= limit) {
+    return limit;
+  }
+  uint64_t w = from >> 6;
+  uint64_t word = (words[w] ^ kFlip) & (~0ull << (from & 63));
+  if (word == 0) {
+    const uint64_t last_w = (limit - 1) >> 6;
+    if (w == last_w) {
+      return limit;
+    }
+    size_t s = (w + 1) >> 6;
+    uint64_t bits = (summary[s] ^ kFlip) & (~0ull << ((w + 1) & 63));
+    while (bits == 0) {
+      if (s == last_w >> 6) {
+        return limit;
+      }
+      bits = summary[++s] ^ kFlip;
+    }
+    w = (s << 6) | static_cast<uint64_t>(__builtin_ctzll(bits));
+    if (w > last_w) {
+      return limit;
+    }
+    word = words[w] ^ kFlip;
+  }
+  return std::min(limit,
+                  (w << 6) | static_cast<uint64_t>(__builtin_ctzll(word)));
+}
 
 }  // namespace vmem
 

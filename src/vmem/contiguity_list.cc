@@ -12,23 +12,9 @@ void ContiguityList::Refresh() {
   }
   refreshed_epoch_ = buddy_->mutation_epoch();
   extents_.clear();
-  uint64_t run_start = kInvalidFrame;
-  uint64_t run_end = 0;
-  buddy_->ForEachFreeBlock([&](uint64_t head, int order) {
-    const uint64_t size = 1ull << order;
-    if (run_start != kInvalidFrame && head == run_end) {
-      run_end += size;
-      return;
-    }
-    if (run_start != kInvalidFrame) {
-      extents_.push_back(Extent{run_start, run_end - run_start});
-    }
-    run_start = head;
-    run_end = head + size;
+  buddy_->ForEachFreeRun([&](uint64_t frame, uint64_t count) {
+    extents_.push_back(Extent{frame, count});
   });
-  if (run_start != kInvalidFrame) {
-    extents_.push_back(Extent{run_start, run_end - run_start});
-  }
 }
 
 uint64_t ContiguityList::FindFit(uint64_t count, bool huge_aligned) {

@@ -9,8 +9,8 @@
 // (mitigating fragmentation, as the paper describes).
 //
 // The list is a view over a BuddyAllocator: Refresh() rebuilds the extent
-// list by merging adjacent free buddy blocks into maximal runs.  The
-// next-fit cursor survives refreshes (it is an address, not an iterator).
+// list from the allocator's maximal free runs.  The next-fit cursor
+// survives refreshes (it is an address, not an iterator).
 #ifndef SRC_VMEM_CONTIGUITY_LIST_H_
 #define SRC_VMEM_CONTIGUITY_LIST_H_
 

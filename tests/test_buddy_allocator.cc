@@ -1,14 +1,21 @@
 // Tests for the buddy allocator: invariants, targeted allocation, FMFI,
-// and randomized property sweeps against a frame-ownership reference.
+// randomized property sweeps against a frame-ownership reference, and an
+// op-for-op differential against the map/set reference allocator.
 #include "vmem/buddy_allocator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
 #include "base/types.h"
+#include "tests/reference_buddy.h"
+#include "trace/tracer.h"
 
 namespace {
 
@@ -251,5 +258,204 @@ TEST(Buddy, BlocksAvailableCountsLargerBlocks) {
   ASSERT_TRUE(buddy.AllocateAt(512 + 256, 1));
   EXPECT_EQ(buddy.BlocksAvailable(9), 6u);
 }
+
+}  // namespace
+
+namespace {
+
+using Block = std::pair<uint64_t, int>;
+using Span = std::pair<uint64_t, uint64_t>;
+using TraceRecord = std::tuple<trace::EventKind, base::Layer, int16_t,
+                               uint64_t, uint64_t, uint64_t>;
+
+template <typename Buddy>
+std::vector<Block> FreeBlocks(const Buddy& buddy) {
+  std::vector<Block> blocks;
+  buddy.ForEachFreeBlock(
+      [&](uint64_t head, int order) { blocks.emplace_back(head, order); });
+  return blocks;
+}
+
+// The reference's blocks with address-adjacent ones merged: its maximal
+// free runs.
+std::vector<Span> MergedRuns(const std::vector<Block>& blocks) {
+  std::vector<Span> runs;
+  for (const auto& [head, order] : blocks) {
+    const uint64_t size = 1ull << order;
+    if (!runs.empty() && runs.back().first + runs.back().second == head) {
+      runs.back().second += size;
+    } else {
+      runs.emplace_back(head, size);
+    }
+  }
+  return runs;
+}
+
+// Events recorded since the last drain; clears the ring.
+std::vector<TraceRecord> Drain(trace::Tracer& tracer) {
+  EXPECT_EQ(tracer.dropped(), 0u);
+  std::vector<TraceRecord> events;
+  tracer.ForEach([&](const trace::Event& e) {
+    events.emplace_back(e.kind, e.layer, e.vm_id, e.a, e.b, e.c);
+  });
+  tracer.Enable(tracer.capacity());
+  return events;
+}
+
+// Random op sequences applied to the bitmap allocator and the map/set
+// reference in lockstep.  After every op both must agree on the op's
+// result and on every observable: counters, mutation epoch, per-order
+// counts, FMFI, the block list, the run list and the trace stream.
+// Parameters: (op seed, selection seed, frame count).
+class BuddyDifferentialTest
+    : public ::testing::TestWithParam<
+          std::tuple<uint64_t, uint64_t, uint64_t>> {
+ protected:
+  void SetUp() override {
+    const auto [seed, selection_seed, frames] = GetParam();
+    rng_ = base::Rng(seed);
+    frames_ = frames;
+    buddy_ = std::make_unique<BuddyAllocator>(frames, selection_seed);
+    ref_ = std::make_unique<reference_buddy::BuddyAllocator>(frames,
+                                                             selection_seed);
+    tracer_.Enable(4096);
+    ref_tracer_.Enable(4096);
+    buddy_->SetTracer(&tracer_, base::Layer::kHost, 7);
+    ref_->SetTracer(&ref_tracer_, base::Layer::kHost, 7);
+  }
+
+  void ExpectSameState() {
+    ASSERT_EQ(buddy_->free_frames(), ref_->free_frames());
+    ASSERT_EQ(buddy_->mutation_epoch(), ref_->mutation_epoch());
+    for (int o = 0; o < kMaxOrder; ++o) {
+      ASSERT_EQ(buddy_->FreeBlocksOfOrder(o), ref_->FreeBlocksOfOrder(o))
+          << "order " << o;
+    }
+    ASSERT_EQ(buddy_->Fmfi(kHugeOrder), ref_->Fmfi(kHugeOrder));
+    ASSERT_EQ(buddy_->BlocksAvailable(kHugeOrder),
+              ref_->BlocksAvailable(kHugeOrder));
+    ASSERT_EQ(buddy_->LargestFreeOrder(), ref_->LargestFreeOrder());
+    const std::vector<Block> ref_blocks = FreeBlocks(*ref_);
+    ASSERT_EQ(FreeBlocks(*buddy_), ref_blocks);
+    std::vector<Span> runs;
+    buddy_->ForEachFreeRun([&](uint64_t frame, uint64_t count) {
+      runs.emplace_back(frame, count);
+    });
+    ASSERT_EQ(runs, MergedRuns(ref_blocks));
+    ASSERT_EQ(Drain(tracer_), Drain(ref_tracer_));
+    buddy_->CheckInvariants();
+    ref_->CheckInvariants();
+  }
+
+  // A random live allocation, removed from the live list.
+  Span TakeLive() {
+    const size_t i = static_cast<size_t>(rng_.NextBelow(live_.size()));
+    const Span taken = live_[i];
+    live_[i] = live_.back();
+    live_.pop_back();
+    return taken;
+  }
+
+  base::Rng rng_{1};
+  uint64_t frames_ = 0;
+  std::unique_ptr<BuddyAllocator> buddy_;
+  std::unique_ptr<reference_buddy::BuddyAllocator> ref_;
+  trace::Tracer tracer_;
+  trace::Tracer ref_tracer_;
+  std::vector<Span> live_;  // allocated (first frame, count)
+};
+
+TEST_P(BuddyDifferentialTest, MatchesReferenceOpForOp) {
+  ASSERT_NO_FATAL_FAILURE(ExpectSameState());
+  for (int step = 0; step < 2000; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    // Alternate filling and draining phases so the sequence visits nearly
+    // full, fragmented states as well as merged ones.
+    const bool filling = (step / 400) % 2 == 0;
+    const uint64_t free_pct = filling ? 2 : 30;
+    const uint64_t shuffled_pct = filling ? 2 : 8;
+    const uint64_t dice = rng_.NextBelow(100);
+    if (!live_.empty() && dice < free_pct) {
+      const Span span = TakeLive();
+      buddy_->Free(span.first, span.second);
+      ref_->Free(span.first, span.second);
+    } else if (!live_.empty() && dice < free_pct + shuffled_pct) {
+      // Free up to 64 frames of one allocation one at a time in shuffled
+      // order, then the rest as one range.
+      const Span span = TakeLive();
+      const uint64_t singles = std::min<uint64_t>(span.second, 64);
+      std::vector<uint64_t> order;
+      for (uint64_t i = 0; i < singles; ++i) {
+        order.push_back(span.first + i);
+      }
+      rng_.Shuffle(order);
+      for (uint64_t f : order) {
+        buddy_->Free(f, 1);
+        ref_->Free(f, 1);
+        ASSERT_NO_FATAL_FAILURE(ExpectSameState());
+      }
+      if (span.second > singles) {
+        buddy_->Free(span.first + singles, span.second - singles);
+        ref_->Free(span.first + singles, span.second - singles);
+      }
+    } else if (dice < free_pct + shuffled_pct + 30) {
+      const int order = rng_.NextBelow(2) == 0
+                            ? 0
+                            : static_cast<int>(rng_.NextBelow(kMaxOrder));
+      const uint64_t got = buddy_->Allocate(order);
+      ASSERT_EQ(got, ref_->Allocate(order)) << "order " << order;
+      if (got != kInvalidFrame) {
+        live_.emplace_back(got, 1ull << order);
+      }
+    } else if (dice < free_pct + shuffled_pct + 55) {
+      uint64_t frame;
+      uint64_t count;
+      const uint64_t kind = rng_.NextBelow(3);
+      if (kind == 0) {  // aligned block
+        const int order = static_cast<int>(rng_.NextBelow(kMaxOrder));
+        count = 1ull << order;
+        frame = rng_.NextBelow(frames_) & ~(count - 1);
+      } else if (kind == 1 || live_.empty()) {  // unaligned span
+        frame = rng_.NextBelow(frames_);
+        count = 1 + rng_.NextBelow(rng_.NextBelow(2) == 0 ? 8 : 700);
+      } else {  // overlaps a live allocation: must fail
+        const Span& span = live_[rng_.NextBelow(live_.size())];
+        count = 1 + rng_.NextBelow(600);
+        frame = span.first + rng_.NextBelow(span.second);
+        frame -= std::min(frame, rng_.NextBelow(count));
+      }
+      const bool ok = buddy_->AllocateAt(frame, count);
+      ASSERT_EQ(ok, ref_->AllocateAt(frame, count))
+          << "frame " << frame << " count " << count;
+      if (ok) {
+        live_.emplace_back(frame, count);
+      }
+    } else {
+      const uint64_t frame = rng_.NextBelow(frames_ + 8);
+      const uint64_t count = rng_.NextBelow(rng_.NextBelow(2) == 0 ? 4 : 1100);
+      ASSERT_EQ(buddy_->IsRangeFree(frame, count),
+                ref_->IsRangeFree(frame, count))
+          << "frame " << frame << " count " << count;
+      ASSERT_EQ(buddy_->IsFrameFree(frame), ref_->IsFrameFree(frame))
+          << "frame " << frame;
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectSameState());
+  }
+  // Freeing everything must merge both back to the pristine decomposition.
+  while (!live_.empty()) {
+    const Span span = TakeLive();
+    buddy_->Free(span.first, span.second);
+    ref_->Free(span.first, span.second);
+  }
+  ASSERT_NO_FATAL_FAILURE(ExpectSameState());
+  EXPECT_EQ(buddy_->free_frames(), frames_);
+}
+
+// The second frame count spans several summary words.
+INSTANTIATE_TEST_SUITE_P(
+    SeedsBySelectionByFrames, BuddyDifferentialTest,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4),
+                       ::testing::Values(0, 99),
+                       ::testing::Values(4096 + 512 + 3, 3 * 4096 + 517)));
 
 }  // namespace
