@@ -1,6 +1,7 @@
 // Google-benchmark micro benchmarks for the hot substrate paths: buddy
-// allocation, targeted allocation, TLB lookup/insert, page-table walks,
-// EMA descriptor search, and contiguity-list refresh.  These are
+// allocation, targeted allocation, TLB lookup/insert, page-table walks and
+// access-count aging, far-tier demotion/refault, EMA descriptor search,
+// and contiguity-list refresh.  These are
 // engineering benchmarks (not paper figures): they bound the simulator's
 // own costs and catch regressions in the data structures Gemini leans on.
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "mmu/translation_engine.h"
 #include "vmem/buddy_allocator.h"
 #include "vmem/contiguity_list.h"
+#include "vmem/tier_space.h"
 
 namespace {
 
@@ -109,6 +111,45 @@ void BM_PageTablePromoteDemote(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PageTablePromoteDemote);
+
+// One aging tick of a guest-shaped table (regions 2048..4095, the span a
+// guest VA space starting at page 2^20 grows to) plus the counter traffic
+// between ticks: a bump and a read.
+void BM_AccessDecay(benchmark::State& state) {
+  mmu::PageTable table;
+  constexpr uint64_t kFirst = 2048;
+  for (uint64_t r = kFirst; r < 2 * kFirst; ++r) {
+    table.BumpAccess(r);
+  }
+  base::Rng rng(5);
+  for (auto _ : state) {
+    table.DecayAccessCounts();
+    table.BumpAccess(kFirst + rng.NextBelow(kFirst));
+    benchmark::DoNotOptimize(table.AccessCount(kFirst + rng.NextBelow(kFirst)));
+  }
+}
+BENCHMARK(BM_AccessDecay);
+
+// Reclaim's far-tier traffic: four owners (a shared host tier) demote and
+// later refault guest pages at and above 2^20.
+void BM_TierDemoteRefault(benchmark::State& state) {
+  vmem::TierSpace tier(0, 2000, 16000);
+  constexpr uint64_t kFirst = 1ull << 20;
+  constexpr uint64_t kPages = 1 << 14;
+  base::Rng rng(6);
+  for (uint64_t p = 0; p < kPages; p += 2) {
+    tier.Demote(static_cast<int32_t>(p & 3), kFirst + p);
+  }
+  for (auto _ : state) {
+    const uint64_t p = rng.NextBelow(kPages);
+    const auto owner = static_cast<int32_t>(p & 3);
+    if (!tier.Refault(owner, kFirst + p)) {
+      tier.Demote(owner, kFirst + p);
+    }
+    benchmark::DoNotOptimize(tier.resident_total());
+  }
+}
+BENCHMARK(BM_TierDemoteRefault);
 
 void BM_TranslateVirtualizedHit(benchmark::State& state) {
   mmu::PageTable guest;

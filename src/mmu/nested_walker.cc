@@ -1,5 +1,7 @@
 #include "mmu/nested_walker.h"
 
+#include <algorithm>
+
 #include "base/check.h"
 
 namespace mmu {
@@ -19,7 +21,30 @@ NestedWalker::NestedWalker(const WalkerConfig& config)
     SIM_CHECK(config.nested_cache_entries <= (1u << 16));
     SIM_CHECK(config.guest_pwc.pml4_entries <= (1u << 16));
     SIM_CHECK(config.guest_pwc.pdpt_entries <= (1u << 16));
-    memo_.assign(config.walk_memo_slots, Memo{});
+  }
+}
+
+void NestedWalker::GrowMemo(uint64_t region) {
+  memo_lo_ = std::min(memo_lo_, region);
+  memo_hi_ = std::max(memo_hi_, region);
+  const uint64_t cap = config_.walk_memo_slots;
+  uint64_t size = std::min<uint64_t>(
+      cap, std::max<uint64_t>(memo_.size(), kMinMemoSlots));
+  while (size < cap && size <= memo_hi_ - memo_lo_) {
+    size *= 2;
+  }
+  if (size != memo_.size()) {
+    std::vector<Memo> grown(size);
+    for (const Memo& m : memo_) {
+      if (m.region != kNoRegion) {
+        grown[m.region & (size - 1)] = m;
+      }
+    }
+    memo_.swap(grown);
+  }
+  if (size == cap) {
+    memo_lo_ = 0;
+    memo_hi_ = kNoRegion - 1;
   }
 }
 
@@ -92,7 +117,10 @@ WalkResult NestedWalker::NestedWalk(uint64_t vpn, base::PageSize guest_leaf,
   WalkResult result;
 
   Memo* memo = nullptr;
-  if (!memo_.empty() && region < kNoRegion) {
+  if (config_.walk_memo_slots != 0 && region < kNoRegion) {
+    if (region < memo_lo_ || region > memo_hi_) [[unlikely]] {
+      GrowMemo(region);
+    }
     memo = &memo_[region & (memo_.size() - 1)];
     if (memo->region == static_cast<uint32_t>(region) &&
         memo->guest_leaf == static_cast<uint8_t>(guest_leaf)) {

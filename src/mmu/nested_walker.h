@@ -36,6 +36,15 @@
 // hash probes entirely.  The host walk for the data page is never memoized
 // (its key is the per-page gfn, not a per-region value).  See DESIGN.md
 // §3e for the full equivalence argument.
+//
+// The memo is sized lazily: it holds at least as many slots as the span of
+// regions walked so far (lowest to highest), doubling as the span grows,
+// up to `walk_memo_slots`.  Any run of that many consecutive regions maps
+// to distinct slots, so until the span outgrows the cap no two walked
+// regions share a slot, and growth re-places every entry at its slot in
+// the larger table.  The memo's contents, and with them the replay
+// tallies, are therefore always those of a memo allocated at the cap; only
+// the memory a VM never walks is no longer allocated and zero-filled.
 #ifndef SRC_MMU_NESTED_WALKER_H_
 #define SRC_MMU_NESTED_WALKER_H_
 
@@ -54,9 +63,9 @@ struct WalkerConfig {
   uint32_t nested_cache_entries = 64;  // per guest-table level
   base::Cycles cycles_per_memory_ref = 50;
   base::Cycles cycles_per_cached_ref = 2;
-  // Direct-mapped walk-memo size in regions (power of two); 0 disables
-  // memoization.  Purely a simulator-speed knob: results are identical
-  // with any value (tests/test_walker.cc pins the differential).
+  // Direct-mapped walk-memo size cap in regions (power of two); 0
+  // disables memoization.  Purely a simulator-speed knob: results are
+  // identical with any value (tests/test_walker.cc pins the differential).
   uint32_t walk_memo_slots = 4096;
 };
 
@@ -124,6 +133,7 @@ class NestedWalker {
   static constexpr uint32_t kMemoUpperRefs = 5;
   static constexpr uint32_t kMemoRefs = 6;
   static constexpr uint32_t kNoRegion = ~0u;
+  static constexpr uint32_t kMinMemoSlots = 64;  // one 4 KiB page
 
   // One memo entry, packed into a single cache line: the memo probe is on
   // the miss path's critical chain, so it must cost one line fill, not
@@ -154,6 +164,10 @@ class NestedWalker {
   // The six memoized caches in recording order.
   PrefixCache& MemoCache(uint32_t i);
 
+  // Widens the walked span to include `region` and grows the memo to
+  // cover it (see the file comment).
+  void GrowMemo(uint64_t region);
+
   WalkerConfig config_;
   PageWalkCache guest_pwc_;
   PageWalkCache host_pwc_;
@@ -164,7 +178,11 @@ class NestedWalker {
   PrefixCache nested_pd_;
   PrefixCache nested_pdpt_;
   PrefixCache nested_pml4_;
-  std::vector<Memo> memo_;  // direct-mapped by region & (slots - 1)
+  std::vector<Memo> memo_;  // direct-mapped by region & (size - 1)
+  // Regions [memo_lo_, memo_hi_] are covered without growth: the walked
+  // span until the memo reaches its cap, every memoizable region after.
+  uint64_t memo_lo_ = ~0ull;
+  uint64_t memo_hi_ = 0;
   // Live (non-replayed) per-level counters plus replay tallies; stats()
   // folds the tallies' fixed per-level patterns into the arrays.
   WalkLevelStats stats_;

@@ -1,5 +1,6 @@
 #include "mmu/page_table.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "base/check.h"
@@ -15,7 +16,10 @@ PageTable::BaseRegion* PageTable::NodePool::Acquire() {
     free_.pop_back();
   } else {
     if (used_in_last_chunk_ == kChunkNodes) {
-      chunks_.push_back(std::make_unique<BaseRegion[]>(kChunkNodes));
+      // For overwrite: the wipe below initializes each node as it is handed
+      // out, so the slab's untouched tail is never zero-filled.
+      chunks_.push_back(
+          std::make_unique_for_overwrite<BaseRegion[]>(kChunkNodes));
       used_in_last_chunk_ = 0;
     }
     node = &chunks_.back()[used_in_last_chunk_++];
@@ -31,24 +35,43 @@ PageTable::BaseRegion* PageTable::NodePool::Acquire() {
 
 void PageTable::Grow(uint64_t region) {
   // Geometric growth keeps amortized slot creation O(1) even when the
-  // address space expands one VMA at a time (churn workloads).
-  uint64_t target = route_.empty() ? 64 : route_.size();
-  while (target <= region) {
-    target *= 2;
+  // address space expands one VMA at a time (churn workloads).  The first
+  // region touched fixes where the vectors start; a later region below
+  // them grows them downward, never past region 0.
+  if (route_.empty()) {
+    first_region_ = region & ~uint64_t{63};
   }
+  const uint64_t size = route_.size();
+  uint64_t below = 0;
+  uint64_t target = size == 0 ? 64 : size;
+  if (region < first_region_) {
+    const uint64_t gap = (first_region_ - region + 63) & ~uint64_t{63};
+    below = std::min(first_region_, std::max(size, gap));
+    target = size + below;
+  } else {
+    while (first_region_ + target <= region) {
+      target *= 2;
+    }
+  }
+  first_region_ -= below;
+  route_.insert(route_.begin(), below, 0);
   route_.resize(target, 0);
+  huge_bits_.insert(huge_bits_.begin(), below / 64, 0);
   huge_bits_.resize(target / 64, 0);
+  base_bits_.insert(base_bits_.begin(), below / 64, 0);
   base_bits_.resize(target / 64, 0);
+  generations_.insert(generations_.begin(), below, 0);
   generations_.resize(target, 0);
-  accesses_.resize(target, 0);
+  accesses_.insert(accesses_.begin(), below, AccessCell{});
+  accesses_.resize(target);
 }
 
-void PageTable::SetRoute(uint64_t region, uint64_t route) {
-  route_[region] = route;
-  const uint64_t bit = 1ull << (region & 63);
+void PageTable::SetRoute(uint64_t i, uint64_t route) {
+  route_[i] = route;
+  const uint64_t bit = 1ull << (i & 63);
   const bool huge = (route & 1) != 0;
-  uint64_t& huge_word = huge_bits_[region >> 6];
-  uint64_t& base_word = base_bits_[region >> 6];
+  uint64_t& huge_word = huge_bits_[i >> 6];
+  uint64_t& base_word = base_bits_[i >> 6];
   huge_word = huge ? huge_word | bit : huge_word & ~bit;
   base_word = route != 0 && !huge ? base_word | bit : base_word & ~bit;
 }
@@ -57,21 +80,20 @@ void PageTable::MapBase(uint64_t vpn, uint64_t frame) {
   SIM_CHECK(frame < kAbsentFrame);  // frame cells are 32-bit (see header)
   const uint64_t region = vpn >> base::kHugeOrder;
   const uint32_t slot = static_cast<uint32_t>(vpn & (kPagesPerHuge - 1));
-  EnsureRegion(region);
-  SIM_CHECK_MSG((route_[region] & 1) == 0,
-                "MapBase into huge-mapped region %llu",
+  const uint64_t i = EnsureRegion(region);
+  SIM_CHECK_MSG((route_[i] & 1) == 0, "MapBase into huge-mapped region %llu",
                 static_cast<unsigned long long>(region));
-  BaseRegion* br = BaseNode(region);
+  BaseRegion* br = BaseNodeAt(i);
   if (br == nullptr) {
     br = pool_.Acquire();
-    SetRoute(region, reinterpret_cast<uint64_t>(br));
+    SetRoute(i, reinterpret_cast<uint64_t>(br));
     ++mapped_regions_;
   }
   SIM_CHECK_MSG(!br->Test(slot), "double map of vpn %llu",
                 static_cast<unsigned long long>(vpn));
   br->frames[slot] = static_cast<uint32_t>(frame);
   br->Set(slot);
-  BumpGeneration(region);
+  BumpGeneration(i);
   ++mapped_base_pages_;
 }
 
@@ -79,13 +101,13 @@ void PageTable::MapHuge(uint64_t region, uint64_t frame) {
   SIM_CHECK_MSG(frame % kPagesPerHuge == 0,
                 "huge mapping target not huge-aligned: frame %llu",
                 static_cast<unsigned long long>(frame));
-  EnsureRegion(region);
-  SIM_CHECK_MSG(route_[region] == 0, "MapHuge into non-empty region %llu",
+  const uint64_t i = EnsureRegion(region);
+  SIM_CHECK_MSG(route_[i] == 0, "MapHuge into non-empty region %llu",
                 static_cast<unsigned long long>(region));
   // Huge leaves live entirely in the route word: no node is allocated, so
   // huge-heavy address spaces cost 8 bytes of hot state per region.
-  SetRoute(region, (frame << 1) | 1);
-  BumpGeneration(region);
+  SetRoute(i, (frame << 1) | 1);
+  BumpGeneration(i);
   ++mapped_regions_;
   ++huge_leaves_;
 }
@@ -93,29 +115,31 @@ void PageTable::MapHuge(uint64_t region, uint64_t frame) {
 uint64_t PageTable::UnmapBase(uint64_t vpn) {
   const uint64_t region = vpn >> base::kHugeOrder;
   const uint32_t slot = static_cast<uint32_t>(vpn & (kPagesPerHuge - 1));
-  SIM_CHECK(region < route_.size());
-  BaseRegion* br = BaseNode(region);
+  const uint64_t i = Index(region);
+  SIM_CHECK(i < route_.size());
+  BaseRegion* br = BaseNodeAt(i);
   SIM_CHECK(br != nullptr);
   SIM_CHECK(br->Test(slot));
   const uint64_t frame = br->frames[slot];
   br->frames[slot] = kAbsentFrame;
   br->Clear(slot);
-  BumpGeneration(region);
+  BumpGeneration(i);
   --mapped_base_pages_;
   if (br->None()) {
     pool_.Release(br);
-    SetRoute(region, 0);
+    SetRoute(i, 0);
     --mapped_regions_;
   }
   return frame;
 }
 
 uint64_t PageTable::UnmapHuge(uint64_t region) {
-  SIM_CHECK(region < route_.size());
-  SIM_CHECK(route_[region] & 1);
-  const uint64_t frame = route_[region] >> 1;
-  SetRoute(region, 0);
-  BumpGeneration(region);
+  const uint64_t i = Index(region);
+  SIM_CHECK(i < route_.size());
+  SIM_CHECK(route_[i] & 1);
+  const uint64_t frame = route_[i] >> 1;
+  SetRoute(i, 0);
+  BumpGeneration(i);
   --mapped_regions_;
   --huge_leaves_;
   return frame;
@@ -144,11 +168,12 @@ bool PageTable::CanPromoteInPlace(uint64_t region) const {
 
 void PageTable::PromoteInPlace(uint64_t region) {
   SIM_CHECK(CanPromoteInPlace(region));
-  BaseRegion* br = BaseNode(region);
+  const uint64_t i = Index(region);
+  BaseRegion* br = BaseNodeAt(i);
   const uint64_t frame = br->frames[0];
   pool_.Release(br);
-  SetRoute(region, (frame << 1) | 1);
-  BumpGeneration(region);
+  SetRoute(i, (frame << 1) | 1);
+  BumpGeneration(i);
   mapped_base_pages_ -= kPagesPerHuge;
   ++huge_leaves_;
 }
@@ -156,8 +181,9 @@ void PageTable::PromoteInPlace(uint64_t region) {
 std::vector<std::pair<uint32_t, uint64_t>> PageTable::PromoteWithMigration(
     uint64_t region, uint64_t new_frame) {
   SIM_CHECK(new_frame % kPagesPerHuge == 0);
-  SIM_CHECK(region < route_.size());
-  BaseRegion* br = BaseNode(region);
+  const uint64_t i = Index(region);
+  SIM_CHECK(i < route_.size());
+  BaseRegion* br = BaseNodeAt(i);
   SIM_CHECK(br != nullptr);
   std::vector<std::pair<uint32_t, uint64_t>> old_pages;
   ForEachBasePage(region, [&old_pages](uint32_t slot, uint64_t frame) {
@@ -165,21 +191,22 @@ std::vector<std::pair<uint32_t, uint64_t>> PageTable::PromoteWithMigration(
   });
   mapped_base_pages_ -= old_pages.size();
   pool_.Release(br);
-  SetRoute(region, (new_frame << 1) | 1);
-  BumpGeneration(region);
+  SetRoute(i, (new_frame << 1) | 1);
+  BumpGeneration(i);
   ++huge_leaves_;
   return old_pages;
 }
 
 void PageTable::Demote(uint64_t region) {
-  SIM_CHECK(region < route_.size());
-  SIM_CHECK(route_[region] & 1);
-  const uint64_t frame = route_[region] >> 1;
+  const uint64_t i = Index(region);
+  SIM_CHECK(i < route_.size());
+  SIM_CHECK(route_[i] & 1);
+  const uint64_t frame = route_[i] >> 1;
   SIM_CHECK(frame + kPagesPerHuge <= kAbsentFrame);  // must fit 32-bit cells
   BaseRegion* node = pool_.Acquire();
   FillContiguous(node, frame);
-  SetRoute(region, reinterpret_cast<uint64_t>(node));
-  BumpGeneration(region);
+  SetRoute(i, reinterpret_cast<uint64_t>(node));
+  BumpGeneration(i);
   --huge_leaves_;
   mapped_base_pages_ += kPagesPerHuge;
 }
@@ -198,15 +225,9 @@ std::optional<uint64_t> PageTable::BaseFrame(uint64_t region,
   return br->frames[slot];
 }
 
-void PageTable::DecayAccessCounts() {
-  for (uint64_t& a : accesses_) {
-    a >>= 1;
-  }
-}
-
 namespace {
 
-// Calls fn(region) for every set bit of an occupancy bitmap, ascending.
+// Calls fn(i) for every set bit i of an occupancy bitmap, ascending.
 // Each word is read once, before its regions are visited: the snapshot
 // the visitor contract in page_table.h refers to.
 template <typename Fn>
@@ -223,8 +244,9 @@ void ForEachSetBit(const std::vector<uint64_t>& bits, const Fn& fn) {
 void PageTable::ForEachHuge(
     const std::function<void(uint64_t, uint64_t)>& fn) const {
   const uint64_t mutations = mutations_;
-  ForEachSetBit(huge_bits_, [&](uint64_t region) {
-    fn(region, route_[region] >> 1);
+  ForEachSetBit(huge_bits_, [&](uint64_t i) {
+    const uint64_t region = first_region_ + i;
+    fn(region, route_[i] >> 1);
     SIM_CHECK_MSG(mutations_ == mutations,
                   "ForEachHuge callback mutated the table at region %llu",
                   static_cast<unsigned long long>(region));
@@ -234,8 +256,9 @@ void PageTable::ForEachHuge(
 void PageTable::ForEachBaseRegion(
     const std::function<void(uint64_t, uint32_t)>& fn) const {
   const uint64_t mutations = mutations_;
-  ForEachSetBit(base_bits_, [&](uint64_t region) {
-    fn(region, reinterpret_cast<const BaseRegion*>(route_[region])->Count());
+  ForEachSetBit(base_bits_, [&](uint64_t i) {
+    const uint64_t region = first_region_ + i;
+    fn(region, reinterpret_cast<const BaseRegion*>(route_[i])->Count());
     SIM_CHECK_MSG(
         mutations_ == mutations,
         "ForEachBaseRegion callback mutated the table at region %llu",
@@ -333,12 +356,13 @@ void PageTable::CheckInvariants() const {
   uint64_t mapped = 0;
   SIM_CHECK(huge_bits_.size() * 64 == route_.size());
   SIM_CHECK(base_bits_.size() * 64 == route_.size());
-  for (uint64_t region = 0; region < route_.size(); ++region) {
-    const uint64_t route = route_[region];
+  SIM_CHECK(first_region_ % 64 == 0);
+  for (uint64_t i = 0; i < route_.size(); ++i) {
+    const uint64_t route = route_[i];
     // Occupancy bits agree with the route word: the visitors trust the
     // bits alone.
-    const bool huge_bit = (huge_bits_[region >> 6] >> (region & 63)) & 1;
-    const bool base_bit = (base_bits_[region >> 6] >> (region & 63)) & 1;
+    const bool huge_bit = (huge_bits_[i >> 6] >> (i & 63)) & 1;
+    const bool base_bit = (base_bits_[i >> 6] >> (i & 63)) & 1;
     SIM_CHECK(huge_bit == ((route & 1) != 0));
     SIM_CHECK(base_bit == (route != 0 && (route & 1) == 0));
     if (route & 1) {

@@ -14,7 +14,12 @@
 // information and are modeled only in the walk cost (see nested_walker.h).
 // The address spaces the simulator builds are dense (VMAs grow upward from
 // a fixed base, guest-physical space starts at 0), so direct indexing
-// makes every lookup, access bump, and generation read O(1).
+// makes every lookup, access bump, and generation read O(1).  The vectors
+// start at the 64-region boundary below the first region touched, not at
+// region 0, and grow geometrically in whichever direction a later region
+// falls: a guest table starts at 4 GiB (region 2048), and the 2048
+// regions below it are never mapped, so they are never allocated or
+// zero-filled.
 //
 // Storage layout (DESIGN.md §3e).  The hot path reads exactly two things:
 // a per-region *route word* and one frame cell.  The route vector packs a
@@ -42,8 +47,7 @@
 // enumeration); map/unmap keep word and sentinel in sync and
 // CheckInvariants verifies they agree.  Generation and access counters
 // live in parallel dense vectors (structure-of-arrays): the miss path
-// touches them once each, and the decay sweep becomes a contiguous
-// vectorizable loop.
+// touches each once.
 //
 // Region-occupancy bitmaps.  Beside the route vector the table keeps two
 // bitmaps with one bit per region: `huge_bits_` marks huge leaves and
@@ -53,9 +57,9 @@
 // CheckInvariants verifies them against it.  The daemon-facing visitors
 // (ForEachHuge, ForEachBaseRegion) are ctz scans over the bitmap words, so
 // a visit costs O(span / 64 + mapped regions) rather than one route-word
-// read per region of the address span.  That matters because a guest
-// table starts at 4 GiB (region 2048): a full-span walk read thousands of
-// words to find a few dozen mappings, on every MHPS scan and promoter tick.
+// read per region of the address span.  That matters because tables are
+// sparse within their span: a full-span walk read thousands of words to
+// find a few dozen mappings, on every MHPS scan and promoter tick.
 //
 // Each region carries a *generation counter*, bumped by every mapping
 // mutation that touches the region (map, unmap, promote, demote).  The
@@ -69,7 +73,12 @@
 //
 // The table also keeps a per-region access counter, bumped by the
 // translation engine on TLB misses.  Promotion policies (HawkEye's
-// access-coverage ranking, Ingens' utilization threshold) read it.
+// access-coverage ranking, Ingens' utilization threshold) and LRU reclaim
+// read it, and age it by halving every counter of the table.  Aging is an
+// epoch bump, not a sweep: each counter carries the decay epoch it was
+// last written in, and reads and bumps first apply the halvings it missed
+// (count >> (epoch - stamp), 0 once the shift reaches 64).  Right shifts
+// compose, so this equals eager halving exactly, at O(1) per decay.
 #ifndef SRC_MMU_PAGE_TABLE_H_
 #define SRC_MMU_PAGE_TABLE_H_
 
@@ -142,10 +151,11 @@ class PageTable {
     const uint64_t region = vpn >> base::kHugeOrder;
     const uint32_t slot =
         static_cast<uint32_t>(vpn & (base::kPagesPerHuge - 1));
-    if (region >= route_.size()) {
+    const uint64_t i = Index(region);
+    if (i >= route_.size()) {
       return std::nullopt;
     }
-    const uint64_t route = route_[region];
+    const uint64_t route = route_[i];
     if (route == 0) {
       return std::nullopt;
     }
@@ -167,7 +177,8 @@ class PageTable {
   }
 
   bool IsHugeMapped(uint64_t region) const {
-    return region < route_.size() && (route_[region] & 1) != 0;
+    const uint64_t i = Index(region);
+    return i < route_.size() && (route_[i] & 1) != 0;
   }
   // Number of present base pages in the region (0 if huge-mapped or empty).
   uint32_t PresentBasePages(uint64_t region) const;
@@ -190,7 +201,8 @@ class PageTable {
   // interval in which every Lookup in the region was stable.  Never-touched
   // regions report 0.
   uint64_t generation(uint64_t region) const {
-    return region < generations_.size() ? generations_[region] : 0;
+    const uint64_t i = Index(region);
+    return i < generations_.size() ? generations_[i] : 0;
   }
 
   // Table-wide mutation count: bumped exactly when any region's generation
@@ -204,11 +216,11 @@ class PageTable {
   // written.  The translation miss path issues it for the host lookup that
   // follows the guest walk.
   void PrefetchPage(uint64_t vpn) const {
-    const uint64_t region = vpn >> base::kHugeOrder;
-    if (region >= route_.size()) {
+    const uint64_t i = Index(vpn >> base::kHugeOrder);
+    if (i >= route_.size()) {
       return;
     }
-    const uint64_t route = route_[region];
+    const uint64_t route = route_[i];
     // Huge routes hold their frame inline: the route load already warmed
     // everything.  Only base regions have a frame cell to chase.
     if (route != 0 && (route & 1) == 0) {
@@ -222,13 +234,16 @@ class PageTable {
   // --- Access tracking ----------------------------------------------------
 
   void BumpAccess(uint64_t region) {
-    EnsureRegion(region);
-    ++accesses_[region];
+    AccessCell& cell = accesses_[EnsureRegion(region)];
+    cell.count = Decayed(cell) + 1;
+    cell.stamp = decay_epoch_;
   }
   uint64_t AccessCount(uint64_t region) const {
-    return region < accesses_.size() ? accesses_[region] : 0;
+    const uint64_t i = Index(region);
+    return i < accesses_.size() ? Decayed(accesses_[i]) : 0;
   }
-  void DecayAccessCounts();  // halves all counters (aging)
+  // Halves every counter (aging); O(1), see the file comment.
+  void DecayAccessCounts() { ++decay_epoch_; }
 
   // --- Iteration / sweeps --------------------------------------------------
   //
@@ -353,16 +368,22 @@ class PageTable {
     uint64_t handed_out_ = 0;  // lifetime Acquire() count
   };
 
-  // Node of a *base-mapped* region (nullptr if unmapped or huge).
-  BaseRegion* BaseNode(uint64_t region) {
-    const uint64_t route = route_[region];
+  // Vector index of `region`.  Regions below first_region_ wrap to huge
+  // values, so one compare against the size bounds both ends.
+  uint64_t Index(uint64_t region) const { return region - first_region_; }
+
+  // Node of a *base-mapped* region (nullptr if unmapped or huge), by
+  // vector index / by region.
+  BaseRegion* BaseNodeAt(uint64_t i) {
+    const uint64_t route = route_[i];
     return (route & 1) == 0 ? reinterpret_cast<BaseRegion*>(route) : nullptr;
   }
   const BaseRegion* BaseNode(uint64_t region) const {
-    if (region >= route_.size()) {
+    const uint64_t i = Index(region);
+    if (i >= route_.size()) {
       return nullptr;
     }
-    const uint64_t route = route_[region];
+    const uint64_t route = route_[i];
     return (route & 1) == 0 ? reinterpret_cast<const BaseRegion*>(route)
                             : nullptr;
   }
@@ -380,34 +401,49 @@ class PageTable {
     node->present.fill(~0ull);
   }
 
-  // Grows the per-region vectors to cover `region`.
-  void EnsureRegion(uint64_t region) {
-    if (region >= route_.size()) {
+  // A region's access counter as of the decay epoch `stamp` it was last
+  // written in.
+  struct AccessCell {
+    uint64_t count = 0;
+    uint64_t stamp = 0;
+  };
+  uint64_t Decayed(const AccessCell& cell) const {
+    const uint64_t age = decay_epoch_ - cell.stamp;
+    return age >= 64 ? 0 : cell.count >> age;
+  }
+
+  // Grows the per-region vectors to cover `region`; returns its index.
+  uint64_t EnsureRegion(uint64_t region) {
+    if (Index(region) >= route_.size()) {
       Grow(region);
     }
+    return Index(region);
   }
   void Grow(uint64_t region);
-  // Writes a region's route word together with its two occupancy bits;
-  // every route transition goes through here.
-  void SetRoute(uint64_t region, uint64_t route);
-  void BumpGeneration(uint64_t region) {
-    ++generations_[region];
+  // Writes the route word at index `i` together with its two occupancy
+  // bits; every route transition goes through here.
+  void SetRoute(uint64_t i, uint64_t route);
+  void BumpGeneration(uint64_t i) {
+    ++generations_[i];
     ++mutations_;
   }
 
-  // Per-region state, structure-of-arrays (see file comment).  route_[r]:
-  // 0 = unmapped; bit 0 set = huge leaf with frame = route >> 1; bit 0
-  // clear = pointer to the region's base-page node (nodes are 8-byte
-  // aligned, so the tag is free and pointers round-trip through the
-  // shift-free representation).
+  // Per-region state, structure-of-arrays (see file comment), indexed by
+  // Index(region); first_region_ is a multiple of 64.  route_[i]: 0 =
+  // unmapped; bit 0 set = huge leaf with frame = route >> 1; bit 0 clear =
+  // pointer to the region's base-page node (nodes are 8-byte aligned, so
+  // the tag is free and pointers round-trip through the shift-free
+  // representation).
+  uint64_t first_region_ = 0;
   std::vector<uint64_t> route_;
-  // Occupancy bitmaps, bit (r & 63) of word (r >> 6) for region r: huge
+  // Occupancy bitmaps, bit (i & 63) of word (i >> 6) for index i: huge
   // leaf / base-page node.  route_.size() is always a multiple of 64, and
   // these hold route_.size() / 64 words each.
   std::vector<uint64_t> huge_bits_;
   std::vector<uint64_t> base_bits_;
   std::vector<uint64_t> generations_;
-  std::vector<uint64_t> accesses_;
+  std::vector<AccessCell> accesses_;
+  uint64_t decay_epoch_ = 0;  // DecayAccessCounts calls so far
   NodePool pool_;
   uint64_t mapped_base_pages_ = 0;
   uint64_t huge_leaves_ = 0;

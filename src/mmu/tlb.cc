@@ -75,6 +75,9 @@ void Tlb::SetVmWays(uint16_t vmid, uint32_t way_begin, uint32_t way_count) {
     vms_.resize(vmid + 1);
   }
   VmState& vm = vms_[vmid];
+  if (vm.way_count == 0) {
+    windowed_.push_back(vmid);
+  }
   vm.way_begin = way_begin;
   vm.way_count = way_count;
   // Recount residency inside the new window (setup-time; full scan is fine).
@@ -324,9 +327,9 @@ void Tlb::DropSlot(size_t i) {
   --set_valid_[i / config_.ways];
   --valid_total_;
   const uint32_t way = static_cast<uint32_t>(i % config_.ways);
-  for (VmState& vm : vms_) {
-    if (vm.way_count != 0 && way >= vm.way_begin &&
-        way < vm.way_begin + vm.way_count) {
+  for (const uint16_t vmid : windowed_) {
+    VmState& vm = vms_[vmid];
+    if (way >= vm.way_begin && way < vm.way_begin + vm.way_count) {
       --vm.window_valid;
     }
   }
@@ -336,9 +339,9 @@ void Tlb::AddSlot(size_t i) {
   ++set_valid_[i / config_.ways];
   ++valid_total_;
   const uint32_t way = static_cast<uint32_t>(i % config_.ways);
-  for (VmState& vm : vms_) {
-    if (vm.way_count != 0 && way >= vm.way_begin &&
-        way < vm.way_begin + vm.way_count) {
+  for (const uint16_t vmid : windowed_) {
+    VmState& vm = vms_[vmid];
+    if (way >= vm.way_begin && way < vm.way_begin + vm.way_count) {
       ++vm.window_valid;
     }
   }

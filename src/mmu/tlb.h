@@ -327,6 +327,10 @@ class Tlb {
   std::vector<uint64_t> lru_;      // lru_[i]: last touch of entry i
   std::vector<Entry> entries_;     // sets * ways payloads
   std::vector<VmState> vms_;       // indexed by vmid; grown by RegisterVm
+  // Vmids with a way window (way_count != 0), in registration order: the
+  // only VMs whose window_valid DropSlot/AddSlot must maintain.  A private
+  // TLB of a high vmid holds 0 and that vmid, not every state below it.
+  std::vector<uint16_t> windowed_;
   std::vector<uint32_t> set_valid_;  // per-set residency
   uint32_t valid_total_ = 0;
   int64_t last_hit_ = -1;  // entry the most recent Lookup hit, or -1

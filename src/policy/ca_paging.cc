@@ -10,10 +10,8 @@ uint64_t FindContiguousRun(const vmem::BuddyAllocator& buddy,
   uint64_t run_start = vmem::kInvalidFrame;
   uint64_t run_end = 0;
   uint64_t found = vmem::kInvalidFrame;
+  // Returns false, ending the visit, once the answer is known.
   buddy.ForEachFreeBlock([&](uint64_t head, int order) {
-    if (found != vmem::kInvalidFrame) {
-      return;
-    }
     const uint64_t size = 1ull << order;
     if (run_start == vmem::kInvalidFrame || head != run_end) {
       run_start = head;
@@ -31,6 +29,7 @@ uint64_t FindContiguousRun(const vmem::BuddyAllocator& buddy,
         run_start = run_end;  // avoid re-reporting the same run
       }
     }
+    return found == vmem::kInvalidFrame;
   });
   return found != vmem::kInvalidFrame ? found : best_before_cursor;
 }

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "base/rng.h"
@@ -100,13 +101,16 @@ class BuddyAllocator {
   }
 
   // Visits each maximal run of free frames as (first_frame, count), in
-  // address order.
+  // address order.  A callback returning bool stops the visit by returning
+  // false (as does ForEachFreeBlock's).
   template <typename Fn>
   void ForEachFreeRun(Fn&& fn) const {
     uint64_t frame = NextFrame<true>(0);
     while (frame < frame_count_) {
       const uint64_t end = NextFrame<false>(frame);
-      fn(frame, end - frame);
+      if (!Visit(fn, frame, end - frame)) {
+        return;
+      }
       frame = NextFrame<true>(end);
     }
   }
@@ -120,9 +124,12 @@ class BuddyAllocator {
       const uint64_t hi = lo + count;
       while (lo < hi) {
         const int order = LargestBlockOrder(lo, hi);
-        fn(lo, order);
+        if (!Visit(fn, lo, order)) {
+          return false;
+        }
         lo += 1ull << order;
       }
+      return true;
     });
   }
 
@@ -143,6 +150,18 @@ class BuddyAllocator {
     uint64_t count = 0;       // set bits
     size_t low_summary = 0;   // no summary word below this one is nonzero
   };
+
+  // Calls a visitor; true unless it returned false (void visitors never
+  // stop a visit).
+  template <typename Fn, typename... Args>
+  static bool Visit(Fn& fn, Args... args) {
+    if constexpr (std::is_void_v<std::invoke_result_t<Fn&, Args...>>) {
+      fn(args...);
+      return true;
+    } else {
+      return fn(args...);
+    }
+  }
 
   // Order of the largest naturally aligned block that starts at `lo` and
   // ends at or before `hi`.

@@ -19,15 +19,26 @@
 // The near-tier side of a demotion (unmap, free frames into the buddy
 // allocator) and of a refault (fault path re-allocates from the buddy) is
 // the owning kernel's job; TierSpace only keeps the far-resident set, the
-// capacity check, the per-page migration costs, and the counters.  All
-// containers are ordered, so iteration and accounting are deterministic.
+// capacity check, the per-page migration costs, and the counters.
+//
+// Layout (DESIGN.md §3i).  Owners are small dense ids (vm ids 0..N-1), so
+// the per-owner shards sit in a vector indexed by owner.  Each shard keeps
+// a bitmap over the span of pages that owner has ever demoted, based at
+// its lowest demoted word rather than at page 0 (guest VPNs start at
+// 2^20), plus a resident count.  Demote, Refault and Contains are one bit
+// operation each; Forget clears a bit range a word at a time and counts
+// what it cleared with popcount.  Memory is proportional to the demoted
+// span, and nothing is ordered by hashing or allocation, so accounting is
+// deterministic.  tests/reference_tier_space.h keeps the std::set tier
+// this replaced; a fuzzed differential pins the two op for op.
 #ifndef SRC_VMEM_TIER_SPACE_H_
 #define SRC_VMEM_TIER_SPACE_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
+#include <vector>
 
+#include "base/check.h"
 #include "base/types.h"
 
 namespace vmem {
@@ -54,24 +65,27 @@ class TierSpace {
         demote_cost_(demote_cost),
         refault_cost_(refault_cost) {}
 
-  // Moves `page` of `owner` to the far tier.  Returns false (and counts a
-  // rejection) if the far tier is full — the caller must then leave the
-  // page mapped in near memory.  Demoting an already-far page is a no-op
-  // returning true (idempotent, does not double-count).
+  // Moves `page` of `owner` (>= 0) to the far tier.  Returns false (and
+  // counts a rejection) if the far tier is full — the caller must then
+  // leave the page mapped in near memory.  Demoting an already-far page is
+  // a no-op returning true (idempotent, does not double-count).
   bool Demote(int32_t owner, uint64_t page) {
+    SIM_CHECK(owner >= 0);
+    if (static_cast<size_t>(owner) >= shards_.size()) {
+      shards_.resize(static_cast<size_t>(owner) + 1);
+    }
     Shard& shard = shards_[owner];
-    if (shard.pages.contains(page)) {
+    if (shard.Test(page)) {
       return true;
     }
     if (capacity_pages_ != 0 && resident_total_ >= capacity_pages_) {
       ++shard.stats.rejected;
       return false;
     }
-    shard.pages.insert(page);
+    shard.Set(page);
     ++shard.stats.demoted_pages;
     ++resident_total_;
-    peak_resident_ = resident_total_ > peak_resident_ ? resident_total_
-                                                      : peak_resident_;
+    peak_resident_ = std::max(peak_resident_, resident_total_);
     return true;
   }
 
@@ -79,11 +93,10 @@ class TierSpace {
   // record, counts a refault) and returns true; the caller charges
   // refault_cost() and re-faults the page into near memory.
   bool Refault(int32_t owner, uint64_t page) {
-    auto it = shards_.find(owner);
-    if (it == shards_.end() || it->second.pages.erase(page) == 0) {
+    if (!Known(owner) || !shards_[owner].Clear(page)) {
       return false;
     }
-    ++it->second.stats.refaults;
+    ++shards_[owner].stats.refaults;
     --resident_total_;
     return true;
   }
@@ -91,30 +104,23 @@ class TierSpace {
   // Drops far records for [page, page + count) of `owner` (VMA teardown /
   // VM removal).  Returns how many records were dropped.
   uint64_t Forget(int32_t owner, uint64_t page, uint64_t count) {
-    auto it = shards_.find(owner);
-    if (it == shards_.end()) {
+    if (!Known(owner)) {
       return 0;
     }
-    uint64_t dropped = 0;
-    auto page_it = it->second.pages.lower_bound(page);
-    while (page_it != it->second.pages.end() && *page_it < page + count) {
-      page_it = it->second.pages.erase(page_it);
-      ++dropped;
-    }
-    it->second.stats.forgotten += dropped;
+    Shard& shard = shards_[owner];
+    const uint64_t dropped = shard.ClearRange(page, page + count);
+    shard.stats.forgotten += dropped;
     resident_total_ -= dropped;
     return dropped;
   }
 
   bool Contains(int32_t owner, uint64_t page) const {
-    auto it = shards_.find(owner);
-    return it != shards_.end() && it->second.pages.contains(page);
+    return Known(owner) && shards_[owner].Test(page);
   }
 
   // Far-resident pages of one owner / of everyone.
   uint64_t resident(int32_t owner) const {
-    auto it = shards_.find(owner);
-    return it == shards_.end() ? 0 : it->second.pages.size();
+    return Known(owner) ? shards_[owner].resident : 0;
   }
   uint64_t resident_total() const { return resident_total_; }
   uint64_t peak_resident() const { return peak_resident_; }
@@ -124,13 +130,11 @@ class TierSpace {
   base::Cycles refault_cost() const { return refault_cost_; }
 
   TierStats stats(int32_t owner) const {
-    auto it = shards_.find(owner);
-    return it == shards_.end() ? TierStats{} : it->second.stats;
+    return Known(owner) ? shards_[owner].stats : TierStats{};
   }
   TierStats totals() const {
     TierStats t;
-    for (const auto& [owner, shard] : shards_) {
-      (void)owner;
+    for (const Shard& shard : shards_) {
       t.demoted_pages += shard.stats.demoted_pages;
       t.refaults += shard.stats.refaults;
       t.forgotten += shard.stats.forgotten;
@@ -140,17 +144,90 @@ class TierSpace {
   }
 
  private:
+  // One owner's far-resident pages: bit (page & 63) of words[(page >> 6) -
+  // first_word].  The word span only grows, geometrically in the
+  // direction of the demotion that fell outside it.
   struct Shard {
-    std::set<uint64_t> pages;  // far-resident page numbers
+    uint64_t first_word = 0;
+    std::vector<uint64_t> words;
+    uint64_t resident = 0;  // set bits
     TierStats stats;
+
+    // Word index of `page`, or words.size() (or more) if outside the span.
+    uint64_t Index(uint64_t page) const { return (page >> 6) - first_word; }
+    bool Test(uint64_t page) const {
+      const uint64_t i = Index(page);
+      return i < words.size() && ((words[i] >> (page & 63)) & 1) != 0;
+    }
+    void Set(uint64_t page) {
+      Cover(page >> 6);
+      words[Index(page)] |= 1ull << (page & 63);
+      ++resident;
+    }
+    // Clears `page`'s bit; false if it was not set.
+    bool Clear(uint64_t page) {
+      const uint64_t i = Index(page);
+      const uint64_t bit = 1ull << (page & 63);
+      if (i >= words.size() || (words[i] & bit) == 0) {
+        return false;
+      }
+      words[i] &= ~bit;
+      --resident;
+      return true;
+    }
+    // Clears every bit in [lo, hi); returns how many were set.
+    uint64_t ClearRange(uint64_t lo, uint64_t hi) {
+      lo = std::max(lo, first_word * 64);
+      hi = std::min(hi, (first_word + words.size()) * 64);
+      uint64_t cleared = 0;
+      while (lo < hi) {
+        const uint64_t bits = std::min<uint64_t>(64 - (lo & 63), hi - lo);
+        const uint64_t mask =
+            (bits == 64 ? ~0ull : ((1ull << bits) - 1)) << (lo & 63);
+        uint64_t& word = words[Index(lo)];
+        cleared += static_cast<uint64_t>(__builtin_popcountll(word & mask));
+        word &= ~mask;
+        lo += bits;
+      }
+      resident -= cleared;
+      return cleared;
+    }
+    // Extends the span to include word `w`, at least doubling it.
+    void Cover(uint64_t w) {
+      if (words.empty()) {
+        first_word = w;
+        words.push_back(0);
+        return;
+      }
+      const uint64_t end = first_word + words.size();
+      if (w >= first_word && w < end) {
+        return;
+      }
+      if (w < first_word) {
+        // Never below word 0: first_word - w <= first_word.
+        const uint64_t grow =
+            std::min(std::max<uint64_t>(words.size(), first_word - w),
+                     first_word);
+        words.insert(words.begin(), grow, 0);
+        first_word -= grow;
+      } else {
+        words.resize(words.size() +
+                     std::max<uint64_t>(words.size(), w + 1 - end));
+      }
+    }
   };
+
+  // True if `owner` has a shard (ids never demoted to read as empty).
+  bool Known(int32_t owner) const {
+    return owner >= 0 && static_cast<size_t>(owner) < shards_.size();
+  }
 
   uint64_t capacity_pages_;
   base::Cycles demote_cost_;
   base::Cycles refault_cost_;
   uint64_t resident_total_ = 0;
   uint64_t peak_resident_ = 0;
-  std::map<int32_t, Shard> shards_;  // ordered: deterministic accounting
+  std::vector<Shard> shards_;  // indexed by owner
 };
 
 }  // namespace vmem

@@ -259,6 +259,38 @@ TEST(Buddy, BlocksAvailableCountsLargerBlocks) {
   EXPECT_EQ(buddy.BlocksAvailable(9), 6u);
 }
 
+// A visitor returning false ends the visit right after that callback; a
+// void visitor sees everything.
+TEST(Buddy, FreeVisitorsStopWhenToldTo) {
+  BuddyAllocator buddy(4096);
+  for (uint64_t frame = 100; frame < 4096; frame += 700) {
+    ASSERT_TRUE(buddy.AllocateAt(frame, 1));
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> runs;
+  buddy.ForEachFreeRun(
+      [&](uint64_t frame, uint64_t count) { runs.emplace_back(frame, count); });
+  ASSERT_EQ(runs.size(), 7u);
+  std::vector<std::pair<uint64_t, int>> blocks;
+  buddy.ForEachFreeBlock(
+      [&](uint64_t head, int order) { blocks.emplace_back(head, order); });
+  ASSERT_GT(blocks.size(), runs.size());
+  for (size_t stop = 1; stop <= 3; ++stop) {
+    std::vector<std::pair<uint64_t, uint64_t>> seen_runs;
+    buddy.ForEachFreeRun([&](uint64_t frame, uint64_t count) {
+      seen_runs.emplace_back(frame, count);
+      return seen_runs.size() < stop;
+    });
+    EXPECT_EQ(seen_runs, decltype(runs)(runs.begin(), runs.begin() + stop));
+    std::vector<std::pair<uint64_t, int>> seen_blocks;
+    buddy.ForEachFreeBlock([&](uint64_t head, int order) {
+      seen_blocks.emplace_back(head, order);
+      return seen_blocks.size() < stop;
+    });
+    EXPECT_EQ(seen_blocks,
+              decltype(blocks)(blocks.begin(), blocks.begin() + stop));
+  }
+}
+
 }  // namespace
 
 namespace {

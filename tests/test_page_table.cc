@@ -184,6 +184,73 @@ TEST(PageTable, AccessCountersBumpAndDecay) {
   EXPECT_EQ(table.AccessCount(99), 0u);
 }
 
+// Aging is an epoch bump with the halvings applied on read and on bump;
+// it must equal halving every counter eagerly.  Decay runs cross the
+// 64-halving point where a lazy shift must clamp to 0 (and a bare shift
+// by 64 would be undefined), and the table grows mid-run under a nonzero
+// epoch.
+class AccessAgingTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AccessAgingTest, LazyDecayMatchesEagerHalving) {
+  base::Rng rng(GetParam());
+  PageTable table;
+  std::map<uint64_t, uint64_t> eager;  // region -> count, halved per decay
+  constexpr std::array<uint64_t, 6> kRuns = {1, 2, 63, 64, 65, 130};
+  constexpr int kGrowStep = 600;
+  for (int step = 0; step < 1500; ++step) {
+    // Regions stay inside one 64-region slice at a guest table's first
+    // region until kGrowStep, then reach down to region 0 and thousands of
+    // regions up: growth both ways with decays already counted.
+    const uint64_t lo = step < kGrowStep ? 2048 : 0;
+    const uint64_t span = step < kGrowStep ? 64 : 5000;
+    const uint64_t roll = rng.NextBelow(100);
+    if (roll < 70) {
+      // Bursts make counters large enough to survive many halvings.
+      const uint64_t region = lo + rng.NextBelow(span);
+      const uint64_t bumps = rng.NextBelow(4) == 0 ? 1 + rng.NextBelow(5000)
+                                                   : 1;
+      for (uint64_t b = 0; b < bumps; ++b) {
+        table.BumpAccess(region);
+      }
+      eager[region] += bumps;
+    } else if (roll < 80) {
+      // Half of the regions are mapped: mapping state must not touch the
+      // counters.
+      const uint64_t region = lo + rng.NextBelow(span);
+      const uint64_t vpn = region << kHugeOrder;
+      if (table.Lookup(vpn).has_value()) {
+        table.UnmapBase(vpn);
+      } else if (!table.IsHugeMapped(region)) {
+        table.MapBase(vpn, region);
+      }
+    } else {
+      const uint64_t run =
+          rng.NextBelow(3) == 0 ? kRuns[rng.NextBelow(kRuns.size())] : 1;
+      for (uint64_t d = 0; d < run; ++d) {
+        table.DecayAccessCounts();
+        for (auto& [region, count] : eager) {
+          count >>= 1;
+        }
+      }
+    }
+    for (uint64_t region = lo; region < lo + span;
+         region += 1 + region / 64) {
+      const auto it = eager.find(region);
+      ASSERT_EQ(table.AccessCount(region), it == eager.end() ? 0 : it->second)
+          << "step " << step << " region " << region;
+    }
+    for (const auto& [region, count] : eager) {
+      ASSERT_EQ(table.AccessCount(region), count)
+          << "step " << step << " region " << region;
+    }
+    ASSERT_EQ(table.AccessCount(1ull << 30), 0u);  // beyond the table
+  }
+  table.CheckInvariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AccessAgingTest,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
 TEST(PageTable, ForEachHugeVisitsAll) {
   PageTable table;
   table.MapHuge(1, 512);
@@ -315,16 +382,20 @@ TEST(PageTableDeathTest, VisitorThatMutatesAborts) {
 
 // Property: random map/unmap/promote/demote sequences keep Lookup and the
 // two region visitors consistent with a reference map.  The regions span
-// four 64-region occupancy words, word edges included, and the first
-// kGrowStep steps stay inside word 0, so the table grows mid-run.
+// four 64-region occupancy words above a guest table's first region, word
+// edges included.  The first kGrowStep steps stay inside the third word,
+// where the table starts, so it grows both down and up mid-run.
 class PageTablePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PageTablePropertyTest, MatchesReference) {
   base::Rng rng(GetParam());
   PageTable table;
-  constexpr std::array<uint64_t, 12> kRegions = {0,   5,   63,  64,  65,  100,
-                                                 127, 128, 190, 191, 192, 255};
-  constexpr uint64_t kWordZeroRegions = 3;  // kRegions[0..3) lie in word 0
+  constexpr uint64_t kFirst = 2048;  // guest VA page 2^20
+  constexpr std::array<uint64_t, 12> kRegions = {
+      kFirst + 128, kFirst + 190, kFirst + 191, kFirst,       kFirst + 5,
+      kFirst + 63,  kFirst + 64,  kFirst + 65,  kFirst + 100, kFirst + 127,
+      kFirst + 192, kFirst + 255};
+  constexpr uint64_t kWordZeroRegions = 3;  // kRegions[0..3): the third word
   constexpr int kGrowStep = 150;
   // Reference: per-vpn frame (base granularity), or region-level huge.
   std::map<uint64_t, uint64_t> ref_base;  // vpn -> frame
@@ -461,9 +532,11 @@ TEST_P(PageTablePropertyTest, MatchesReference) {
     ASSERT_EQ(base_seen, base_expected);
     table.CheckInvariants();
   }
-  // The run took both promotion paths and grew into the last bitmap word.
+  // The run took both promotion paths and grew into the first and the last
+  // bitmap word.
   EXPECT_GT(in_place_promotions, 0);
   EXPECT_GT(migrations, 0);
+  EXPECT_GT(table.generation(kFirst), 0u);
   EXPECT_GT(table.generation(kRegions.back()), 0u);
 }
 

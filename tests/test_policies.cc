@@ -2,6 +2,7 @@
 // Ingens, HawkEye, CA-paging, Translation Ranger).
 #include <gtest/gtest.h>
 
+#include "base/rng.h"
 #include "base/types.h"
 #include "os/machine.h"
 #include "policy/base_only.h"
@@ -205,6 +206,60 @@ TEST(CaPaging, FindContiguousRunHelper) {
   // Cursor past the only fitting run wraps around.
   EXPECT_EQ(policy::FindContiguousRun(buddy, 900, 2000), 2000u);
   EXPECT_EQ(policy::FindContiguousRun(buddy, 900, 3500), 0u);
+}
+
+// FindContiguousRun stops at its answer; the full-scan version it came from
+// visited every free block.  Both must agree, wrap quirk included (after a
+// run before the cursor qualifies, the rest of that run restarts the count).
+uint64_t FullScanContiguousRun(const vmem::BuddyAllocator& buddy,
+                               uint64_t min_frames, uint64_t cursor) {
+  uint64_t best_before_cursor = vmem::kInvalidFrame;
+  uint64_t run_start = vmem::kInvalidFrame;
+  uint64_t run_end = 0;
+  uint64_t found = vmem::kInvalidFrame;
+  buddy.ForEachFreeBlock([&](uint64_t head, int order) {
+    if (found != vmem::kInvalidFrame) {
+      return;
+    }
+    if (run_start == vmem::kInvalidFrame || head != run_end) {
+      run_start = head;
+      run_end = head;
+    }
+    run_end += 1ull << order;
+    if (run_end - run_start >= min_frames) {
+      if (run_start >= cursor) {
+        found = run_start;
+      } else if (run_end >= cursor && run_end - cursor >= min_frames) {
+        found = cursor;
+      } else if (best_before_cursor == vmem::kInvalidFrame) {
+        best_before_cursor = run_start;
+        run_start = run_end;
+      }
+    }
+  });
+  return found != vmem::kInvalidFrame ? found : best_before_cursor;
+}
+
+TEST(CaPaging, FindContiguousRunMatchesFullScan) {
+  base::Rng rng(17);
+  vmem::BuddyAllocator buddy(1 << 15);
+  int compared = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 60; ++i) {
+      buddy.AllocateAt(rng.NextBelow(1 << 15), 1 + rng.NextBelow(8));
+    }
+    for (int q = 0; q < 50; ++q) {
+      const uint64_t min_frames = 1 + rng.NextBelow(rng.NextBelow(2) ? 64
+                                                                     : 4096);
+      const uint64_t cursor = rng.NextBelow(1 << 15);
+      ASSERT_EQ(policy::FindContiguousRun(buddy, min_frames, cursor),
+                FullScanContiguousRun(buddy, min_frames, cursor))
+          << "round " << round << " min " << min_frames << " cursor "
+          << cursor;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 2000);
 }
 
 TEST(Ranger, MigratesSparseRegionsUnconditionally) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "base/types.h"
 
 namespace {
@@ -158,5 +160,92 @@ TEST(Tlb, ResetCountersKeepsEntries) {
   EXPECT_EQ(tlb.hits(), 0u);
   EXPECT_TRUE(tlb.Lookup(9).hit);  // entry survived
 }
+
+// An eviction is a conflict eviction iff the inserting VM's way window,
+// over all sets, still held fewer valid entries than it has slots.  The
+// window residency is bookkept per insert and drop for every VM that owns
+// a window, so check the split against residency recomputed from entry
+// counts, with windowed vmids far apart (the private TLB of a high vmid
+// also holds the implicitly registered vmid 0).  Layouts: 0 = private
+// (vmids 0 and 63, full windows), 1 = shared (0, 9, 63, full windows),
+// 2 = partitioned (0, 7, 63, disjoint windows of four ways).
+class TlbEvictionClassTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TlbEvictionClassTest, SplitMatchesWindowResidency) {
+  const int layout = GetParam();
+  constexpr uint32_t kSets = 8;
+  constexpr uint32_t kWays = 12;
+  Tlb tlb(Small(kSets, kWays));
+  const std::vector<uint16_t> vms =
+      layout == 0 ? std::vector<uint16_t>{0, 63}
+                  : std::vector<uint16_t>{0, layout == 1 ? uint16_t{9}
+                                                         : uint16_t{7},
+                                          63};
+  for (size_t i = 0; i < vms.size(); ++i) {
+    if (layout == 2) {
+      tlb.SetVmWays(vms[i], static_cast<uint32_t>(4 * i), 4);
+    } else {
+      tlb.RegisterVm(vms[i]);
+    }
+  }
+  // Valid entries inside `vmid`'s window: every entry when windows are
+  // shared, the VM's own entries when they are disjoint.
+  const auto window_valid = [&](uint16_t vmid) {
+    return layout == 2 ? tlb.entry_count(vmid) : tlb.entry_count();
+  };
+  const auto evictions = [&](bool conflict) {
+    uint64_t n = 0;
+    for (const uint16_t v : vms) {
+      const Tlb::VmTlbCounters& c = tlb.vm_counters(v);
+      n += conflict ? c.conflict_evictions_base + c.conflict_evictions_huge
+                    : c.capacity_evictions_base + c.capacity_evictions_huge;
+    }
+    return n;
+  };
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  uint64_t conflicts = 0;
+  uint64_t capacities = 0;
+  for (int step = 0; step < 6000; ++step) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    const uint16_t vmid = vms[(x >> 40) % vms.size()];
+    // Mostly one VM, so its window fills and capacity evictions occur.
+    const uint16_t actor = (x >> 36) % 4 == 0 ? vmid : vms.back();
+    // One key in eight is a huge entry, in regions no base key shares.
+    const bool huge = (x >> 12) % 8 == 0;
+    const uint64_t vpn = huge ? ((1024 + (x >> 20) % 64) << kHugeOrder)
+                              : (x >> 20) % 1024;
+    const uint64_t roll = (x >> 50) % 1000;
+    if (roll < 850) {
+      if (tlb.Probe(vpn, actor)) {
+        continue;
+      }
+      const bool free_elsewhere =
+          window_valid(actor) < kSets * tlb.vm_way_count(actor);
+      const uint64_t conflict_before = evictions(true);
+      const uint64_t capacity_before = evictions(false);
+      tlb.Insert(vpn, huge ? PageSize::kHuge : PageSize::kBase, vpn,
+                 Tlb::Stamp{}, actor);
+      const uint64_t conflict_delta = evictions(true) - conflict_before;
+      const uint64_t capacity_delta = evictions(false) - capacity_before;
+      ASSERT_LE(conflict_delta + capacity_delta, 1u) << "step " << step;
+      if (conflict_delta + capacity_delta == 1) {
+        ASSERT_EQ(conflict_delta == 1, free_elsewhere) << "step " << step;
+      }
+      conflicts += conflict_delta;
+      capacities += capacity_delta;
+    } else if (roll < 995) {
+      tlb.ShootdownPage(vpn, actor);
+    } else if (roll < 999) {
+      tlb.InvalidateVm(vmid);
+    } else {
+      tlb.Flush();
+    }
+  }
+  EXPECT_GT(conflicts, 0u);
+  EXPECT_GT(capacities, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, TlbEvictionClassTest,
+                         ::testing::Values(0, 1, 2));
 
 }  // namespace

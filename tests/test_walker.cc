@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "base/types.h"
@@ -243,12 +244,37 @@ TEST(NestedWalker, MemoOnOffDifferential) {
   without.walk_memo_slots = 0;
   NestedWalker memoized(with);
   NestedWalker plain(without);
+  // The memo grows with the span of regions walked.  `presized` starts
+  // with its memo at the cap: two walks whose span exceeds it, then a
+  // flush that empties every cache and invalidates both entries.  Growth
+  // re-places entries rather than dropping them, so the lazily sized memo
+  // must replay exactly as often as the presized one.
+  constexpr uint64_t kFirst = (1ull << 20) >> base::kHugeOrder;  // guest VA
+  const uint64_t cap = with.walk_memo_slots;
+  NestedWalker presized(with);
+  presized.NestedWalk(kFirst << base::kHugeOrder, PageSize::kHuge, 0,
+                      PageSize::kHuge);
+  presized.NestedWalk((kFirst + 2 * cap) << base::kHugeOrder,
+                      PageSize::kHuge, 0, PageSize::kHuge);
+  presized.Flush();
+  presized.ResetStats();
+  constexpr int kPhaseSteps = 2000;
+  constexpr int kWidestPhase = 10;  // 1024 regions, a quarter of the cap
   uint64_t x = 0x13198A2E03707344ull;
-  for (int i = 0; i < 20000; ++i) {
+  for (int i = 0; i < (kWidestPhase + 3) * kPhaseSteps; ++i) {
     x = x * 6364136223846793005ull + 1442695040888963407ull;
-    // ~64 regions with skewed reuse so memo replays, upper-only replays,
+    // The walked span doubles every phase, from one region up to 1024,
+    // then jumps past the cap.  Within it, half of the walks go to the
+    // span's first eight regions, so memo replays, upper-only replays,
     // and invalidations (PT-cache churn) all occur.
-    const uint64_t region = (x >> 58) + ((x >> 32) & 1 ? 0 : 512);
+    const int phase = i / kPhaseSteps;
+    const uint64_t width = 1ull << std::min(phase, kWidestPhase);
+    uint64_t region =
+        kFirst + ((x >> 40) % ((x >> 32) & 1 ? std::min<uint64_t>(width, 8)
+                                             : width));
+    if (phase > kWidestPhase && (x >> 33) % 4 == 0) {
+      region += 3 * cap + ((x >> 50) % 16);
+    }
     const uint64_t vpn = (region << base::kHugeOrder) | (x & 511);
     const PageSize guest_leaf = (region & 1) ? PageSize::kBase
                                              : PageSize::kHuge;
@@ -257,14 +283,22 @@ TEST(NestedWalker, MemoOnOffDifferential) {
     const uint64_t gfn = vpn ^ 0x5000;
     const WalkResult a = memoized.NestedWalk(vpn, guest_leaf, gfn, host_leaf);
     const WalkResult b = plain.NestedWalk(vpn, guest_leaf, gfn, host_leaf);
+    const WalkResult c = presized.NestedWalk(vpn, guest_leaf, gfn, host_leaf);
     ASSERT_EQ(a.memory_refs, b.memory_refs) << "step " << i;
     ASSERT_EQ(a.cached_refs, b.cached_refs) << "step " << i;
     ASSERT_EQ(a.cycles, b.cycles) << "step " << i;
+    ASSERT_EQ(a.cycles, c.cycles) << "step " << i;
+    if (i % kPhaseSteps == kPhaseSteps - 1) {
+      ASSERT_EQ(memoized.stats().memo_hits, presized.stats().memo_hits)
+          << "step " << i;
+    }
   }
   // Per-level attribution must agree exactly (stats() folds replays back
-  // into the level arrays); only the replay tallies themselves may differ.
+  // into the level arrays); only the replay tallies themselves may differ,
+  // and only between memo on and off.
   const mmu::WalkLevelStats sa = memoized.stats();
   const mmu::WalkLevelStats sb = plain.stats();
+  const mmu::WalkLevelStats sc = presized.stats();
   for (size_t l = 0; l < 4; ++l) {
     EXPECT_EQ(sa.guest_mem[l], sb.guest_mem[l]) << "level " << l;
     EXPECT_EQ(sa.guest_cached[l], sb.guest_cached[l]) << "level " << l;
@@ -272,8 +306,12 @@ TEST(NestedWalker, MemoOnOffDifferential) {
     EXPECT_EQ(sa.host_cached[l], sb.host_cached[l]) << "level " << l;
     EXPECT_EQ(sa.nested_hit[l], sb.nested_hit[l]) << "level " << l;
     EXPECT_EQ(sa.nested_walk[l], sb.nested_walk[l]) << "level " << l;
+    EXPECT_EQ(sa.nested_walk[l], sc.nested_walk[l]) << "level " << l;
   }
   EXPECT_GT(sa.memo_hits, 0u);  // the memo actually engaged
+  EXPECT_GT(sa.memo_upper_hits, 0u);
+  EXPECT_EQ(sa.memo_hits, sc.memo_hits);
+  EXPECT_EQ(sa.memo_upper_hits, sc.memo_upper_hits);
   EXPECT_EQ(sb.memo_hits, 0u);
   EXPECT_EQ(sb.memo_upper_hits, 0u);
 }
