@@ -15,8 +15,7 @@ struct Cell {
 }  // namespace
 
 int main() {
-  workload::WorkloadSpec spec =
-      bench::MaybeFast(workload::SpecByName("Memcached"));
+  workload::WorkloadSpec spec = workload::SpecByName("Memcached");
   harness::BedOptions bed;
 
   struct Variant {

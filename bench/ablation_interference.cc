@@ -12,8 +12,7 @@ namespace {
 workload::RunResult RunWith(bool with_ksm,
                             int balloon_mode /*0=none,1=naive,2=aware*/,
                             const harness::BedOptions& bed) {
-  const workload::WorkloadSpec spec =
-      bench::MaybeFast(workload::SpecByName("Canneal"));
+  const workload::WorkloadSpec spec = workload::SpecByName("Canneal");
   harness::TestBed testbed =
       harness::MakeTestBed(harness::SystemKind::kGemini, bed);
   if (with_ksm) {

@@ -44,13 +44,13 @@
 // BENCHMARKS.md.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/check.h"
+#include "base/env.h"
 #include "bench/bench_common.h"
 #include "harness/experiment.h"
 #include "metrics/export.h"
@@ -73,19 +73,6 @@ struct Row {
   uint64_t tlb_misses = 0;
   uint64_t digest = 0;
 };
-
-// $GEMINI_BENCH_REPS, default 1: a 64-VM machine is heavy enough that one
-// repetition is the CI default; local perf work can raise it.
-uint64_t ResolveReps() {
-  if (const char* env = std::getenv("GEMINI_BENCH_REPS");
-      env != nullptr && env[0] != '\0') {
-    const uint64_t parsed = std::strtoull(env, nullptr, 10);
-    if (parsed > 0) {
-      return parsed;
-    }
-  }
-  return 1;
-}
 
 void Mix(uint64_t* digest, uint64_t value) {
   *digest = (*digest ^ value) * 1099511628211ull;
@@ -173,7 +160,7 @@ void PrintRow(const Row& r) {
 // ---------------------------------------------------------------------------
 // collocated_64: the serial-vs-8-thread speedup pair.
 
-workload::WorkloadSpec SpeedupSpec(bool fast) {
+workload::WorkloadSpec SpeedupSpec() {
   workload::WorkloadSpec spec;
   spec.name = "colloc_uniform";
   spec.kind = workload::Kind::kThroughput;
@@ -181,7 +168,7 @@ workload::WorkloadSpec SpeedupSpec(bool fast) {
   spec.access = workload::AccessPattern::kUniform;
   spec.working_set_pages = 2048;  // 8 MiB per VM; faults resolve during init
   spec.vma_count = 4;
-  spec.ops = fast ? 6000 : 20000;
+  spec.ops = 20000;
   spec.work_per_access = 200;
   return spec;
 }
@@ -197,21 +184,20 @@ harness::BedOptions SpeedupBed() {
   return bed;
 }
 
-harness::CollocatedManyResult RunSpeedupOnce(uint32_t threads, bool fast) {
-  const std::vector<workload::WorkloadSpec> specs(64, SpeedupSpec(fast));
+harness::CollocatedManyResult RunSpeedupOnce(uint32_t threads) {
+  const std::vector<workload::WorkloadSpec> specs(64, SpeedupSpec());
   harness::ScaleOptions scale;
   scale.threads = threads;
-  scale.quantum = 256;
   return harness::RunCollocatedMany(harness::SystemKind::kGemini, specs,
                                     SpeedupBed(), scale);
 }
 
 // Best-of-reps at `threads`; every repetition must reproduce the digest.
-Row RunSpeedupBest(const std::string& scenario, uint32_t threads, bool fast,
+Row RunSpeedupBest(const std::string& scenario, uint32_t threads,
                    uint64_t reps) {
-  Row best = MakeRow(scenario, threads, RunSpeedupOnce(threads, fast));
+  Row best = MakeRow(scenario, threads, RunSpeedupOnce(threads));
   for (uint64_t rep = 1; rep < reps; ++rep) {
-    const Row r = MakeRow(scenario, threads, RunSpeedupOnce(threads, fast));
+    const Row r = MakeRow(scenario, threads, RunSpeedupOnce(threads));
     SIM_CHECK_MSG(r.digest == best.digest,
                   "%s not deterministic across repetitions",
                   scenario.c_str());
@@ -227,15 +213,14 @@ Row RunSpeedupBest(const std::string& scenario, uint32_t threads, bool fast,
 
 // Three tenant flavors cycled across the N VMs: VMA-churning key-value
 // store, GC-sweeping latency server, plain throughput batch job.
-workload::WorkloadSpec ScaleFlavor(size_t i, bool fast) {
+workload::WorkloadSpec ScaleFlavor(size_t i) {
   workload::WorkloadSpec spec;
-  const double op_scale = fast ? 0.5 : 1.0;
   switch (i % 3) {
     case 0:
       spec.name = "kv_churn";
       spec.working_set_pages = 1536;
       spec.vma_count = 6;
-      spec.ops = static_cast<uint64_t>(5000 * op_scale);
+      spec.ops = 5000;
       spec.churn_period_ops = 2000;
       break;
     case 1:
@@ -243,7 +228,7 @@ workload::WorkloadSpec ScaleFlavor(size_t i, bool fast) {
       spec.kind = workload::Kind::kLatency;
       spec.working_set_pages = 2048;
       spec.vma_count = 4;
-      spec.ops = static_cast<uint64_t>(4000 * op_scale);
+      spec.ops = 4000;
       spec.accesses_per_request = 8;
       spec.gc_sweep_period_ops = 3000;
       break;
@@ -251,18 +236,18 @@ workload::WorkloadSpec ScaleFlavor(size_t i, bool fast) {
       spec.name = "batch";
       spec.working_set_pages = 2048;
       spec.vma_count = 4;
-      spec.ops = static_cast<uint64_t>(5000 * op_scale);
+      spec.ops = 5000;
       break;
   }
   return spec;
 }
 
-Row RunScaleCell(mmu::TlbShareMode mode, uint64_t n, bool fast,
+Row RunScaleCell(mmu::TlbShareMode mode, uint64_t n,
                  std::string* interference_text) {
   std::vector<workload::WorkloadSpec> specs;
   specs.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    specs.push_back(ScaleFlavor(i, fast));
+    specs.push_back(ScaleFlavor(i));
   }
   harness::BedOptions bed = SpeedupBed();
   bed.tlb_mode = mode;
@@ -308,15 +293,17 @@ constexpr auto RowColumns = [](const Row& r, auto& sink) {
 }  // namespace
 
 int main() {
-  const bool fast = harness::FastMode();
-  const uint64_t reps = ResolveReps();
+  // $GEMINI_BENCH_REPS, default 1: a 64-VM machine is heavy enough that one
+  // repetition is the CI default; local perf work can raise it.
+  const uint64_t reps =
+      base::EnvInt("GEMINI_BENCH_REPS", 1, UINT64_MAX).value_or(1);
   std::vector<Row> rows;
 
   // Part 1: collocated_64 serial-vs-parallel pair.  The digests MUST be
   // identical — GEMINI_VM_THREADS is unobservable by contract — before
   // any wall-clock comparison is meaningful.
-  rows.push_back(RunSpeedupBest("collocated_64_serial", 1, fast, reps));
-  rows.push_back(RunSpeedupBest("collocated_64_t8", 8, fast, reps));
+  rows.push_back(RunSpeedupBest("collocated_64_serial", 1, reps));
+  rows.push_back(RunSpeedupBest("collocated_64_t8", 8, reps));
   SIM_CHECK_MSG(rows[0].digest == rows[1].digest,
                 "collocated_64 diverged between 1 and 8 threads");
   PrintRow(rows[0]);
@@ -335,9 +322,7 @@ int main() {
   // Only shared mode climbs to 128 VMs: that is where the sparse top-k
   // interference render takes over (metrics/interference_matrix.h), and
   // private mode at 128 would only re-measure the backend, more slowly.
-  const std::vector<uint64_t> counts =
-      fast ? std::vector<uint64_t>{2, 8, 64, 128}
-           : std::vector<uint64_t>{2, 4, 8, 16, 32, 64, 128};
+  const std::vector<uint64_t> counts = {2, 4, 8, 16, 32, 64, 128};
   std::string interference_text;
   for (const mmu::TlbShareMode mode : harness::TlbModesFromEnv()) {
     for (const uint64_t n : counts) {
@@ -349,7 +334,7 @@ int main() {
       if (mode != mmu::TlbShareMode::kShared && n > 64) {
         continue;
       }
-      rows.push_back(RunScaleCell(mode, n, fast, &interference_text));
+      rows.push_back(RunScaleCell(mode, n, &interference_text));
       PrintRow(rows.back());
     }
   }

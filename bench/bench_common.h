@@ -4,7 +4,6 @@
 // regenerates: workloads as rows, the eight systems as columns, values
 // normalized the way the paper normalizes them.  Environment contract
 // (full details in BENCHMARKS.md):
-//   GEMINI_FAST=1        abbreviated sweeps while iterating
 //   GEMINI_JOBS=N        worker threads for the sweep (default: all cores)
 //   GEMINI_EXPORT=DIR    also write <DIR>/<label>.csv and .json per sweep
 //   GEMINI_TRACE=DIR     per-cell Perfetto trace + time-series CSV
@@ -16,12 +15,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "base/env.h"
 #include "harness/experiment.h"
 #include "harness/sweep_runner.h"
 #include "metrics/export.h"
@@ -54,13 +53,9 @@ struct SweepResult {
       results;
 };
 
-inline workload::WorkloadSpec MaybeFast(const workload::WorkloadSpec& spec) {
-  return harness::FastMode() ? harness::ScaleSpec(spec, 0.3) : spec;
-}
-
 // The GEMINI_EXPORT directory; empty when unset.
 inline std::string ExportDir() {
-  const char* dir = std::getenv("GEMINI_EXPORT");
+  const char* dir = base::EnvValue("GEMINI_EXPORT");
   return dir != nullptr ? dir : "";
 }
 
@@ -160,11 +155,8 @@ inline SweepResult RunSweep(const std::vector<workload::WorkloadSpec>& specs,
                             const std::string& label = "sweep") {
   SweepResult sweep;
   sweep.systems = systems;
-  std::vector<workload::WorkloadSpec> scaled;
-  scaled.reserve(specs.size());
   for (const auto& spec : specs) {
     sweep.workloads.push_back(spec.name);
-    scaled.push_back(MaybeFast(spec));
   }
 
   const size_t columns = systems.size();
@@ -193,7 +185,7 @@ inline SweepResult RunSweep(const std::vector<workload::WorkloadSpec>& specs,
         trace::SanitizeFileStem(
             std::string(harness::SystemName(cell.system))));
     const auto start = std::chrono::steady_clock::now();
-    cell.result = fn(cell.system, scaled[i / columns], cell_bed);
+    cell.result = fn(cell.system, specs[i / columns], cell_bed);
     cell.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();

@@ -40,7 +40,6 @@
 // documented in BENCHMARKS.md.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -119,9 +118,8 @@ uint64_t Digest(const harness::CollocatedManyResult& r) {
 // The four-tenant mix of one cell.  The zipf stores have hot heads and
 // long cold tails — exactly the shape DAMON-guided demotion should
 // exploit and coverage-blind reclaim should not.
-workload::WorkloadSpec CellTenant(size_t i, bool fast) {
+workload::WorkloadSpec CellTenant(size_t i) {
   workload::WorkloadSpec spec;
-  const uint64_t ops = fast ? 2500 : 5000;
   switch (i % 4) {
     case 0:
     case 1:
@@ -129,22 +127,20 @@ workload::WorkloadSpec CellTenant(size_t i, bool fast) {
       spec.access = workload::AccessPattern::kZipf;
       spec.working_set_pages = 1920;
       spec.vma_count = 6;
-      spec.ops = ops;
       break;
     case 2:
       spec.name = "scan_mix";
       spec.access = workload::AccessPattern::kScanMix;
       spec.working_set_pages = 1920;
       spec.vma_count = 4;
-      spec.ops = ops;
       break;
     default:
       spec.name = "batch_uniform";
       spec.working_set_pages = 1920;
       spec.vma_count = 4;
-      spec.ops = ops;
       break;
   }
+  spec.ops = 5000;
   spec.work_per_access = 200;
   return spec;
 }
@@ -173,10 +169,10 @@ std::string Lower(std::string_view s) {
 }
 
 Row RunCell(harness::SystemKind kind, double ratio,
-            policy::ReclaimPolicyKind policy, bool fast) {
+            policy::ReclaimPolicyKind policy) {
   std::vector<workload::WorkloadSpec> specs;
   for (size_t i = 0; i < kVmsPerCell; ++i) {
-    specs.push_back(CellTenant(i, fast));
+    specs.push_back(CellTenant(i));
   }
 
   harness::BedOptions bed;
@@ -188,10 +184,8 @@ Row RunCell(harness::SystemKind kind, double ratio,
   bed.reclaim.enabled = true;
   bed.reclaim.policy = policy;
   bed.reclaim.far_capacity_pages = 0;  // unbounded: never reject a demotion
-  bed.reclaim.damon = harness::DamonConfigFromEnv();
 
   harness::ScaleOptions scale;
-  scale.quantum = 256;  // threads resolve from GEMINI_VM_THREADS
   scale.daemon_period = 500'000;  // denser reclaim ticks than the default
 
   const harness::CollocatedManyResult r =
@@ -287,18 +281,14 @@ constexpr auto RowColumns = [](const Row& r, auto& sink) {
 }  // namespace
 
 int main() {
-  const bool fast = harness::FastMode();
-
   std::vector<double> ratios = {1.0, 1.5, 2.0};
-  if (const double env_ratio = harness::OvercommitFromEnv(0.0);
-      env_ratio > 0.0) {
-    ratios = {env_ratio};
+  if (const auto env_ratio = harness::OvercommitFromEnv()) {
+    ratios = {*env_ratio};
   }
   std::vector<policy::ReclaimPolicyKind> policies = {
       policy::ReclaimPolicyKind::kLruApprox, policy::ReclaimPolicyKind::kDamon};
-  if (const char* env = std::getenv("GEMINI_RECLAIM_POLICY");
-      env != nullptr && env[0] != '\0') {
-    policies = {harness::ReclaimPolicyFromEnv(policies[0])};
+  if (const auto env_policy = harness::ReclaimPolicyFromEnv()) {
+    policies = {*env_policy};
   }
   const std::vector<harness::SystemKind> systems = {
       harness::SystemKind::kGemini, harness::SystemKind::kThp,
@@ -309,7 +299,7 @@ int main() {
   for (const harness::SystemKind kind : systems) {
     for (const double ratio : ratios) {
       for (const policy::ReclaimPolicyKind policy : policies) {
-        rows.push_back(RunCell(kind, ratio, policy, fast));
+        rows.push_back(RunCell(kind, ratio, policy));
         PrintRow(rows.back());
       }
     }

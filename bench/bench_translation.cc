@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "base/check.h"
+#include "base/env.h"
 #include "base/rng.h"
 #include "base/stats.h"
 #include "base/types.h"
@@ -93,14 +94,7 @@ enum class Pattern {
 // and every repetition must reproduce the same checksum and counters
 // (enforced below), so the simulated side cannot vary between reps.
 uint64_t ResolveReps() {
-  const char* env = std::getenv("GEMINI_BENCH_REPS");
-  if (env != nullptr && env[0] != '\0') {
-    const uint64_t parsed = std::strtoull(env, nullptr, 10);
-    if (parsed > 0) {
-      return parsed;
-    }
-  }
-  return 3;
+  return base::EnvInt("GEMINI_BENCH_REPS", 1, UINT64_MAX).value_or(3);
 }
 
 TranslationEngine::Config EngineConfig() {

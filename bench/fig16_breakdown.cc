@@ -45,7 +45,7 @@ int main() {
       names.size() * kVariants,
       [&](size_t i) {
         const workload::WorkloadSpec spec =
-            bench::MaybeFast(workload::SpecByName(names[i / kVariants]));
+            workload::SpecByName(names[i / kVariants]);
         const harness::BedOptions cell_bed = bench::TracedBed(
             bed, "fig16_breakdown", i,
             names[i / kVariants] + "_" + variants[i % kVariants]);

@@ -26,7 +26,7 @@
 namespace {
 
 struct Cell {
-  harness::CollocatedResult result;
+  harness::CollocatedManyResult result;
   double wall_ms = 0.0;
 };
 
@@ -69,14 +69,15 @@ int main() {
       modes.size() * per_mode,
       [&](size_t i) {
         const Pair& pair = pairs[(i % per_mode) / systems.size()];
-        const auto spec0 = bench::MaybeFast(workload::SpecByName(pair.vm0));
-        const auto spec1 = bench::MaybeFast(workload::SpecByName(pair.vm1));
         harness::BedOptions cell_bed = bed;
         cell_bed.tlb_mode = modes[i / per_mode];
+        // The pair figures never modelled VM boot.
+        cell_bed.boot_noise_fraction = 0;
         const auto start = std::chrono::steady_clock::now();
         Cell cell;
-        cell.result = harness::RunCollocated(
-            systems[i % systems.size()], spec0, spec1,
+        cell.result = harness::RunCollocatedMany(
+            systems[i % systems.size()],
+            {workload::SpecByName(pair.vm0), workload::SpecByName(pair.vm1)},
             bench::TracedBed(
                 cell_bed, "fig17_collocated", i,
                 std::string(pair.vm0) + "_" + pair.vm1 + "_" +
@@ -85,7 +86,8 @@ int main() {
                     (annotate_mode
                          ? std::string("_") +
                                mmu::TlbShareModeName(modes[i / per_mode])
-                         : std::string())));
+                         : std::string())),
+            harness::ScaleOptions{});
         cell.wall_ms = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - start)
                            .count();
@@ -118,24 +120,24 @@ int main() {
           base_index = k;
         }
       }
-      const double base0 = row_cells[base_index].result.vm0.throughput;
-      const double base1 = row_cells[base_index].result.vm1.throughput;
+      const double base0 = row_cells[base_index].result.vms[0].throughput;
+      const double base1 = row_cells[base_index].result.vms[1].throughput;
       std::vector<std::string> row0{std::string("vm0 ") + pair.vm0};
       std::vector<std::string> row1{std::string("vm1 ") + pair.vm1};
       for (size_t k = 0; k < systems.size(); ++k) {
         row0.push_back(metrics::TextTable::Fmt(
-            metrics::Normalize(row_cells[k].result.vm0.throughput, base0)));
+            metrics::Normalize(row_cells[k].result.vms[0].throughput, base0)));
         row1.push_back(metrics::TextTable::Fmt(
-            metrics::Normalize(row_cells[k].result.vm1.throughput, base1)));
+            metrics::Normalize(row_cells[k].result.vms[1].throughput, base1)));
         const std::string tag =
             std::string(pair.vm0) + "+" + pair.vm1;
         const std::string system(harness::SystemName(systems[k]));
         rows.push_back(metrics::ResultRow{tag + "/vm0", system,
-                                          &row_cells[k].result.vm0,
+                                          &row_cells[k].result.vms[0],
                                           row_cells[k].wall_ms, bed.seed,
                                           mode_name});
         rows.push_back(metrics::ResultRow{tag + "/vm1", system,
-                                          &row_cells[k].result.vm1,
+                                          &row_cells[k].result.vms[1],
                                           row_cells[k].wall_ms, bed.seed,
                                           mode_name});
       }
@@ -168,7 +170,6 @@ int main() {
   std::vector<harness::CollocatedManyResult> churn_results;
   if (std::find(modes.begin(), modes.end(), mmu::TlbShareMode::kDynamic) !=
       modes.end()) {
-    const bool fast = harness::FastMode();
     std::vector<workload::WorkloadSpec> churn_specs;
     for (size_t i = 0; i < 4; ++i) {
       // VMs 0/2: working sets of ~8 pages per TLB set, so the hit rate
@@ -181,7 +182,7 @@ int main() {
       spec.name = big ? "churn_big" : "churn_small";
       spec.working_set_pages = big ? 1024 : 64;
       spec.vma_count = big ? 4 : 2;
-      spec.ops = fast ? 4000 : 12000;
+      spec.ops = 12000;
       spec.churn_period_ops = 2000;
       spec.work_per_access = 200;
       churn_specs.push_back(spec);

@@ -10,7 +10,7 @@
 namespace {
 
 struct Cell {
-  harness::CollocatedResult result;
+  harness::CollocatedManyResult result;
   double wall_ms = 0.0;
 };
 
@@ -50,14 +50,15 @@ int main() {
       modes.size() * per_mode,
       [&](size_t i) {
         const Pair& pair = pairs[(i % per_mode) / systems.size()];
-        const auto spec0 = bench::MaybeFast(workload::SpecByName(pair.vm0));
-        const auto spec1 = bench::MaybeFast(workload::SpecByName(pair.vm1));
         harness::BedOptions cell_bed = bed;
         cell_bed.tlb_mode = modes[i / per_mode];
+        // The pair figures never modelled VM boot.
+        cell_bed.boot_noise_fraction = 0;
         const auto start = std::chrono::steady_clock::now();
         Cell cell;
-        cell.result = harness::RunCollocated(
-            systems[i % systems.size()], spec0, spec1,
+        cell.result = harness::RunCollocatedMany(
+            systems[i % systems.size()],
+            {workload::SpecByName(pair.vm0), workload::SpecByName(pair.vm1)},
             bench::TracedBed(
                 cell_bed, "fig18_collocated", i,
                 std::string(pair.vm0) + "_" + pair.vm1 + "_" +
@@ -66,7 +67,8 @@ int main() {
                     (annotate_mode
                          ? std::string("_") +
                                mmu::TlbShareModeName(modes[i / per_mode])
-                         : std::string())));
+                         : std::string())),
+            harness::ScaleOptions{});
         cell.wall_ms = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - start)
                            .count();
@@ -100,23 +102,23 @@ int main() {
           base_index = k;
         }
       }
-      const double base0 = row_cells[base_index].result.vm0.mean_latency;
-      const double base1 = row_cells[base_index].result.vm1.mean_latency;
+      const double base0 = row_cells[base_index].result.vms[0].mean_latency;
+      const double base1 = row_cells[base_index].result.vms[1].mean_latency;
       std::vector<std::string> row0{std::string("vm0 ") + pair.vm0};
       std::vector<std::string> row1{std::string("vm1 ") + pair.vm1};
       for (size_t k = 0; k < systems.size(); ++k) {
-        row0.push_back(metrics::TextTable::Fmt(
-            metrics::Normalize(row_cells[k].result.vm0.mean_latency, base0)));
-        row1.push_back(metrics::TextTable::Fmt(
-            metrics::Normalize(row_cells[k].result.vm1.mean_latency, base1)));
+        row0.push_back(metrics::TextTable::Fmt(metrics::Normalize(
+            row_cells[k].result.vms[0].mean_latency, base0)));
+        row1.push_back(metrics::TextTable::Fmt(metrics::Normalize(
+            row_cells[k].result.vms[1].mean_latency, base1)));
         const std::string tag = std::string(pair.vm0) + "+" + pair.vm1;
         const std::string system(harness::SystemName(systems[k]));
         rows.push_back(metrics::ResultRow{tag + "/vm0", system,
-                                          &row_cells[k].result.vm0,
+                                          &row_cells[k].result.vms[0],
                                           row_cells[k].wall_ms, bed.seed,
                                           mode_name});
         rows.push_back(metrics::ResultRow{tag + "/vm1", system,
-                                          &row_cells[k].result.vm1,
+                                          &row_cells[k].result.vms[1],
                                           row_cells[k].wall_ms, bed.seed,
                                           mode_name});
       }

@@ -1,9 +1,11 @@
 #include "harness/experiment.h"
 
+#include <algorithm>
+#include <cfloat>
 #include <chrono>
-#include <cstdlib>
 
 #include "base/check.h"
+#include "base/env.h"
 #include "base/rng.h"
 #include "os/reclaim_daemon.h"
 #include "workload/epoch_executor.h"
@@ -56,21 +58,16 @@ void SimulateGuestBoot(osim::Machine& machine, int32_t vm_id,
 }
 
 // Resolves the bed's TLB arrangement (mode, boot split, repartitioner
-// knobs) into the machine config.  Explicit BedOptions values win over the
-// GEMINI_REPART_* environment knobs; both default to the machine's own
-// fallbacks (daemon-period interval, 1-way floor).
+// knobs) into the machine config.  A zero repartitioner knob keeps the
+// machine's own default (daemon-period interval, 1-way floor).
 void ApplyTlbOptions(const BedOptions& options, osim::MachineConfig* config) {
   // Ride-along machine knobs that every bed assembly site needs: the
   // tiered-memory reclaim config maps straight through.
   config->reclaim = options.reclaim;
   config->tlb_mode = options.tlb_mode;
   config->tlb_partition_ways = options.tlb_partition_ways;
-  config->tlb_repart_interval = options.tlb_repart_interval != 0
-                                    ? options.tlb_repart_interval
-                                    : RepartIntervalFromEnv(0);
-  config->tlb_repart_min_ways = options.tlb_repart_min_ways != 0
-                                    ? options.tlb_repart_min_ways
-                                    : RepartMinWaysFromEnv(1);
+  config->tlb_repart_interval = options.tlb_repart_interval;
+  config->tlb_repart_min_ways = std::max(options.tlb_repart_min_ways, 1u);
 }
 
 }  // namespace
@@ -150,52 +147,6 @@ workload::RunResult RunGeminiAblation(const workload::WorkloadSpec& spec,
   driver_options.seed = options.seed + 1000;
   workload::RunResult result = driver.Run(spec, driver_options);
   trace::WriteTraceFiles(options.trace, *bed.machine, bed.sampler);
-  return result;
-}
-
-CollocatedResult RunCollocated(SystemKind kind,
-                               const workload::WorkloadSpec& spec0,
-                               const workload::WorkloadSpec& spec1,
-                               const BedOptions& options) {
-  osim::MachineConfig config;
-  config.host_frames = options.host_frames;
-  config.seed = options.seed;
-  ApplyTlbOptions(options, &config);
-  auto machine = std::make_unique<osim::Machine>(config);
-  trace::StackSampler* sampler = trace::SetupTracing(*machine, options.trace);
-  osim::VirtualMachine& vm0 =
-      AddSystemVm(*machine, kind, options.vm_gfn_count);
-  osim::VirtualMachine& vm1 =
-      AddSystemVm(*machine, kind, options.vm_gfn_count);
-  if (options.fragmented) {
-    machine->FragmentHostMemory(options.host_fragmentation_target);
-    machine->FragmentGuestMemory(vm0.id(), options.fragmentation_target);
-    machine->FragmentGuestMemory(vm1.id(), options.fragmentation_target);
-  }
-
-  // Interleave on the epoch executor: each VM runs its per-epoch quantum
-  // (default 256 ops, the grain the serial harness always used), faults
-  // and daemons settle at the barrier, and the schedule — hence every
-  // figure — is identical at any GEMINI_VM_THREADS.
-  workload::EpochExecutorOptions xopt;
-  workload::EpochExecutor exec(machine.get(), xopt);
-  workload::LaneSpec l0;
-  l0.spec = spec0;
-  l0.options.seed = options.seed + 1000;
-  workload::LaneSpec l1;
-  l1.spec = spec1;
-  l1.options.seed = options.seed + 2000;
-  exec.AddLane(vm0.id(), l0);
-  exec.AddLane(vm1.id(), l1);
-  std::vector<workload::RunResult> rr = exec.Run();
-  CollocatedResult result;
-  result.vm0 = std::move(rr[0]);
-  result.vm1 = std::move(rr[1]);
-  result.interference = metrics::BuildInterferenceReport(
-      machine->tlb_domain(),
-      {{static_cast<uint16_t>(vm0.id()), "vm0 " + spec0.name},
-       {static_cast<uint16_t>(vm1.id()), "vm1 " + spec1.name}});
-  trace::WriteTraceFiles(options.trace, *machine, sampler);
   return result;
 }
 
@@ -289,11 +240,6 @@ workload::WorkloadSpec ScaleSpec(const workload::WorkloadSpec& spec,
   return scaled;
 }
 
-bool FastMode() {
-  const char* env = std::getenv("GEMINI_FAST");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 bool ParseTlbShareMode(const std::string& name, mmu::TlbShareMode* mode) {
   if (name == "private") {
     *mode = mmu::TlbShareMode::kPrivate;
@@ -309,75 +255,24 @@ bool ParseTlbShareMode(const std::string& name, mmu::TlbShareMode* mode) {
   return true;
 }
 
-uint64_t RepartIntervalFromEnv(uint64_t fallback) {
-  const char* env = std::getenv("GEMINI_REPART_INTERVAL");
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
-  }
-  return std::strtoull(env, nullptr, 10);
+std::optional<double> OvercommitFromEnv() {
+  return base::EnvRatio("GEMINI_OVERCOMMIT", 1.0, DBL_MAX);
 }
 
-uint32_t RepartMinWaysFromEnv(uint32_t fallback) {
-  const char* env = std::getenv("GEMINI_REPART_MIN_WAYS");
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
-  }
-  const uint64_t v = std::strtoull(env, nullptr, 10);
-  SIM_CHECK_MSG(v >= 1, "GEMINI_REPART_MIN_WAYS must be >= 1");
-  return static_cast<uint32_t>(v);
-}
-
-double OvercommitFromEnv(double fallback) {
-  const char* env = std::getenv("GEMINI_OVERCOMMIT");
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
-  }
-  const double ratio = std::strtod(env, nullptr);
-  SIM_CHECK_MSG(ratio == 0.0 || ratio >= 1.0,
-                "GEMINI_OVERCOMMIT must be 0 (off) or >= 1");
-  return ratio;
-}
-
-policy::ReclaimPolicyKind ReclaimPolicyFromEnv(
-    policy::ReclaimPolicyKind fallback) {
-  const char* env = std::getenv("GEMINI_RECLAIM_POLICY");
-  if (env == nullptr || env[0] == '\0') {
-    return fallback;
+std::optional<policy::ReclaimPolicyKind> ReclaimPolicyFromEnv() {
+  const char* env = base::EnvValue("GEMINI_RECLAIM_POLICY");
+  if (env == nullptr) {
+    return std::nullopt;
   }
   const auto kind = policy::ParseReclaimPolicy(env);
   SIM_CHECK_MSG(kind.has_value(),
                 "GEMINI_RECLAIM_POLICY: unknown policy '%s'", env);
-  return *kind;
-}
-
-damon::MonitorConfig DamonConfigFromEnv(
-    const damon::MonitorConfig& fallback) {
-  damon::MonitorConfig config = fallback;
-  if (const char* env = std::getenv("GEMINI_DAMON_MIN");
-      env != nullptr && env[0] != '\0') {
-    const uint64_t v = std::strtoull(env, nullptr, 10);
-    SIM_CHECK_MSG(v >= 1, "GEMINI_DAMON_MIN must be >= 1");
-    config.min_regions = static_cast<uint32_t>(v);
-  }
-  if (const char* env = std::getenv("GEMINI_DAMON_MAX");
-      env != nullptr && env[0] != '\0') {
-    config.max_regions =
-        static_cast<uint32_t>(std::strtoull(env, nullptr, 10));
-  }
-  SIM_CHECK_MSG(config.max_regions >= config.min_regions,
-                "GEMINI_DAMON_MAX must be >= GEMINI_DAMON_MIN");
-  if (const char* env = std::getenv("GEMINI_DAMON_AGG");
-      env != nullptr && env[0] != '\0') {
-    const uint64_t v = std::strtoull(env, nullptr, 10);
-    SIM_CHECK_MSG(v >= 1, "GEMINI_DAMON_AGG must be >= 1");
-    config.aggregation_ticks = static_cast<uint32_t>(v);
-  }
-  return config;
+  return kind;
 }
 
 std::vector<mmu::TlbShareMode> TlbModesFromEnv() {
-  const char* env = std::getenv("GEMINI_TLB_MODE");
-  if (env == nullptr || env[0] == '\0') {
+  const char* env = base::EnvValue("GEMINI_TLB_MODE");
+  if (env == nullptr) {
     return {mmu::TlbShareMode::kPrivate};
   }
   const std::string spec(env);

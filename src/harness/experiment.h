@@ -6,6 +6,7 @@
 #define SRC_HARNESS_EXPERIMENT_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,8 +47,7 @@ struct BedOptions {
   // kPartitioned / kDynamic: boot ways per VM (0 = even split over the
   // collocated VMs).
   uint32_t tlb_partition_ways = 0;
-  // kDynamic repartitioner knobs; 0 resolves from GEMINI_REPART_INTERVAL /
-  // GEMINI_REPART_MIN_WAYS, falling back to the machine defaults (daemon
+  // kDynamic repartitioner knobs; 0 means the machine defaults (daemon
   // period / 1 way).
   uint64_t tlb_repart_interval = 0;
   uint32_t tlb_repart_min_ways = 0;
@@ -88,29 +88,14 @@ workload::RunResult RunGeminiAblation(const workload::WorkloadSpec& spec,
                                       const BedOptions& options,
                                       const gemini::GeminiOptions& gem);
 
-// Collocated-VM measurement (§6.5): two VMs under the same system on one
-// host; returns the result of the workload in VM 0 while VM 1 runs the
-// companion workload interleaved.
-struct CollocatedResult {
-  workload::RunResult vm0;
-  workload::RunResult vm1;
-  // Who-displaced-whom attribution + per-VM utility curves, captured from
-  // the machine's TlbDomain before teardown.  Empty under kPrivate (no
-  // shared array, so no monitor; see metrics/interference_matrix.h).
-  metrics::InterferenceReport interference;
-};
-CollocatedResult RunCollocated(SystemKind kind,
-                               const workload::WorkloadSpec& spec0,
-                               const workload::WorkloadSpec& spec1,
-                               const BedOptions& options);
-
-// Rack-density collocation (fig17_scale): N VMs under one system on one
-// host, executed by the epoch-barriered parallel backend
-// (workload/epoch_executor.h).  Results are deterministic at any thread
-// count; `threads` only changes wall-clock.
+// Collocated-VM measurement: N VMs under one system on one host, executed
+// by the epoch-barriered parallel backend (workload/epoch_executor.h).
+// The two-VM pairs of §6.5 (fig17, fig18) and the rack-density sweep
+// (bench_collocation) both run here.  Results are deterministic at any
+// thread count; `threads` only changes wall-clock.
 struct ScaleOptions {
-  // Worker threads / ops-per-epoch; 0 resolves from GEMINI_VM_THREADS /
-  // GEMINI_VM_QUANTUM.
+  // Worker threads / ops-per-epoch; 0 means GEMINI_VM_THREADS / 256 ops
+  // (workload/epoch_executor.h).
   uint32_t threads = 0;
   uint64_t quantum = 0;
   // Boot arrival waves: VM i arrives at epoch (i / wave_size) * wave_epochs.
@@ -152,13 +137,10 @@ CollocatedManyResult RunCollocatedMany(
     SystemKind kind, const std::vector<workload::WorkloadSpec>& specs,
     const BedOptions& options, const ScaleOptions& scale);
 
-// Shrinks a spec's op count (and working set, optionally) for quick runs.
-// Controlled by the GEMINI_FAST environment variable in the bench mains.
+// Scales a spec's op count (floored at 10 000) and churn period (floored
+// at 5 000) by `op_scale`; perfbench sizes its catalog cells with it.
 workload::WorkloadSpec ScaleSpec(const workload::WorkloadSpec& spec,
                                  double op_scale);
-
-// True if the GEMINI_FAST env var requests abbreviated benchmark runs.
-bool FastMode();
 
 // Parses a TLB sharing-mode name ("private" / "shared" / "partitioned" /
 // "dynamic").  Returns false (and leaves *mode untouched) on anything else.
@@ -171,28 +153,14 @@ bool ParseTlbShareMode(const std::string& name, mmu::TlbShareMode* mode);
 // comparisons).
 std::vector<mmu::TlbShareMode> TlbModesFromEnv();
 
-// kDynamic repartitioner knobs from the environment: GEMINI_REPART_INTERVAL
-// (cycles between repartition ticks; 0 = the machine's daemon period) and
-// GEMINI_REPART_MIN_WAYS (per-VM way floor).  Unset returns the fallback.
-uint64_t RepartIntervalFromEnv(uint64_t fallback = 0);
-uint32_t RepartMinWaysFromEnv(uint32_t fallback = 1);
-
 // Overcommit ratio from GEMINI_OVERCOMMIT: total guest-physical memory as
-// a multiple of host frames (e.g. "1.5").  Unset/empty returns the
-// fallback; 0 means no overcommit.  Values must be >= 1 when set — an
-// undercommitted "overcommit" run is almost certainly a typo.
-double OvercommitFromEnv(double fallback = 0.0);
+// a multiple of host frames (e.g. "1.5"), at least 1.  Unset or empty
+// returns nullopt.
+std::optional<double> OvercommitFromEnv();
 
 // Reclaim victim-selection policy from GEMINI_RECLAIM_POLICY ("lru" /
-// "damon"); unset returns the fallback, unknown names abort.
-policy::ReclaimPolicyKind ReclaimPolicyFromEnv(
-    policy::ReclaimPolicyKind fallback);
-
-// DAMON monitor knobs over a fallback config: GEMINI_DAMON_MIN /
-// GEMINI_DAMON_MAX (adaptive region-count bounds) and GEMINI_DAMON_AGG
-// (sampling ticks per aggregation window).
-damon::MonitorConfig DamonConfigFromEnv(
-    const damon::MonitorConfig& fallback = {});
+// "damon"); unset or empty returns nullopt, unknown names abort.
+std::optional<policy::ReclaimPolicyKind> ReclaimPolicyFromEnv();
 
 }  // namespace harness
 

@@ -26,10 +26,9 @@
 
 namespace harness {
 
-// Worker count for sweeps: the GEMINI_JOBS environment variable if it is a
-// positive integer, otherwise std::thread::hardware_concurrency (at least
-// 1).  Values of GEMINI_JOBS that do not parse as a positive integer fall
-// back to the hardware default.
+// Worker count for sweeps: the GEMINI_JOBS environment variable, a positive
+// integer; std::thread::hardware_concurrency (at least 1) when it is unset
+// or empty.  Any other value aborts (base/env.h).
 int SweepJobs();
 
 struct SweepRunnerOptions {

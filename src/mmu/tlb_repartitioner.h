@@ -41,8 +41,8 @@
 //
 // Scheduling and determinism: the repartitioner itself never sleeps or
 // polls — os::Machine registers a PeriodicTask that calls
-// TlbDomain::RepartitionTick at GEMINI_REPART_INTERVAL cycles of logical
-// time.  PeriodicTasks only ever fire from RunDueDaemons, which runs
+// TlbDomain::RepartitionTick every MachineConfig::tlb_repart_interval
+// cycles of logical time.  PeriodicTasks only ever fire from RunDueDaemons, which runs
 // outside epoch-parallel phases (at epoch barriers, after the canonical
 // VM-ID-ordered stage replay), so repartitions are a pure function of the
 // simulated access stream: byte-identical output at any GEMINI_VM_THREADS

@@ -2,9 +2,10 @@
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <memory>
 
+#include "base/env.h"
 #include "metrics/export.h"
 #include "trace/perfetto.h"
 
@@ -31,20 +32,17 @@ std::string SanitizeFileStem(const std::string& s) {
 
 TraceConfig TraceConfigFromEnv(const std::string& stem) {
   TraceConfig config;
-  const char* dir = std::getenv("GEMINI_TRACE");
-  if (dir == nullptr || dir[0] == '\0') {
+  const char* dir = base::EnvValue("GEMINI_TRACE");
+  if (dir == nullptr) {
     return config;
   }
   config.enabled = true;
   config.dir = dir;
   config.stem = stem;
-  const char* interval = std::getenv("GEMINI_TRACE_INTERVAL");
-  if (interval != nullptr && interval[0] != '\0') {
-    const long long parsed = std::atoll(interval);
-    if (parsed > 0) {
-      config.sample_period = static_cast<base::Cycles>(parsed);
-    }
-  }
+  config.sample_period =
+      base::EnvInt("GEMINI_TRACE_INTERVAL", 1,
+                   std::numeric_limits<base::Cycles>::max())
+          .value_or(config.sample_period);
   return config;
 }
 

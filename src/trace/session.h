@@ -35,8 +35,8 @@ struct TraceConfig {
 // labels, workload names and system names compose into safe file stems.
 std::string SanitizeFileStem(const std::string& s);
 
-// Reads GEMINI_TRACE / GEMINI_TRACE_INTERVAL; disabled when GEMINI_TRACE
-// is unset or empty.
+// Reads GEMINI_TRACE / GEMINI_TRACE_INTERVAL (a positive integer); disabled
+// when GEMINI_TRACE is unset or empty.
 TraceConfig TraceConfigFromEnv(const std::string& stem);
 
 // Enables the machine's tracer and registers a StackSampler firing every

@@ -1,32 +1,18 @@
 #include "workload/epoch_executor.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 
 #include "base/check.h"
+#include "base/env.h"
 
 namespace workload {
 
-namespace {
-
-uint64_t EnvValue(const char* name, uint64_t fallback) {
-  if (const char* env = std::getenv(name); env != nullptr && env[0] != '\0') {
-    const uint64_t parsed = std::strtoull(env, nullptr, 10);
-    if (parsed > 0) {
-      return parsed;
-    }
-  }
-  return fallback;
-}
-
-}  // namespace
-
 uint32_t VmThreadsFromEnv() {
-  return static_cast<uint32_t>(EnvValue("GEMINI_VM_THREADS", 1));
-}
-
-uint64_t VmQuantumFromEnv() {
-  return EnvValue("GEMINI_VM_QUANTUM", 256);
+  return static_cast<uint32_t>(
+      base::EnvInt("GEMINI_VM_THREADS", 1,
+                   std::numeric_limits<uint32_t>::max())
+          .value_or(1));
 }
 
 EpochExecutor::EpochExecutor(osim::Machine* machine,
@@ -34,7 +20,7 @@ EpochExecutor::EpochExecutor(osim::Machine* machine,
     : machine_(machine), options_(options) {
   SIM_CHECK(machine_ != nullptr);
   threads_ = options_.threads != 0 ? options_.threads : VmThreadsFromEnv();
-  quantum_ = options_.quantum != 0 ? options_.quantum : VmQuantumFromEnv();
+  quantum_ = options_.quantum != 0 ? options_.quantum : 256;
   SIM_CHECK(threads_ >= 1);
   for (const uint32_t percent : options_.load_phases) {
     SIM_CHECK(percent > 0);

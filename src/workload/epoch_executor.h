@@ -40,9 +40,6 @@ namespace workload {
 // (including the caller's thread).  Default 1 = fully serial execution of
 // the identical epoch schedule.
 uint32_t VmThreadsFromEnv();
-// $GEMINI_VM_QUANTUM: operations per lane per epoch.  Default 256, the
-// interleaving grain the serial collocation harness has always used.
-uint64_t VmQuantumFromEnv();
 
 struct LaneSpec {
   WorkloadSpec spec;
@@ -55,7 +52,8 @@ struct LaneSpec {
 };
 
 struct EpochExecutorOptions {
-  // Operations per lane per epoch; 0 resolves from $GEMINI_VM_QUANTUM.
+  // Operations per lane per epoch; 0 means 256, the interleaving grain the
+  // serial collocation harness has always used.
   uint64_t quantum = 0;
   // Worker threads; 0 resolves from $GEMINI_VM_THREADS.
   uint32_t threads = 0;

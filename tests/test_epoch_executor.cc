@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -219,6 +220,17 @@ TEST(EpochExecutor, EpochGuardsRejectSerialEntryPoints) {
   EXPECT_DEATH(bed.machine->AdvanceTime(100), "");
   bed.machine->EpochBarrier();
   EXPECT_FALSE(bed.machine->in_epoch());
+}
+
+TEST(EpochExecutor, MalformedVmThreadsAborts) {
+  for (const char* bad : {"abc", "0"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("GEMINI_VM_THREADS", bad, 1);
+          workload::VmThreadsFromEnv();
+        },
+        std::string("GEMINI_VM_THREADS='") + bad + "'");
+  }
 }
 
 // Seeded fuzz: boots, VMA churn (map/unmap = shutdown noise), scalar

@@ -1,13 +1,17 @@
 // Tests for the CSV/JSON result export: the exact bytes of both
-// renderings, string escaping, and the BENCHMARKS.md schema tables checked
-// against the rendered headers.
+// renderings, string escaping, the BENCHMARKS.md schema tables checked
+// against the rendered headers, and its environment table checked against
+// the variables the code reads.
 #include "metrics/export.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -344,6 +348,35 @@ TEST(Export, TimeSeriesTableMatchesSamplerHeader) {
   const trace::StackSampler sampler(&machine);
   EXPECT_EQ(Names(DocumentedColumns("**Time series**")),
             CsvHeader(sampler.ToCsv()));
+}
+
+// The "Environment-variable contract" table lists exactly the variables the
+// code reads: the quoted "GEMINI_..." literals under src/ and bench/.
+TEST(Export, EnvironmentTableMatchesCode) {
+  const std::vector<std::string> names =
+      Names(DocumentedColumns("## Environment-variable contract"));
+  const std::set<std::string> documented(names.begin(), names.end());
+  std::set<std::string> read;
+  for (const char* dir : {"/src", "/bench"}) {
+    for (const auto& entry : std::filesystem::recursive_directory_iterator(
+             std::string(GEMINI_SOURCE_DIR) + dir)) {
+      const std::string ext = entry.path().extension().string();
+      if (ext != ".cc" && ext != ".h") {
+        continue;
+      }
+      std::ifstream in(entry.path());
+      const std::string text{std::istreambuf_iterator<char>(in), {}};
+      for (size_t at = text.find("\"GEMINI_"); at != std::string::npos;
+           at = text.find("\"GEMINI_", at + 1)) {
+        const size_t end =
+            text.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", at + 1);
+        if (end != std::string::npos && text[end] == '"') {
+          read.insert(text.substr(at + 1, end - at - 1));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(documented, read);
 }
 
 }  // namespace

@@ -1,3 +1,5 @@
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 // Integration tests for the experiment harness: system factories, testbed
@@ -153,13 +155,30 @@ TEST(Scenario, CollocatedVmsBothMakeProgress) {
   spec1.ops = 30000;
   BedOptions options = QuickBed();
   options.host_frames = 262144;
-  const auto result =
-      harness::RunCollocated(SystemKind::kGemini, spec0, spec1, options);
-  EXPECT_GT(result.vm0.throughput, 0.0);
-  EXPECT_GT(result.vm1.throughput, 0.0);
+  // The pair figures never modelled VM boot.
+  options.boot_noise_fraction = 0;
+  const auto result = harness::RunCollocatedMany(
+      SystemKind::kGemini, {spec0, spec1}, options, harness::ScaleOptions{});
+  EXPECT_GT(result.vms[0].throughput, 0.0);
+  EXPECT_GT(result.vms[1].throughput, 0.0);
   // The default 60 % warm-up is excluded from measured ops.
-  EXPECT_EQ(result.vm0.ops, spec0.ops - spec0.ops * 6 / 10);
-  EXPECT_EQ(result.vm1.ops, spec1.ops - spec1.ops * 6 / 10);
+  EXPECT_EQ(result.vms[0].ops, spec0.ops - spec0.ops * 6 / 10);
+  EXPECT_EQ(result.vms[1].ops, spec1.ops - spec1.ops * 6 / 10);
+}
+
+TEST(Scenario, OvercommitRatioParsesWholeValue) {
+  ::setenv("GEMINI_OVERCOMMIT", "1.5", 1);
+  EXPECT_EQ(harness::OvercommitFromEnv(), 1.5);
+  ::unsetenv("GEMINI_OVERCOMMIT");
+  EXPECT_EQ(harness::OvercommitFromEnv(), std::nullopt);
+  for (const char* bad : {"abc", "1.5x"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("GEMINI_OVERCOMMIT", bad, 1);
+          harness::OvercommitFromEnv();
+        },
+        std::string("GEMINI_OVERCOMMIT='") + bad + "'");
+  }
 }
 
 TEST(Scenario, ScaleSpecShrinksOps) {

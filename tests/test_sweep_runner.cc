@@ -82,12 +82,23 @@ TEST(SweepJobs, ParsesPositiveInteger) {
 }
 
 TEST(SweepJobs, RejectsNonPositiveAndGarbage) {
-  for (const char* bad : {"0", "-3", "abc", "4x", ""}) {
-    ScopedEnv env("GEMINI_JOBS", bad);
-    EXPECT_GE(harness::SweepJobs(), 1) << "GEMINI_JOBS=" << bad;
+  for (const char* bad : {"0", "-3", "abc", "4x"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("GEMINI_JOBS", bad, 1);
+          harness::SweepJobs();
+        },
+        std::string("GEMINI_JOBS='") + bad + "'");
   }
-  ScopedEnv env("GEMINI_JOBS", nullptr);
-  EXPECT_GE(harness::SweepJobs(), 1);
+  // Empty means unset: the hardware default.
+  {
+    ScopedEnv env("GEMINI_JOBS", "");
+    EXPECT_GE(harness::SweepJobs(), 1);
+  }
+  {
+    ScopedEnv env("GEMINI_JOBS", nullptr);
+    EXPECT_GE(harness::SweepJobs(), 1);
+  }
 }
 
 TEST(SweepRunner, SingleJobRunsInlineOnCaller) {

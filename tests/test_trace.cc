@@ -377,6 +377,18 @@ TEST(Session, ConfigFromEnvRoundTrips) {
   EXPECT_FALSE(off.enabled);
 }
 
+TEST(Session, MalformedTraceIntervalAborts) {
+  for (const char* bad : {"abc", "5000x"}) {
+    EXPECT_DEATH(
+        {
+          ::setenv("GEMINI_TRACE", "/tmp/traces", 1);
+          ::setenv("GEMINI_TRACE_INTERVAL", bad, 1);
+          trace::TraceConfigFromEnv("stem");
+        },
+        std::string("GEMINI_TRACE_INTERVAL='") + bad + "'");
+  }
+}
+
 TEST(Session, WriteTraceFilesProducesParseableArtifacts) {
   osim::Machine machine(SmallConfig());
   trace::TraceConfig config;
