@@ -5,15 +5,6 @@
 // one holds memory hostage; the controller lands between without tuning.
 #include "bench/bench_common.h"
 
-namespace {
-
-struct Cell {
-  workload::RunResult result;
-  double wall_ms = 0.0;
-};
-
-}  // namespace
-
 int main() {
   workload::WorkloadSpec spec = workload::SpecByName("Memcached");
   harness::BedOptions bed;
@@ -30,28 +21,15 @@ int main() {
       {"adaptive (Algorithm 1)", 40'000'000, 20'000'000},
   };
 
-  harness::SweepRunnerOptions pool;
-  pool.label = "ablation_booking_timeout";
-  pool.cell_name = [&](size_t i) { return std::string(variants[i].label); };
-  const auto cells = harness::ParallelMap(
-      variants.size(),
-      [&](size_t i) {
+  const auto cells = bench::RunCells(
+      "ablation_booking_timeout", variants.size(), bed,
+      [&](size_t i) { return std::string(variants[i].label); },
+      [&](size_t i, const harness::BedOptions& cell_bed) {
         gemini::GeminiOptions options;
         options.initial_booking_timeout = variants[i].initial;
         options.controller_period = variants[i].period;
-        const auto start = std::chrono::steady_clock::now();
-        Cell cell;
-        cell.result = harness::RunGeminiAblation(
-            spec,
-            bench::TracedBed(bed, "ablation_booking_timeout", i,
-                             variants[i].label),
-            options);
-        cell.wall_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-        return cell;
-      },
-      std::move(pool));
+        return harness::RunGeminiAblation(spec, cell_bed, options);
+      });
 
   metrics::TextTable table(
       "Ablation: booking timeout (fixed values vs Algorithm 1)");

@@ -35,11 +35,6 @@ workload::RunResult RunWith(bool with_ksm,
   return result;
 }
 
-struct Cell {
-  workload::RunResult result;
-  double wall_ms = 0.0;
-};
-
 }  // namespace
 
 int main() {
@@ -53,25 +48,13 @@ int main() {
                                    {"+ naive balloon", false, 1},
                                    {"+ alignment-aware balloon", false, 2}};
 
-  harness::SweepRunnerOptions pool;
-  pool.label = "ablation_interference";
-  pool.cell_name = [&](size_t i) { return std::string(cases[i].label); };
-  const auto cells = harness::ParallelMap(
-      cases.size(),
-      [&](size_t i) {
-        const auto start = std::chrono::steady_clock::now();
-        Cell cell;
-        cell.result =
-            RunWith(cases[i].ksm, cases[i].balloon,
-                    bench::TracedBed(harness::BedOptions{},
-                                     "ablation_interference", i,
-                                     cases[i].label));
-        cell.wall_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-        return cell;
-      },
-      std::move(pool));
+  const harness::BedOptions bed;
+  const auto cells = bench::RunCells(
+      "ablation_interference", cases.size(), bed,
+      [&](size_t i) { return std::string(cases[i].label); },
+      [&](size_t i, const harness::BedOptions& cell_bed) {
+        return RunWith(cases[i].ksm, cases[i].balloon, cell_bed);
+      });
 
   metrics::TextTable table(
       "Ablation: Gemini vs memory deduplication and ballooning (paper §8)");
@@ -84,7 +67,7 @@ int main() {
                   metrics::TextTable::Fmt(r.tlb_miss_rate, 3)});
     rows.push_back(metrics::ResultRow{"Canneal", cases[i].label,
                                       &cells[i].result, cells[i].wall_ms,
-                                      harness::BedOptions{}.seed});
+                                      bed.seed});
   }
   table.Print();
   bench::ExportRows("ablation_interference", rows);

@@ -1,25 +1,32 @@
 // Shared helpers for the figure/table reproduction binaries.
 //
-// Every bench binary prints one table shaped like the paper's figure it
-// regenerates: workloads as rows, the eight systems as columns, values
-// normalized the way the paper normalizes them.  Environment contract
-// (full details in BENCHMARKS.md):
+// Every figure runs its cells through one cell runner, RunCells: the cells
+// run on the sweep pool (GEMINI_JOBS workers), each gets its GEMINI_TRACE
+// config, named <label>_cellNN_<cell name>, and each cell's host wall time
+// is recorded beside its result.  RunSweep is the (workload, system) grid
+// on top of it, and RunPairFigure the collocated-pair sweep that fig17 and
+// fig18 share.  Tables print one row per workload and one column per
+// system, normalized the way the paper normalizes them.  Environment
+// contract (full details in BENCHMARKS.md):
 //   GEMINI_JOBS=N        worker threads for the sweep (default: all cores)
 //   GEMINI_EXPORT=DIR    also write <DIR>/<label>.csv and .json per sweep
 //   GEMINI_TRACE=DIR     per-cell Perfetto trace + time-series CSV
 //   GEMINI_TRACE_INTERVAL=N   sampler period, simulated cycles
+//   GEMINI_TLB_MODE=M    TLB sharing modes of the collocated pair figures
 // Tables on stdout are bit-identical at any job count; progress and
 // timing go to stderr.
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "base/check.h"
 #include "base/env.h"
 #include "harness/experiment.h"
 #include "harness/sweep_runner.h"
@@ -48,9 +55,18 @@ struct SweepResult {
   std::vector<std::string> workloads;          // row order
   std::vector<harness::SystemKind> systems;    // column order
   std::vector<SweepCell> cells;                // workload-major
-  // results[workload][system] -> run result (view over `cells`).
-  std::map<std::string, std::map<harness::SystemKind, workload::RunResult>>
-      results;
+
+  // The result of row `w`, column `k`.
+  const workload::RunResult& result(size_t w, size_t k) const {
+    return cells[w * systems.size() + k].result;
+  }
+};
+
+// One cell's result beside its host wall time.
+template <typename Result>
+struct Timed {
+  Result result;
+  double wall_ms = 0.0;  // host wall-clock; NOT deterministic
 };
 
 // The GEMINI_EXPORT directory; empty when unset.
@@ -114,88 +130,93 @@ inline std::string RenderInterferenceSection(
   return out;
 }
 
-// Persists the accumulated interference sections of a collocated bench as
-// INTERFERENCE_matrix.txt — in GEMINI_EXPORT when set, else the working
-// directory (CI uploads it as an artifact).  No-op when `text` is empty
-// (private-only runs produce no artifact, matching the historical set).
-inline void WriteInterferenceArtifact(const std::string& text) {
-  if (text.empty()) {
-    return;
-  }
-  const std::string path = ExportPath("INTERFERENCE_matrix.txt");
-  metrics::WriteFile(path, text);
-  std::fprintf(stderr, "[interference] wrote %s\n", path.c_str());
+// The one cell runner.  Runs run(i, bed_i) for every i in [0, count) on
+// the sweep pool (harness::SweepRunner, GEMINI_JOBS workers) and returns
+// the results in index order, each beside its host wall time.  Each cell
+// builds its own machine and RNGs from `bed`, so cells are independent
+// and the results are identical at any job count.  bed_i is `bed` with
+// GEMINI_TRACE's config for cell i, whose files are named
+// <label>_cellNN_<cell_name(i)>: keyed by cell index, so the artifact set
+// is identical at any job count too.  `label` and cell_name(i) also name
+// the cell in stderr progress lines.
+template <typename Run>
+auto RunCells(const std::string& label, size_t count,
+              const harness::BedOptions& bed,
+              const std::function<std::string(size_t)>& cell_name,
+              const Run& run) {
+  using Result =
+      std::invoke_result_t<const Run&, size_t, const harness::BedOptions&>;
+  harness::SweepRunnerOptions options;
+  options.label = label;
+  options.cell_name = cell_name;
+  return harness::ParallelMap(
+      count,
+      [&](size_t i) {
+        harness::BedOptions cell_bed = bed;
+        char cell_tag[32];
+        std::snprintf(cell_tag, sizeof(cell_tag), "cell%02zu", i);
+        cell_bed.trace = trace::TraceConfigFromEnv(
+            trace::SanitizeFileStem(label) + "_" + cell_tag + "_" +
+            trace::SanitizeFileStem(cell_name(i)));
+        const auto start = std::chrono::steady_clock::now();
+        Timed<Result> cell{run(i, cell_bed)};
+        cell.wall_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+        return cell;
+      },
+      std::move(options));
 }
 
-// Per-cell trace config for benches that drive cells directly through
-// harness::ParallelMap instead of RunSweep.  Same artifact-naming
-// convention: <label>_cellNN_<cell name>, keyed by cell index so the
-// artifact set is identical at any GEMINI_JOBS count.
-inline harness::BedOptions TracedBed(const harness::BedOptions& bed,
-                                     const std::string& label, size_t i,
-                                     const std::string& cell_name) {
-  harness::BedOptions out = bed;
-  char cell_tag[32];
-  std::snprintf(cell_tag, sizeof(cell_tag), "cell%02zu", i);
-  out.trace = trace::TraceConfigFromEnv(trace::SanitizeFileStem(label) + "_" +
-                                        cell_tag + "_" +
-                                        trace::SanitizeFileStem(cell_name));
-  return out;
-}
-
-// Runs `fn` for every (workload, system) pair, in parallel across
-// GEMINI_JOBS worker threads.  Each cell builds its own machine and RNGs
-// from `bed`, so cells are independent; results are keyed by cell index
-// (workload-major, system-minor), which makes the sweep deterministic at
-// any job count.  `label` names the sweep in stderr progress lines and in
-// GEMINI_EXPORT file names.
+// Runs `fn` for every (workload, system) pair through RunCells, in
+// workload-major, system-minor cell order; cell names are
+// <workload>_<system>.  `label` names the sweep in progress lines, trace
+// files and the GEMINI_EXPORT file names.
 inline SweepResult RunSweep(const std::vector<workload::WorkloadSpec>& specs,
                             const std::vector<harness::SystemKind>& systems,
                             const harness::BedOptions& bed, const RunFn& fn,
-                            const std::string& label = "sweep") {
+                            const std::string& label) {
+  const size_t columns = systems.size();
+  auto cells = RunCells(
+      label, specs.size() * columns, bed,
+      [&](size_t i) {
+        return specs[i / columns].name + "_" +
+               std::string(harness::SystemName(systems[i % columns]));
+      },
+      [&](size_t i, const harness::BedOptions& cell_bed) {
+        return fn(systems[i % columns], specs[i / columns], cell_bed);
+      });
   SweepResult sweep;
   sweep.systems = systems;
   for (const auto& spec : specs) {
     sweep.workloads.push_back(spec.name);
   }
-
-  const size_t columns = systems.size();
-  sweep.cells.resize(specs.size() * columns);
-  harness::SweepRunnerOptions options;
-  options.label = label;
-  options.cell_name = [&](size_t i) {
-    return specs[i / columns].name + " x " +
-           std::string(harness::SystemName(systems[i % columns]));
-  };
-  harness::SweepRunner runner(std::move(options));
-  runner.Run(sweep.cells.size(), [&](size_t i) {
-    SweepCell& cell = sweep.cells[i];
-    cell.workload = specs[i / columns].name;
-    cell.system = systems[i % columns];
-    cell.seed = bed.seed;
-    // Per-cell trace files are keyed by cell index (like results), so the
-    // set of artifacts is identical at any GEMINI_JOBS count.
-    harness::BedOptions cell_bed = bed;
-    char cell_tag[32];
-    std::snprintf(cell_tag, sizeof(cell_tag), "cell%02zu",
-                  static_cast<size_t>(i));
-    cell_bed.trace = trace::TraceConfigFromEnv(
-        trace::SanitizeFileStem(label) + "_" + cell_tag + "_" +
-        trace::SanitizeFileStem(cell.workload) + "_" +
-        trace::SanitizeFileStem(
-            std::string(harness::SystemName(cell.system))));
-    const auto start = std::chrono::steady_clock::now();
-    cell.result = fn(cell.system, specs[i / columns], cell_bed);
-    cell.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  });
-
-  for (const SweepCell& cell : sweep.cells) {
-    sweep.results[cell.workload][cell.system] = cell.result;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    sweep.cells.push_back(SweepCell{specs[i / columns].name,
+                                    systems[i % columns],
+                                    std::move(cells[i].result),
+                                    cells[i].wall_ms, bed.seed});
   }
   ExportRows(label, SweepRows(sweep));
   return sweep;
+}
+
+// A table header: `first`, then one column per system.
+inline std::vector<std::string> SystemColumns(
+    const std::string& first, const std::vector<harness::SystemKind>& systems) {
+  std::vector<std::string> columns{first};
+  for (harness::SystemKind kind : systems) {
+    columns.emplace_back(harness::SystemName(kind));
+  }
+  return columns;
+}
+
+// The column of `kind` in `systems`; aborts when it is absent.
+inline size_t SystemColumn(const std::vector<harness::SystemKind>& systems,
+                           harness::SystemKind kind) {
+  const auto it = std::find(systems.begin(), systems.end(), kind);
+  SIM_CHECK(it != systems.end());
+  return static_cast<size_t>(it - systems.begin());
 }
 
 // Prints one metric of a sweep as a table, with each row normalized
@@ -205,25 +226,20 @@ inline SweepResult RunSweep(const std::vector<workload::WorkloadSpec>& specs,
 // better)" and "geomean (lower is better)".
 inline void PrintNormalizedTable(
     const std::string& title, const SweepResult& sweep,
-    const std::vector<harness::SystemKind>& systems,
     harness::SystemKind baseline,
     const std::function<double(const workload::RunResult&)>& extract,
     bool higher_is_better) {
   metrics::TextTable table(title);
-  std::vector<std::string> columns{"workload"};
-  for (harness::SystemKind kind : systems) {
-    columns.emplace_back(harness::SystemName(kind));
-  }
-  table.SetColumns(columns);
-
-  std::map<harness::SystemKind, std::vector<double>> normalized;
-  for (const auto& name : sweep.workloads) {
-    const auto& row = sweep.results.at(name);
-    const double base_value = extract(row.at(baseline));
-    std::vector<std::string> cells{name};
-    for (harness::SystemKind kind : systems) {
-      const double v = metrics::Normalize(extract(row.at(kind)), base_value);
-      normalized[kind].push_back(v);
+  table.SetColumns(SystemColumns("workload", sweep.systems));
+  const size_t base = SystemColumn(sweep.systems, baseline);
+  std::vector<std::vector<double>> normalized(sweep.systems.size());
+  for (size_t w = 0; w < sweep.workloads.size(); ++w) {
+    const double base_value = extract(sweep.result(w, base));
+    std::vector<std::string> cells{sweep.workloads[w]};
+    for (size_t k = 0; k < sweep.systems.size(); ++k) {
+      const double v =
+          metrics::Normalize(extract(sweep.result(w, k)), base_value);
+      normalized[k].push_back(v);
       cells.push_back(metrics::TextTable::Fmt(v));
     }
     table.AddRow(cells);
@@ -231,29 +247,24 @@ inline void PrintNormalizedTable(
   std::vector<std::string> mean_row{
       higher_is_better ? "geomean (higher is better)"
                        : "geomean (lower is better)"};
-  for (harness::SystemKind kind : systems) {
+  for (const std::vector<double>& column : normalized) {
     mean_row.push_back(
-        metrics::TextTable::Fmt(metrics::GeometricMean(normalized[kind])));
+        metrics::TextTable::Fmt(metrics::GeometricMean(column)));
   }
   table.AddRow(mean_row);
   table.Print();
 }
 
 // Prints the well-aligned-rate table (Tables 1/3/4 format).
-inline void PrintAlignmentTable(
-    const std::string& title, const SweepResult& sweep,
-    const std::vector<harness::SystemKind>& systems) {
+inline void PrintAlignmentTable(const std::string& title,
+                                const SweepResult& sweep) {
   metrics::TextTable table(title);
-  std::vector<std::string> columns{"workload"};
-  for (harness::SystemKind kind : systems) {
-    columns.emplace_back(harness::SystemName(kind));
-  }
-  table.SetColumns(columns);
-  for (const auto& name : sweep.workloads) {
-    std::vector<std::string> cells{name};
-    for (harness::SystemKind kind : systems) {
+  table.SetColumns(SystemColumns("workload", sweep.systems));
+  for (size_t w = 0; w < sweep.workloads.size(); ++w) {
+    std::vector<std::string> cells{sweep.workloads[w]};
+    for (size_t k = 0; k < sweep.systems.size(); ++k) {
       cells.push_back(metrics::TextTable::Pct(
-          sweep.results.at(name).at(kind).alignment.well_aligned_rate));
+          sweep.result(w, k).alignment.well_aligned_rate));
     }
     table.AddRow(cells);
   }
@@ -269,6 +280,117 @@ inline std::vector<workload::WorkloadSpec> LatencyWorkloads() {
     }
   }
   return out;
+}
+
+// A collocated pair: the workloads of vm0 and vm1.
+struct VmPair {
+  const char* vm0;
+  const char* vm1;
+};
+
+// Host memory of the collocated pair figures: room for two VMs.
+inline constexpr uint64_t kPairHostFrames = 640 * 1024;
+
+// What RunPairFigure swept: the GEMINI_TLB_MODE modes, the cells
+// (mode-major, then pair, then system) and their export rows, which point
+// into `cells`.
+struct PairSweep {
+  std::vector<mmu::TlbShareMode> modes;
+  std::vector<Timed<harness::CollocatedManyResult>> cells;
+  std::vector<metrics::ResultRow> rows;
+};
+
+// The collocated pair figures (17, 18): one two-VM RunCollocatedMany cell
+// per mode x pair x system.  Prints, per mode, a table with two rows per
+// pair (each VM's `metric`, normalized to Host-B-VM-B) and the mode's
+// interference section: the displaced-by matrix and utility curves, which
+// private mode renders as nothing.  A sweep over anything but the private
+// mode alone annotates the tables and trace names with the mode.  The
+// sections are persisted as INTERFERENCE_matrix.txt, in GEMINI_EXPORT when
+// set, else the working directory; a private-only run writes no file.  The
+// caller exports the rows under `label`.
+inline PairSweep RunPairFigure(const std::string& figure,
+                               const std::string& label,
+                               const std::vector<VmPair>& pairs,
+                               const std::string& title,
+                               double (*metric)(const workload::RunResult&)) {
+  PairSweep sweep;
+  sweep.modes = harness::TlbModesFromEnv();
+  const std::vector<mmu::TlbShareMode>& modes = sweep.modes;
+  const bool annotate_mode =
+      modes.size() > 1 || modes[0] != mmu::TlbShareMode::kPrivate;
+  const auto systems = harness::AllSystems();
+  const size_t per_mode = pairs.size() * systems.size();
+  harness::BedOptions bed;
+  bed.host_frames = kPairHostFrames;
+  // The pair figures never modelled VM boot.
+  bed.boot_noise_fraction = 0;
+  sweep.cells = RunCells(
+      label, modes.size() * per_mode, bed,
+      [&](size_t i) {
+        const VmPair& pair = pairs[(i % per_mode) / systems.size()];
+        std::string name =
+            std::string(pair.vm0) + "_" + pair.vm1 + "_" +
+            std::string(harness::SystemName(systems[i % systems.size()]));
+        if (annotate_mode) {
+          name += std::string("_") +
+                  mmu::TlbShareModeName(modes[i / per_mode]);
+        }
+        return name;
+      },
+      [&](size_t i, harness::BedOptions cell_bed) {
+        const VmPair& pair = pairs[(i % per_mode) / systems.size()];
+        cell_bed.tlb_mode = modes[i / per_mode];
+        return harness::RunCollocatedMany(
+            systems[i % systems.size()],
+            {workload::SpecByName(pair.vm0), workload::SpecByName(pair.vm1)},
+            cell_bed, harness::ScaleOptions{});
+      });
+
+  const size_t base = SystemColumn(systems, harness::SystemKind::kHostBVmB);
+  std::string interference_text;
+  for (size_t m = 0; m < modes.size(); ++m) {
+    const char* mode_name = mmu::TlbShareModeName(modes[m]);
+    metrics::TextTable table(
+        annotate_mode ? title + " [tlb=" + mode_name + "]" : title);
+    table.SetColumns(SystemColumns("VM / workload", systems));
+    std::vector<std::pair<std::string, const metrics::InterferenceReport*>>
+        interference_cells;
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      const std::string tag = std::string(pairs[p].vm0) + "+" + pairs[p].vm1;
+      const auto* row_cells = &sweep.cells[m * per_mode + p * systems.size()];
+      std::vector<std::string> vm_rows[2] = {
+          {std::string("vm0 ") + pairs[p].vm0},
+          {std::string("vm1 ") + pairs[p].vm1}};
+      for (size_t k = 0; k < systems.size(); ++k) {
+        const auto& cell = row_cells[k];
+        const std::string system(harness::SystemName(systems[k]));
+        for (size_t v = 0; v < 2; ++v) {
+          vm_rows[v].push_back(metrics::TextTable::Fmt(
+              metrics::Normalize(metric(cell.result.vms[v]),
+                                 metric(row_cells[base].result.vms[v]))));
+          sweep.rows.push_back(metrics::ResultRow{
+              tag + "/vm" + std::to_string(v), system, &cell.result.vms[v],
+              cell.wall_ms, bed.seed, mode_name});
+        }
+        interference_cells.emplace_back(tag + " x " + system,
+                                        &cell.result.interference);
+      }
+      table.AddRow(vm_rows[0]);
+      table.AddRow(vm_rows[1]);
+    }
+    table.Print();
+    const std::string section =
+        RenderInterferenceSection(figure, mode_name, interference_cells);
+    std::fputs(section.c_str(), stdout);
+    interference_text += section;
+  }
+  if (!interference_text.empty()) {
+    const std::string path = ExportPath("INTERFERENCE_matrix.txt");
+    metrics::WriteFile(path, interference_text);
+    std::fprintf(stderr, "[interference] wrote %s\n", path.c_str());
+  }
+  return sweep;
 }
 
 }  // namespace bench

@@ -17,32 +17,27 @@ int main() {
 
   bench::PrintNormalizedTable(
       "Figure 3a: motivation throughput (normalized to Host-B-VM-B)", sweep,
-      systems, harness::SystemKind::kHostBVmB,
+      harness::SystemKind::kHostBVmB,
       [](const workload::RunResult& r) { return r.throughput; }, true);
 
   // Latency panels for the latency-reporting pair.
   metrics::TextTable lat("Figure 3b: motivation latencies (normalized)");
-  std::vector<std::string> columns{"workload / metric"};
-  for (harness::SystemKind kind : systems) {
-    columns.emplace_back(harness::SystemName(kind));
-  }
-  lat.SetColumns(columns);
-  for (const auto& name : sweep.workloads) {
-    const auto& row = sweep.results.at(name);
-    if (row.at(harness::SystemKind::kHostBVmB).requests == 0) {
+  lat.SetColumns(bench::SystemColumns("workload / metric", systems));
+  const size_t base =
+      bench::SystemColumn(systems, harness::SystemKind::kHostBVmB);
+  for (size_t w = 0; w < sweep.workloads.size(); ++w) {
+    const workload::RunResult& base_run = sweep.result(w, base);
+    if (base_run.requests == 0) {
       continue;  // throughput-only workload
     }
-    const double base_mean =
-        row.at(harness::SystemKind::kHostBVmB).mean_latency;
-    const double base_tail =
-        row.at(harness::SystemKind::kHostBVmB).p99_latency;
-    std::vector<std::string> mean_cells{name + " mean"};
-    std::vector<std::string> tail_cells{name + " p99"};
-    for (harness::SystemKind kind : systems) {
+    std::vector<std::string> mean_cells{sweep.workloads[w] + " mean"};
+    std::vector<std::string> tail_cells{sweep.workloads[w] + " p99"};
+    for (size_t k = 0; k < systems.size(); ++k) {
+      const workload::RunResult& run = sweep.result(w, k);
       mean_cells.push_back(metrics::TextTable::Fmt(
-          metrics::Normalize(row.at(kind).mean_latency, base_mean)));
+          metrics::Normalize(run.mean_latency, base_run.mean_latency)));
       tail_cells.push_back(metrics::TextTable::Fmt(
-          metrics::Normalize(row.at(kind).p99_latency, base_tail)));
+          metrics::Normalize(run.p99_latency, base_run.p99_latency)));
     }
     lat.AddRow(mean_cells);
     lat.AddRow(tail_cells);

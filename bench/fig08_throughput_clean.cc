@@ -19,7 +19,7 @@ int main() {
         std::string("Figure 8: clean-slate throughput, ") +
             (fragmented ? "fragmented" : "unfragmented") +
             " (normalized to Host-B-VM-B)",
-        sweep, systems, harness::SystemKind::kHostBVmB,
+        sweep, harness::SystemKind::kHostBVmB,
         [](const workload::RunResult& r) { return r.throughput; }, true);
   }
   return 0;

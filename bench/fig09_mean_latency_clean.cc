@@ -16,7 +16,7 @@ int main() {
         std::string("Figure 9: clean-slate mean latency, ") +
             (fragmented ? "fragmented" : "unfragmented") +
             " (normalized to Host-B-VM-B; lower is better)",
-        sweep, systems, harness::SystemKind::kHostBVmB,
+        sweep, harness::SystemKind::kHostBVmB,
         [](const workload::RunResult& r) { return r.mean_latency; }, false);
   }
   return 0;

@@ -16,7 +16,7 @@ int main() {
         std::string("Figure 10: clean-slate p99 latency, ") +
             (fragmented ? "fragmented" : "unfragmented") +
             " (normalized to Host-B-VM-B; lower is better)",
-        sweep, systems, harness::SystemKind::kHostBVmB,
+        sweep, harness::SystemKind::kHostBVmB,
         [](const workload::RunResult& r) { return r.p99_latency; }, false);
   }
   return 0;

@@ -12,7 +12,7 @@ int main() {
   bench::PrintNormalizedTable(
       "Figure 11: clean-slate TLB misses (normalized to Gemini; lower is "
       "better)",
-      sweep, systems, harness::SystemKind::kGemini,
+      sweep, harness::SystemKind::kGemini,
       [](const workload::RunResult& r) {
         return static_cast<double>(r.tlb_misses);
       },

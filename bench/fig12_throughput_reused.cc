@@ -15,7 +15,7 @@ int main() {
                                      "fig12_throughput_reused");
   bench::PrintNormalizedTable(
       "Figure 12: reused-VM throughput (normalized to Host-B-VM-B)", sweep,
-      systems, harness::SystemKind::kHostBVmB,
+      harness::SystemKind::kHostBVmB,
       [](const workload::RunResult& r) { return r.throughput; }, true);
   return 0;
 }

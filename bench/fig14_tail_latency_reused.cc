@@ -11,7 +11,7 @@ int main() {
   bench::PrintNormalizedTable(
       "Figure 14: reused-VM p99 latency (normalized to Host-B-VM-B; lower "
       "is better)",
-      sweep, systems, harness::SystemKind::kHostBVmB,
+      sweep, harness::SystemKind::kHostBVmB,
       [](const workload::RunResult& r) { return r.p99_latency; }, false);
   return 0;
 }

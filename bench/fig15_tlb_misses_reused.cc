@@ -11,7 +11,7 @@ int main() {
   bench::PrintNormalizedTable(
       "Figure 15: reused-VM TLB misses (normalized to Gemini; lower is "
       "better)",
-      sweep, systems, harness::SystemKind::kGemini,
+      sweep, harness::SystemKind::kGemini,
       [](const workload::RunResult& r) {
         return static_cast<double>(r.tlb_misses);
       },

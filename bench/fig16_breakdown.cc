@@ -11,15 +11,6 @@
 #include "bench/bench_common.h"
 #include "metrics/miss_breakdown.h"
 
-namespace {
-
-struct Cell {
-  workload::RunResult result;
-  double wall_ms = 0.0;
-};
-
-}  // namespace
-
 int main() {
   const std::vector<std::string> names = {"Canneal", "Redis",  "RocksDB",
                                           "Memcached", "CG.D", "SVM"};
@@ -31,47 +22,31 @@ int main() {
   gemini::GeminiOptions bucket_only;
   bucket_only.enable_ema = false;
 
-  // Variant-minor cell layout: base, full, EMA/HB only, bucket only.
-  const std::vector<std::string> variants = {"Host-B-VM-B", "Gemini",
-                                             "Gemini-EMA/HB",
-                                             "Gemini-bucket"};
-  const size_t kVariants = variants.size();
-  harness::SweepRunnerOptions options;
-  options.label = "fig16_breakdown";
-  options.cell_name = [&](size_t i) {
-    return names[i / kVariants] + " x " + variants[i % kVariants];
+  // Variant-minor cell layout: base, full, EMA/HB only, bucket only.  The
+  // base runs Host-B-VM-B, the others Gemini with their options.
+  struct Variant {
+    const char* name;
+    const gemini::GeminiOptions* gemini;
   };
-  const auto cells = harness::ParallelMap(
-      names.size() * kVariants,
+  const std::vector<Variant> variants = {{"Host-B-VM-B", nullptr},
+                                         {"Gemini", &full},
+                                         {"Gemini-EMA/HB", &ema_only},
+                                         {"Gemini-bucket", &bucket_only}};
+  const size_t kVariants = variants.size();
+  const auto cells = bench::RunCells(
+      "fig16_breakdown", names.size() * kVariants, bed,
       [&](size_t i) {
+        return names[i / kVariants] + "_" + variants[i % kVariants].name;
+      },
+      [&](size_t i, const harness::BedOptions& cell_bed) {
         const workload::WorkloadSpec spec =
             workload::SpecByName(names[i / kVariants]);
-        const harness::BedOptions cell_bed = bench::TracedBed(
-            bed, "fig16_breakdown", i,
-            names[i / kVariants] + "_" + variants[i % kVariants]);
-        const auto start = std::chrono::steady_clock::now();
-        Cell cell;
-        switch (i % kVariants) {
-          case 0:
-            cell.result = harness::RunReusedVm(harness::SystemKind::kHostBVmB,
-                                               spec, cell_bed);
-            break;
-          case 1:
-            cell.result = harness::RunGeminiAblation(spec, cell_bed, full);
-            break;
-          case 2:
-            cell.result = harness::RunGeminiAblation(spec, cell_bed, ema_only);
-            break;
-          default:
-            cell.result =
-                harness::RunGeminiAblation(spec, cell_bed, bucket_only);
-        }
-        cell.wall_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-        return cell;
-      },
-      std::move(options));
+        const gemini::GeminiOptions* gem = variants[i % kVariants].gemini;
+        return gem == nullptr
+                   ? harness::RunReusedVm(harness::SystemKind::kHostBVmB,
+                                          spec, cell_bed)
+                   : harness::RunGeminiAblation(spec, cell_bed, *gem);
+      });
 
   metrics::TextTable table(
       "Figure 16: Gemini performance breakdown (share of throughput gain "
@@ -101,7 +76,7 @@ int main() {
                   metrics::TextTable::Pct(ema_share),
                   metrics::TextTable::Pct(bucket_share)});
     for (size_t v = 0; v < kVariants; ++v) {
-      rows.push_back(metrics::ResultRow{names[n], variants[v],
+      rows.push_back(metrics::ResultRow{names[n], variants[v].name,
                                         &cells[n * kVariants + v].result,
                                         cells[n * kVariants + v].wall_ms,
                                         bed.seed});

@@ -23,153 +23,23 @@
 
 #include "bench/bench_common.h"
 
-namespace {
-
-struct Cell {
-  harness::CollocatedManyResult result;
-  double wall_ms = 0.0;
-};
-
-}  // namespace
-
 int main() {
-  struct Pair {
-    const char* vm0;
-    const char* vm1;
-  };
-  const std::vector<Pair> pairs = {
-      {"Canneal", "Redis"},   // sensitive + sensitive
-      {"Masstree", "SP.D"},   // sensitive + insensitive
-      {"Silo", "Shore"},      // sensitive + insensitive
-  };
-  const auto systems = harness::AllSystems();
-  const auto modes = harness::TlbModesFromEnv();
-  // The historical single-mode run prints the historical table; a mode
-  // sweep annotates each table with its arrangement.
-  const bool annotate_mode =
-      modes.size() > 1 || modes[0] != mmu::TlbShareMode::kPrivate;
-  harness::BedOptions bed;
-  bed.host_frames = 640 * 1024;  // room for two VMs
-
-  const size_t per_mode = pairs.size() * systems.size();
-  harness::SweepRunnerOptions options;
-  options.label = "fig17_collocated";
-  options.cell_name = [&](size_t i) {
-    const Pair& pair = pairs[(i % per_mode) / systems.size()];
-    std::string name = std::string(pair.vm0) + "+" + pair.vm1 + " x " +
-                       std::string(harness::SystemName(
-                           systems[i % systems.size()]));
-    if (annotate_mode) {
-      name += std::string(" [tlb=") +
-              mmu::TlbShareModeName(modes[i / per_mode]) + "]";
-    }
-    return name;
-  };
-  const auto cells = harness::ParallelMap(
-      modes.size() * per_mode,
-      [&](size_t i) {
-        const Pair& pair = pairs[(i % per_mode) / systems.size()];
-        harness::BedOptions cell_bed = bed;
-        cell_bed.tlb_mode = modes[i / per_mode];
-        // The pair figures never modelled VM boot.
-        cell_bed.boot_noise_fraction = 0;
-        const auto start = std::chrono::steady_clock::now();
-        Cell cell;
-        cell.result = harness::RunCollocatedMany(
-            systems[i % systems.size()],
-            {workload::SpecByName(pair.vm0), workload::SpecByName(pair.vm1)},
-            bench::TracedBed(
-                cell_bed, "fig17_collocated", i,
-                std::string(pair.vm0) + "_" + pair.vm1 + "_" +
-                    std::string(harness::SystemName(
-                        systems[i % systems.size()])) +
-                    (annotate_mode
-                         ? std::string("_") +
-                               mmu::TlbShareModeName(modes[i / per_mode])
-                         : std::string())),
-            harness::ScaleOptions{});
-        cell.wall_ms = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-        return cell;
+  bench::PairSweep sweep = bench::RunPairFigure(
+      "Figure 17", "fig17_collocated",
+      {
+          {"Canneal", "Redis"},   // sensitive + sensitive
+          {"Masstree", "SP.D"},   // sensitive + insensitive
+          {"Silo", "Shore"},      // sensitive + insensitive
       },
-      std::move(options));
+      "Figure 17: collocated-VM throughput (normalized to Host-B-VM-B)",
+      [](const workload::RunResult& r) { return r.throughput; });
 
-  std::vector<metrics::ResultRow> rows;
-  std::string interference_text;
-  for (size_t m = 0; m < modes.size(); ++m) {
-    const char* mode_name = mmu::TlbShareModeName(modes[m]);
-    std::string title =
-        "Figure 17: collocated-VM throughput (normalized to Host-B-VM-B)";
-    if (annotate_mode) {
-      title += std::string(" [tlb=") + mode_name + "]";
-    }
-    metrics::TextTable table(title);
-    std::vector<std::string> columns{"VM / workload"};
-    for (harness::SystemKind kind : systems) {
-      columns.emplace_back(harness::SystemName(kind));
-    }
-    table.SetColumns(columns);
-
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      const Pair& pair = pairs[p];
-      const Cell* row_cells = &cells[m * per_mode + p * systems.size()];
-      size_t base_index = 0;
-      for (size_t k = 0; k < systems.size(); ++k) {
-        if (systems[k] == harness::SystemKind::kHostBVmB) {
-          base_index = k;
-        }
-      }
-      const double base0 = row_cells[base_index].result.vms[0].throughput;
-      const double base1 = row_cells[base_index].result.vms[1].throughput;
-      std::vector<std::string> row0{std::string("vm0 ") + pair.vm0};
-      std::vector<std::string> row1{std::string("vm1 ") + pair.vm1};
-      for (size_t k = 0; k < systems.size(); ++k) {
-        row0.push_back(metrics::TextTable::Fmt(
-            metrics::Normalize(row_cells[k].result.vms[0].throughput, base0)));
-        row1.push_back(metrics::TextTable::Fmt(
-            metrics::Normalize(row_cells[k].result.vms[1].throughput, base1)));
-        const std::string tag =
-            std::string(pair.vm0) + "+" + pair.vm1;
-        const std::string system(harness::SystemName(systems[k]));
-        rows.push_back(metrics::ResultRow{tag + "/vm0", system,
-                                          &row_cells[k].result.vms[0],
-                                          row_cells[k].wall_ms, bed.seed,
-                                          mode_name});
-        rows.push_back(metrics::ResultRow{tag + "/vm1", system,
-                                          &row_cells[k].result.vms[1],
-                                          row_cells[k].wall_ms, bed.seed,
-                                          mode_name});
-      }
-      table.AddRow(row0);
-      table.AddRow(row1);
-    }
-    table.Print();
-
-    // Shared/partitioned modes append the monitor's interference view: who
-    // displaced whom, and each VM's marginal-utility curve.  Private mode
-    // renders nothing (no monitor), keeping the historical stdout intact.
-    std::vector<std::pair<std::string, const metrics::InterferenceReport*>>
-        interference_cells;
-    for (size_t p = 0; p < pairs.size(); ++p) {
-      for (size_t k = 0; k < systems.size(); ++k) {
-        const Cell& cell = cells[m * per_mode + p * systems.size() + k];
-        interference_cells.emplace_back(
-            std::string(pairs[p].vm0) + "+" + pairs[p].vm1 + " x " +
-                std::string(harness::SystemName(systems[k])),
-            &cell.result.interference);
-      }
-    }
-    const std::string section = bench::RenderInterferenceSection(
-        "Figure 17", mode_name, interference_cells);
-    std::fputs(section.c_str(), stdout);
-    interference_text += section;
-  }
-  // Static-vs-dynamic comparison under phase-changing churn.  The results
-  // vector is reserved up front because `rows` keeps pointers into it.
+  // Static-vs-dynamic comparison under phase-changing churn, exported with
+  // the pair rows.  The results vector is reserved up front because the
+  // rows keep pointers into it.
   std::vector<harness::CollocatedManyResult> churn_results;
-  if (std::find(modes.begin(), modes.end(), mmu::TlbShareMode::kDynamic) !=
-      modes.end()) {
+  if (std::find(sweep.modes.begin(), sweep.modes.end(),
+                mmu::TlbShareMode::kDynamic) != sweep.modes.end()) {
     std::vector<workload::WorkloadSpec> churn_specs;
     for (size_t i = 0; i < 4; ++i) {
       // VMs 0/2: working sets of ~8 pages per TLB set, so the hit rate
@@ -203,7 +73,8 @@ int main() {
                       "repart evictions"});
     for (const mmu::TlbShareMode cmode : compare) {
       const char* cmode_name = mmu::TlbShareModeName(cmode);
-      harness::BedOptions cbed = bed;
+      harness::BedOptions cbed;
+      cbed.host_frames = bench::kPairHostFrames;
       cbed.tlb_mode = cmode;
       cbed.trace = trace::TraceConfigFromEnv(std::string("fig17_churn4_") +
                                              cmode_name);
@@ -231,16 +102,15 @@ int main() {
                     std::to_string(misses), std::to_string(repartitions),
                     std::to_string(evictions)});
       for (size_t v = 0; v < r.vms.size(); ++v) {
-        rows.push_back(metrics::ResultRow{
+        sweep.rows.push_back(metrics::ResultRow{
             "churn4/vm" + std::to_string(v),
             std::string(harness::SystemName(harness::SystemKind::kHostBVmB)),
-            &r.vms[v], r.exec_wall_ms, bed.seed, cmode_name});
+            &r.vms[v], r.exec_wall_ms, cbed.seed, cmode_name});
       }
     }
     table.Print();
   }
 
-  bench::WriteInterferenceArtifact(interference_text);
-  bench::ExportRows("fig17_collocated", rows);
+  bench::ExportRows("fig17_collocated", sweep.rows);
   return 0;
 }

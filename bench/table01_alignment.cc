@@ -13,6 +13,6 @@ int main() {
                                      bed, harness::RunCleanSlate,
                                      "table01_alignment");
   bench::PrintAlignmentTable("Table 1: rates of well-aligned huge pages",
-                             sweep, systems);
+                             sweep);
   return 0;
 }

@@ -9,7 +9,6 @@ int main() {
                                      bed, harness::RunCleanSlate,
                                      "table03_alignment_clean");
   bench::PrintAlignmentTable(
-      "Table 3: well-aligned huge page rates, clean-slate VM", sweep,
-      systems);
+      "Table 3: well-aligned huge page rates, clean-slate VM", sweep);
   return 0;
 }

@@ -12,6 +12,6 @@ int main() {
                                      bed, harness::RunReusedVm,
                                      "table04_alignment_reused");
   bench::PrintAlignmentTable(
-      "Table 4: well-aligned huge page rates, reused VM", sweep, systems);
+      "Table 4: well-aligned huge page rates, reused VM", sweep);
   return 0;
 }

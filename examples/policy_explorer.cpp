@@ -3,8 +3,8 @@
 // CSV/JSON for plotting.
 //
 //   $ ./build/examples/policy_explorer --workload Redis --system Gemini
-//   $ ./build/examples/policy_explorer --workload Canneal --all \
-//         --frag 0.9 --host-frag 0.95 --ops 200000 --csv results.csv
+//   $ ./build/examples/policy_explorer --workload Canneal --all --frag 0.9
+//   $ ./build/examples/policy_explorer --ops 200000 --csv results.csv
 //
 // Flags:
 //   --workload NAME   workload from the Table 2 catalogue (default Canneal)
@@ -14,16 +14,21 @@
 //   --frag F          guest fragmentation FMFI target (default 0.8)
 //   --host-frag F     host fragmentation FMFI target (default 0.85)
 //   --unfragmented    disable fragmentation entirely
-//   --ops N           override the workload's operation count
+//   --ops N           override the workload's operation count (N >= 1)
 //   --seed N          experiment seed (default 17)
 //   --csv PATH        also write results as CSV
 //   --json PATH       also write results as JSON
+//
+// A number must parse as a whole and lie in range (fragmentation targets
+// in [0, 1]); anything else prints the usage and exits 2.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "base/env.h"
 #include "harness/experiment.h"
 #include "metrics/export.h"
 
@@ -37,6 +42,19 @@ namespace {
                "          [--csv PATH] [--json PATH]\n",
                argv0);
   std::exit(2);
+}
+
+// The value of a numeric flag, or the usage and exit 2 when `text` did not
+// parse as a whole number in range.
+template <typename T>
+T NumberFlag(const char* argv0, const std::string& flag, const char* text,
+             std::optional<T> value) {
+  if (!value.has_value()) {
+    std::fprintf(stderr, "%s: bad value '%s' for %s\n", argv0, text,
+                 flag.c_str());
+    Usage(argv0);
+  }
+  return *value;
 }
 
 harness::SystemKind SystemByName(const std::string& name) {
@@ -82,15 +100,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--reused") {
       reused = true;
     } else if (arg == "--frag") {
-      bed.fragmentation_target = std::strtod(next(), nullptr);
+      const char* text = next();
+      bed.fragmentation_target =
+          NumberFlag(argv[0], arg, text, base::ParseRatio(text, 0.0, 1.0));
     } else if (arg == "--host-frag") {
-      bed.host_fragmentation_target = std::strtod(next(), nullptr);
+      const char* text = next();
+      bed.host_fragmentation_target =
+          NumberFlag(argv[0], arg, text, base::ParseRatio(text, 0.0, 1.0));
     } else if (arg == "--unfragmented") {
       bed.fragmented = false;
     } else if (arg == "--ops") {
-      ops_override = std::strtoull(next(), nullptr, 10);
+      const char* text = next();
+      ops_override =
+          NumberFlag(argv[0], arg, text, base::ParseInt(text, 1, UINT64_MAX));
     } else if (arg == "--seed") {
-      bed.seed = std::strtoull(next(), nullptr, 10);
+      const char* text = next();
+      bed.seed =
+          NumberFlag(argv[0], arg, text, base::ParseInt(text, 0, UINT64_MAX));
     } else if (arg == "--csv") {
       csv_path = next();
     } else if (arg == "--json") {

@@ -21,23 +21,39 @@ std::string Bound(double v) {
 }
 
 template <typename T>
+std::optional<T> ParseWhole(const char* text, T min, T max) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  // Written so that a NaN ratio fails the range test too.
+  if (ec == std::errc() && ptr == end && value >= min && value <= max) {
+    return value;
+  }
+  return std::nullopt;
+}
+
+template <typename T>
 std::optional<T> ParseEnv(const char* name, T min, T max, const char* what) {
   const char* env = EnvValue(name);
   if (env == nullptr) {
     return std::nullopt;
   }
-  const char* end = env + std::strlen(env);
-  T value{};
-  const auto [ptr, ec] = std::from_chars(env, end, value);
-  // Written so that a NaN ratio fails the range test too.
-  SIM_CHECK_MSG(ec == std::errc() && ptr == end && value >= min &&
-                    value <= max,
-                "%s='%s' is not %s in [%s, %s]", name, env, what,
-                Bound(min).c_str(), Bound(max).c_str());
+  const std::optional<T> value = ParseWhole(env, min, max);
+  SIM_CHECK_MSG(value.has_value(), "%s='%s' is not %s in [%s, %s]", name, env,
+                what, Bound(min).c_str(), Bound(max).c_str());
   return value;
 }
 
 }  // namespace
+
+std::optional<uint64_t> ParseInt(const char* text, uint64_t min,
+                                 uint64_t max) {
+  return ParseWhole(text, min, max);
+}
+
+std::optional<double> ParseRatio(const char* text, double min, double max) {
+  return ParseWhole(text, min, max);
+}
 
 const char* EnvValue(const char* name) {
   const char* env = std::getenv(name);

@@ -20,12 +20,11 @@ namespace {
 // host can no longer create huge pages there at fault time, only by
 // collapse.  This is the state a VM is really in when a workload starts.
 void SimulateGuestBoot(osim::Machine& machine, int32_t vm_id,
-                       double fraction, uint64_t gfn_count, uint64_t seed) {
+                       double fraction, uint64_t seed) {
   if (fraction <= 0.0) {
     return;
   }
   osim::GuestKernel& guest = machine.vm(vm_id).guest();
-  (void)gfn_count;
   // Boot traffic is kernel code, slab and page-cache data: many mappings
   // smaller than a huge page, never huge-mapped by the guest, and — the
   // property the utilization-based promoters key on — only partially dense
@@ -57,132 +56,122 @@ void SimulateGuestBoot(osim::Machine& machine, int32_t vm_id,
   }
 }
 
-// Resolves the bed's TLB arrangement (mode, boot split, repartitioner
-// knobs) into the machine config.  A zero repartitioner knob keeps the
-// machine's own default (daemon-period interval, 1-way floor).
-void ApplyTlbOptions(const BedOptions& options, osim::MachineConfig* config) {
-  // Ride-along machine knobs that every bed assembly site needs: the
-  // tiered-memory reclaim config maps straight through.
-  config->reclaim = options.reclaim;
-  config->tlb_mode = options.tlb_mode;
-  config->tlb_partition_ways = options.tlb_partition_ways;
-  config->tlb_repart_interval = options.tlb_repart_interval;
-  config->tlb_repart_min_ways = std::max(options.tlb_repart_min_ways, 1u);
+// A built bed: the machine, its VMs in the order they were added, and the
+// machine-owned sampler (null unless tracing is enabled).
+struct Bed {
+  std::unique_ptr<osim::Machine> machine;
+  std::vector<int32_t> vm_ids;
+  trace::StackSampler* sampler = nullptr;
+};
+
+// The one bed builder: a machine with `vm_count` VMs under `kind`, built
+// in the order every bed needs — machine config, tracing, VMs,
+// fragmentation, boot.  A collocated run passes its `scale`, which sets
+// the expected VM count and may override the daemon period; a single-VM
+// bed passes null and keeps both at the MachineConfig defaults.  Each VM
+// boots with seed + its id, which is `seed` for a one-VM bed.
+Bed BuildBed(SystemKind kind, const BedOptions& options, size_t vm_count,
+             const ScaleOptions* scale,
+             const gemini::GeminiOptions* gemini_options) {
+  osim::MachineConfig config;
+  config.host_frames = options.host_frames;
+  config.seed = options.seed;
+  config.reclaim = options.reclaim;
+  config.tlb_mode = options.tlb_mode;
+  config.tlb_partition_ways = options.tlb_partition_ways;
+  // A zero repartitioner knob keeps the machine's own default
+  // (daemon-period interval, 1-way floor).
+  config.tlb_repart_interval = options.tlb_repart_interval;
+  config.tlb_repart_min_ways = std::max(options.tlb_repart_min_ways, 1u);
+  if (scale != nullptr) {
+    config.tlb_expected_vms = static_cast<uint32_t>(vm_count);
+    if (scale->daemon_period != 0) {
+      config.daemon_period = scale->daemon_period;
+    }
+  }
+  Bed bed;
+  bed.machine = std::make_unique<osim::Machine>(config);
+  bed.sampler = trace::SetupTracing(*bed.machine, options.trace);
+  for (size_t i = 0; i < vm_count; ++i) {
+    bed.vm_ids.push_back(AddSystemVm(*bed.machine, kind, options.vm_gfn_count,
+                                     gemini_options)
+                             .id());
+  }
+  if (options.fragmented) {
+    // The paper fragments both guest- and host-level memory before each
+    // run (§6.1), measuring with FMFI.
+    bed.machine->FragmentHostMemory(options.host_fragmentation_target);
+    for (const int32_t id : bed.vm_ids) {
+      bed.machine->FragmentGuestMemory(id, options.fragmentation_target);
+    }
+  }
+  for (const int32_t id : bed.vm_ids) {
+    SimulateGuestBoot(*bed.machine, id, options.boot_noise_fraction,
+                      options.seed + static_cast<uint64_t>(id));
+  }
+  return bed;
+}
+
+// The one single-VM scenario body.  A reused VM (§6.3) first runs the SVM
+// prefill to completion in the same VM and tears it down — guest frames
+// return to the guest (or to Gemini's bucket), the EPT and host frames
+// stay with the VM — so both the EMA/HB path and the bucket have work to
+// do.  Then `spec` is measured and the bed's trace files are written.
+workload::RunResult RunSingleVm(SystemKind kind,
+                                const workload::WorkloadSpec& spec,
+                                const BedOptions& options, bool reused,
+                                const gemini::GeminiOptions* gemini_options) {
+  TestBed bed = MakeTestBed(kind, options, gemini_options);
+  workload::WorkloadDriver driver(bed.machine.get(), bed.vm_id);
+  if (reused) {
+    workload::DriverOptions prefill_options;
+    prefill_options.seed = options.seed + 500;
+    prefill_options.teardown = true;
+    driver.Run(workload::SvmPrefill(options.vm_gfn_count), prefill_options);
+  }
+  workload::DriverOptions driver_options;
+  driver_options.seed = options.seed + 1000;
+  workload::RunResult result = driver.Run(spec, driver_options);
+  trace::WriteTraceFiles(options.trace, *bed.machine, bed.sampler);
+  return result;
 }
 
 }  // namespace
 
 TestBed MakeTestBed(SystemKind kind, const BedOptions& options,
                     const gemini::GeminiOptions* gemini_options) {
-  TestBed bed;
-  osim::MachineConfig config;
-  config.host_frames = options.host_frames;
-  config.seed = options.seed;
-  ApplyTlbOptions(options, &config);
-  bed.machine = std::make_unique<osim::Machine>(config);
-  bed.sampler = trace::SetupTracing(*bed.machine, options.trace);
-  osim::VirtualMachine& vm =
-      AddSystemVm(*bed.machine, kind, options.vm_gfn_count, gemini_options);
-  bed.vm_id = vm.id();
-  if (options.fragmented) {
-    // The paper fragments both guest- and host-level memory before each
-    // run (§6.1), measuring with FMFI.
-    bed.machine->FragmentHostMemory(options.host_fragmentation_target);
-    bed.machine->FragmentGuestMemory(bed.vm_id, options.fragmentation_target);
-  }
-  SimulateGuestBoot(*bed.machine, bed.vm_id, options.boot_noise_fraction,
-                    options.vm_gfn_count, options.seed);
-  return bed;
+  Bed bed = BuildBed(kind, options, 1, nullptr, gemini_options);
+  return TestBed{std::move(bed.machine), bed.vm_ids[0], bed.sampler};
 }
 
 workload::RunResult RunCleanSlate(SystemKind kind,
                                   const workload::WorkloadSpec& spec,
                                   const BedOptions& options) {
-  TestBed bed = MakeTestBed(kind, options);
-  workload::WorkloadDriver driver(bed.machine.get(), bed.vm_id);
-  workload::DriverOptions driver_options;
-  driver_options.seed = options.seed + 1000;
-  workload::RunResult result = driver.Run(spec, driver_options);
-  trace::WriteTraceFiles(options.trace, *bed.machine, bed.sampler);
-  return result;
+  return RunSingleVm(kind, spec, options, /*reused=*/false, nullptr);
 }
 
 workload::RunResult RunReusedVm(SystemKind kind,
                                 const workload::WorkloadSpec& spec,
                                 const BedOptions& options) {
-  TestBed bed = MakeTestBed(kind, options);
-  workload::WorkloadDriver driver(bed.machine.get(), bed.vm_id);
-
-  // Phase 1: the large-working-set SVM run, then process exit.  Guest
-  // frames go back to the guest (or to Gemini's bucket); the EPT and host
-  // frames stay with the VM.
-  workload::DriverOptions prefill_options;
-  prefill_options.seed = options.seed + 500;
-  prefill_options.teardown = true;
-  driver.Run(workload::SvmPrefill(options.vm_gfn_count), prefill_options);
-
-  // Phase 2: the measured workload in the same (now reused) VM.
-  workload::DriverOptions driver_options;
-  driver_options.seed = options.seed + 1000;
-  workload::RunResult result = driver.Run(spec, driver_options);
-  trace::WriteTraceFiles(options.trace, *bed.machine, bed.sampler);
-  return result;
+  return RunSingleVm(kind, spec, options, /*reused=*/true, nullptr);
 }
 
 workload::RunResult RunGeminiAblation(const workload::WorkloadSpec& spec,
                                       const BedOptions& options,
                                       const gemini::GeminiOptions& gem) {
-  TestBed bed = MakeTestBed(SystemKind::kGemini, options, &gem);
-  workload::WorkloadDriver driver(bed.machine.get(), bed.vm_id);
-
-  // The breakdown is measured under the reused-VM scenario, where both the
-  // EMA/HB path (phase 2 allocations) and the bucket (phase 1 teardown)
-  // have work to do.
-  workload::DriverOptions prefill_options;
-  prefill_options.seed = options.seed + 500;
-  prefill_options.teardown = true;
-  driver.Run(workload::SvmPrefill(options.vm_gfn_count), prefill_options);
-
-  workload::DriverOptions driver_options;
-  driver_options.seed = options.seed + 1000;
-  workload::RunResult result = driver.Run(spec, driver_options);
-  trace::WriteTraceFiles(options.trace, *bed.machine, bed.sampler);
-  return result;
+  return RunSingleVm(SystemKind::kGemini, spec, options, /*reused=*/true,
+                     &gem);
 }
 
 CollocatedManyResult RunCollocatedMany(
     SystemKind kind, const std::vector<workload::WorkloadSpec>& specs,
     const BedOptions& options, const ScaleOptions& scale) {
   SIM_CHECK(!specs.empty());
-  osim::MachineConfig config;
-  config.host_frames = options.host_frames;
-  config.seed = options.seed;
-  ApplyTlbOptions(options, &config);
-  config.tlb_expected_vms = static_cast<uint32_t>(specs.size());
-  if (scale.daemon_period != 0) {
-    config.daemon_period = scale.daemon_period;
-  }
-  auto machine = std::make_unique<osim::Machine>(config);
-  trace::StackSampler* sampler = trace::SetupTracing(*machine, options.trace);
-
-  std::vector<int32_t> vm_ids;
+  Bed bed = BuildBed(kind, options, specs.size(), &scale, nullptr);
   std::vector<std::pair<uint16_t, std::string>> labels;
   for (size_t i = 0; i < specs.size(); ++i) {
-    osim::VirtualMachine& vm =
-        AddSystemVm(*machine, kind, options.vm_gfn_count);
-    vm_ids.push_back(vm.id());
-    labels.emplace_back(static_cast<uint16_t>(vm.id()),
+    labels.emplace_back(static_cast<uint16_t>(bed.vm_ids[i]),
                         "vm" + std::to_string(i) + " " + specs[i].name);
-  }
-  if (options.fragmented) {
-    machine->FragmentHostMemory(options.host_fragmentation_target);
-    for (const int32_t id : vm_ids) {
-      machine->FragmentGuestMemory(id, options.fragmentation_target);
-    }
-  }
-  for (const int32_t id : vm_ids) {
-    SimulateGuestBoot(*machine, id, options.boot_noise_fraction,
-                      options.vm_gfn_count, options.seed + id);
   }
 
   workload::EpochExecutorOptions xopt;
@@ -190,7 +179,7 @@ CollocatedManyResult RunCollocatedMany(
   xopt.quantum = scale.quantum;
   xopt.load_phases = scale.load_phases;
   xopt.load_phase_epochs = scale.load_phase_epochs;
-  workload::EpochExecutor exec(machine.get(), xopt);
+  workload::EpochExecutor exec(bed.machine.get(), xopt);
   for (size_t i = 0; i < specs.size(); ++i) {
     workload::LaneSpec lane;
     lane.spec = specs[i];
@@ -199,7 +188,7 @@ CollocatedManyResult RunCollocatedMany(
     lane.arrival_epoch =
         scale.wave_size == 0 ? 0 : (i / scale.wave_size) * scale.wave_epochs;
     lane.phase_offset = i;
-    exec.AddLane(vm_ids[i], lane);
+    exec.AddLane(bed.vm_ids[i], lane);
   }
 
   CollocatedManyResult result;
@@ -213,17 +202,17 @@ CollocatedManyResult RunCollocatedMany(
   result.parallel_ops = exec.parallel_ops();
   result.serial_ops = exec.serial_ops();
   result.interference =
-      metrics::BuildInterferenceReport(machine->tlb_domain(), labels);
-  result.final_host_fmfi = machine->host().Fmfi();
-  if (const vmem::TierSpace* tier = machine->host_tier()) {
+      metrics::BuildInterferenceReport(bed.machine->tlb_domain(), labels);
+  result.final_host_fmfi = bed.machine->host().Fmfi();
+  if (const vmem::TierSpace* tier = bed.machine->host_tier()) {
     result.tier_resident_total = tier->resident_total();
     result.tier_peak_resident = tier->peak_resident();
   }
-  if (const osim::ReclaimDaemon* daemon = machine->reclaim_daemon()) {
+  if (const osim::ReclaimDaemon* daemon = bed.machine->reclaim_daemon()) {
     result.reclaim_passes = daemon->stats().passes;
     result.reclaim_pages_demoted = daemon->stats().pages_demoted;
   }
-  trace::WriteTraceFiles(options.trace, *machine, sampler);
+  trace::WriteTraceFiles(options.trace, *bed.machine, bed.sampler);
   return result;
 }
 

@@ -68,6 +68,8 @@ struct TestBed {
   osim::VirtualMachine& vm() { return machine->vm(vm_id); }
 };
 
+// Builds the one-VM bed: machine, tracing, the VM (`gemini_options`
+// overrides Gemini's defaults under kGemini), fragmentation, guest boot.
 TestBed MakeTestBed(SystemKind kind, const BedOptions& options,
                     const gemini::GeminiOptions* gemini_options = nullptr);
 
@@ -83,7 +85,8 @@ workload::RunResult RunReusedVm(SystemKind kind,
                                 const workload::WorkloadSpec& spec,
                                 const BedOptions& options);
 
-// Figure 16 ablation variants of Gemini.
+// Figure 16 ablation variants of Gemini: RunReusedVm under kGemini, with
+// `gem` in place of the default Gemini options.
 workload::RunResult RunGeminiAblation(const workload::WorkloadSpec& spec,
                                       const BedOptions& options,
                                       const gemini::GeminiOptions& gem);

@@ -36,7 +36,7 @@ struct SweepRunnerOptions {
   int jobs = 0;
   // Prefix for stderr progress lines, typically the bench name.
   std::string label = "sweep";
-  // Optional human-readable name of cell `i` ("Canneal x Gemini") for
+  // Optional human-readable name of cell `i` ("Canneal_Gemini") for
   // progress lines; indices are printed when absent.
   std::function<std::string(size_t)> cell_name;
   // Live progress reporting on stderr (one line per completed cell).

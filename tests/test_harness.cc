@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "base/env.h"
+#include "metrics/counters.h"
+
 namespace {
 
 using harness::AllSystems;
@@ -148,6 +151,42 @@ TEST(Scenario, GeminiAblationsRun) {
   EXPECT_GT(without_bucket.throughput, 0.0);
 }
 
+TEST(Scenario, DefaultGeminiAblationIsTheReusedVm) {
+  // With Gemini's default options the ablation is the reused-VM scenario
+  // under Gemini: same bed, same prefill, same measured run.  Redis churns
+  // its allocations, so the bucket and the booking path both see work.
+  workload::WorkloadSpec spec = workload::SpecByName("Redis");
+  spec.working_set_pages = 12288;
+  spec.ops = 60000;
+  BedOptions options = QuickBed();
+  options.vm_gfn_count = 65536;
+  const auto ablation =
+      harness::RunGeminiAblation(spec, options, gemini::GeminiOptions{});
+  const auto reused = harness::RunReusedVm(SystemKind::kGemini, spec, options);
+  EXPECT_GT(reused.tlb_misses, 0u);
+  EXPECT_GT(reused.alignment.guest_huge, 0u);
+  EXPECT_DOUBLE_EQ(ablation.throughput, reused.throughput);
+  EXPECT_DOUBLE_EQ(ablation.mean_latency, reused.mean_latency);
+  EXPECT_DOUBLE_EQ(ablation.p99_latency, reused.p99_latency);
+  EXPECT_EQ(ablation.alignment.guest_huge, reused.alignment.guest_huge);
+  EXPECT_EQ(ablation.alignment.host_huge, reused.alignment.host_huge);
+  EXPECT_EQ(ablation.alignment.aligned_pairs, reused.alignment.aligned_pairs);
+  EXPECT_DOUBLE_EQ(ablation.alignment.well_aligned_rate,
+                   reused.alignment.well_aligned_rate);
+  EXPECT_DOUBLE_EQ(ablation.alignment.aligned_coverage,
+                   reused.alignment.aligned_coverage);
+  size_t word = 0;
+  size_t nonzero = 0;
+  metrics::ForEachField(
+      [&](metrics::FieldKind, uint64_t a, uint64_t b) {
+        EXPECT_EQ(a, b) << "StackSnapshot word " << word;
+        ++word;
+        nonzero += b != 0 ? 1 : 0;
+      },
+      ablation.counters, reused.counters);
+  EXPECT_GT(nonzero, 20u);
+}
+
 TEST(Scenario, CollocatedVmsBothMakeProgress) {
   workload::WorkloadSpec spec0 = QuickSpec();
   workload::WorkloadSpec spec1 = workload::SpecByName("Shore");
@@ -179,6 +218,18 @@ TEST(Scenario, OvercommitRatioParsesWholeValue) {
         },
         std::string("GEMINI_OVERCOMMIT='") + bad + "'");
   }
+}
+
+TEST(Parse, NumbersParseWholeAndInRange) {
+  // The rule GEMINI_* knobs and the examples' flags share.
+  EXPECT_EQ(base::ParseInt("20", 1, 100), 20u);
+  EXPECT_EQ(base::ParseInt("20x", 1, 100), std::nullopt);
+  EXPECT_EQ(base::ParseInt("0", 1, 100), std::nullopt);
+  EXPECT_EQ(base::ParseInt("-1", 0, 100), std::nullopt);
+  EXPECT_EQ(base::ParseRatio("0.5", 0.0, 1.0), 0.5);
+  EXPECT_EQ(base::ParseRatio("abc", 0.0, 1.0), std::nullopt);
+  EXPECT_EQ(base::ParseRatio("1.5", 0.0, 1.0), std::nullopt);
+  EXPECT_EQ(base::ParseRatio("nan", 0.0, 1.0), std::nullopt);
 }
 
 TEST(Scenario, ScaleSpecShrinksOps) {

@@ -1,14 +1,18 @@
 // Tests for the parallel sweep runner: bit-identical results at any job
 // count, deterministic index-keyed ordering, the GEMINI_JOBS contract
-// (including the jobs=1 inline fallback), and exception safety of the
-// pool.
+// (including the jobs=1 inline fallback), exception safety of the pool,
+// and the per-cell GEMINI_TRACE file names of bench::RunSweep.
 #include "harness/sweep_runner.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -234,6 +238,52 @@ TEST(RunSweep, SerialAndParallelResultsAreBitIdentical) {
                      b.alignment.well_aligned_rate)
         << i;
   }
+}
+
+TEST(RunSweep, TraceFilesAreNamedByLabelCellWorkloadAndSystem) {
+  // GEMINI_TRACE names each cell's two files
+  // <label>_cellNN_<workload>_<system>, sanitized, with NN the
+  // workload-major cell index, so the set and its bytes do not depend on
+  // the job count.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "sweep_trace_names";
+  std::set<std::string> expected;
+  for (const char* stem :
+       {"test_sweep_cell00_canneal_host_b_vm_b",
+        "test_sweep_cell01_canneal_thp", "test_sweep_cell02_canneal_gemini",
+        "test_sweep_cell03_shore_host_b_vm_b", "test_sweep_cell04_shore_thp",
+        "test_sweep_cell05_shore_gemini"}) {
+    expected.insert(std::string(stem) + ".trace.json");
+    expected.insert(std::string(stem) + ".series.csv");
+  }
+  std::map<std::string, std::string> serial_bytes;
+  for (const char* jobs : {"1", "4"}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ScopedEnv trace_env("GEMINI_TRACE", dir.c_str());
+    ScopedEnv export_env("GEMINI_EXPORT", nullptr);
+    ScopedEnv jobs_env("GEMINI_JOBS", jobs);
+    RunTinySweep();
+    std::map<std::string, std::string> bytes;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream content;
+      content << in.rdbuf();
+      bytes[entry.path().filename().string()] = content.str();
+    }
+    std::set<std::string> names;
+    for (const auto& [name, content] : bytes) {
+      names.insert(name);
+      EXPECT_FALSE(content.empty()) << name;
+    }
+    EXPECT_EQ(names, expected) << "GEMINI_JOBS=" << jobs;
+    if (serial_bytes.empty()) {
+      serial_bytes = bytes;
+    } else {
+      EXPECT_TRUE(bytes == serial_bytes) << "GEMINI_JOBS=" << jobs;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
