@@ -1,20 +1,18 @@
 // Shared helpers for the figure/table reproduction binaries.
 //
+// Each paper experiment is one binary: it runs its sweep once and prints
+// every figure and table that sweep feeds, each a row/column Subset of it.
 // Every figure runs its cells through one cell runner, RunCells: the cells
 // run on the sweep pool (GEMINI_JOBS workers), each gets its GEMINI_TRACE
 // config, named <label>_cellNN_<cell name>, and each cell's host wall time
 // is recorded beside its result.  RunSweep is the (workload, system) grid
 // on top of it, and RunPairFigure the collocated-pair sweep that fig17 and
 // fig18 share.  Tables print one row per workload and one column per
-// system, normalized the way the paper normalizes them.  Environment
-// contract (full details in BENCHMARKS.md):
-//   GEMINI_JOBS=N        worker threads for the sweep (default: all cores)
-//   GEMINI_EXPORT=DIR    also write <DIR>/<label>.csv and .json per sweep
-//   GEMINI_TRACE=DIR     per-cell Perfetto trace + time-series CSV
-//   GEMINI_TRACE_INTERVAL=N   sampler period, simulated cycles
-//   GEMINI_TLB_MODE=M    TLB sharing modes of the collocated pair figures
-// Tables on stdout are bit-identical at any job count; progress and
-// timing go to stderr.
+// system, normalized the way the paper normalizes them.  The GEMINI_*
+// variables the binaries read are documented in BENCHMARKS.md's
+// environment table, which test_export checks against the code.  Tables
+// on stdout are bit-identical at any job count; progress and timing go to
+// stderr.
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
@@ -219,26 +217,68 @@ inline size_t SystemColumn(const std::vector<harness::SystemKind>& systems,
   return static_cast<size_t>(it - systems.begin());
 }
 
-// Prints one metric of a sweep as a table, with each row normalized
-// against the metric's value under `baseline` (so the baseline column
-// prints 1.00).  The geomean row is annotated with the metric's
-// direction: `higher_is_better` selects between "geomean (higher is
-// better)" and "geomean (lower is better)".
-inline void PrintNormalizedTable(
-    const std::string& title, const SweepResult& sweep,
-    harness::SystemKind baseline,
-    const std::function<double(const workload::RunResult&)>& extract,
-    bool higher_is_better) {
-  metrics::TextTable table(title);
+// The rows `workloads` and columns `systems` of `sweep`, in that order;
+// aborts when one is absent.  A cell's result does not depend on the sweep
+// around it, so a figure over some of a sweep's cells reads them from the
+// sweep instead of running them again.
+inline SweepResult Subset(const SweepResult& sweep,
+                          const std::vector<std::string>& workloads,
+                          const std::vector<harness::SystemKind>& systems) {
+  SweepResult out;
+  out.workloads = workloads;
+  out.systems = systems;
+  for (const std::string& name : workloads) {
+    const auto row =
+        std::find(sweep.workloads.begin(), sweep.workloads.end(), name);
+    SIM_CHECK(row != sweep.workloads.end());
+    const size_t w = static_cast<size_t>(row - sweep.workloads.begin());
+    for (harness::SystemKind kind : systems) {
+      out.cells.push_back(sweep.cells[w * sweep.systems.size() +
+                                      SystemColumn(sweep.systems, kind)]);
+    }
+  }
+  return out;
+}
+
+// The metrics the figures plot.
+inline double Throughput(const workload::RunResult& r) { return r.throughput; }
+inline double MeanLatency(const workload::RunResult& r) {
+  return r.mean_latency;
+}
+inline double P99Latency(const workload::RunResult& r) {
+  return r.p99_latency;
+}
+inline double TlbMisses(const workload::RunResult& r) {
+  return static_cast<double>(r.tlb_misses);
+}
+
+// Prints one metric of a sweep as the table "<title> (normalized to
+// <baseline>)", with each row normalized against the metric's value under
+// `baseline` (so the baseline column prints 1.00).  A lower-is-better
+// metric's title ends "(normalized to <baseline>; lower is better)", and
+// the geomean row names the direction.  A row whose baseline value is not
+// positive has no ratio: it prints "-" in every column and the geomean
+// skips it (Img-dnn's TLB misses, which Gemini drives to zero).
+inline void PrintNormalizedTable(const std::string& title,
+                                 const SweepResult& sweep,
+                                 harness::SystemKind baseline,
+                                 double (*metric)(const workload::RunResult&),
+                                 bool higher_is_better) {
+  metrics::TextTable table(title + " (normalized to " +
+                           std::string(harness::SystemName(baseline)) +
+                           (higher_is_better ? ")" : "; lower is better)"));
   table.SetColumns(SystemColumns("workload", sweep.systems));
   const size_t base = SystemColumn(sweep.systems, baseline);
   std::vector<std::vector<double>> normalized(sweep.systems.size());
   for (size_t w = 0; w < sweep.workloads.size(); ++w) {
-    const double base_value = extract(sweep.result(w, base));
+    const double base_value = metric(sweep.result(w, base));
     std::vector<std::string> cells{sweep.workloads[w]};
     for (size_t k = 0; k < sweep.systems.size(); ++k) {
-      const double v =
-          metrics::Normalize(extract(sweep.result(w, k)), base_value);
+      if (base_value <= 0.0) {
+        cells.emplace_back("-");
+        continue;
+      }
+      const double v = metric(sweep.result(w, k)) / base_value;
       normalized[k].push_back(v);
       cells.push_back(metrics::TextTable::Fmt(v));
     }
@@ -271,12 +311,13 @@ inline void PrintAlignmentTable(const std::string& title,
   table.Print();
 }
 
-// Latency-reporting workloads only (the TailBench-style subset).
-inline std::vector<workload::WorkloadSpec> LatencyWorkloads() {
-  std::vector<workload::WorkloadSpec> out;
+// The latency-reporting workloads (the TailBench-style subset), in
+// catalog order.
+inline std::vector<std::string> LatencyWorkloads() {
+  std::vector<std::string> out;
   for (const auto& spec : workload::CleanSlateCatalog()) {
     if (spec.kind == workload::Kind::kLatency) {
-      out.push_back(spec);
+      out.push_back(spec.name);
     }
   }
   return out;

@@ -32,7 +32,7 @@ int main() {
           {"Silo", "Shore"},      // sensitive + insensitive
       },
       "Figure 17: collocated-VM throughput (normalized to Host-B-VM-B)",
-      [](const workload::RunResult& r) { return r.throughput; });
+      bench::Throughput);
 
   // Static-vs-dynamic comparison under phase-changing churn, exported with
   // the pair rows.  The results vector is reserved up front because the

@@ -16,7 +16,7 @@ int main() {
       },
       "Figure 18: collocated-VM mean latency (normalized to Host-B-VM-B; "
       "lower is better)",
-      [](const workload::RunResult& r) { return r.mean_latency; });
+      bench::MeanLatency);
   bench::ExportRows("fig18_collocated", sweep.rows);
   return 0;
 }

@@ -1,7 +1,8 @@
 // Tests for the parallel sweep runner: bit-identical results at any job
-// count, deterministic index-keyed ordering, the GEMINI_JOBS contract
-// (including the jobs=1 inline fallback), exception safety of the pool,
-// and the per-cell GEMINI_TRACE file names of bench::RunSweep.
+// count and in any sweep around a cell, deterministic index-keyed
+// ordering, the GEMINI_JOBS contract (including the jobs=1 inline
+// fallback), exception safety of the pool, the per-cell GEMINI_TRACE file
+// names of bench::RunSweep, and bench::PrintNormalizedTable's rendering.
 #include "harness/sweep_runner.h"
 
 #include <gtest/gtest.h>
@@ -78,6 +79,39 @@ harness::BedOptions TinyBed() {
 bench::SweepResult RunTinySweep() {
   return bench::RunSweep(TinySpecs(), TinySystems(), TinyBed(),
                          harness::RunCleanSlate, "test_sweep");
+}
+
+// Every simulated field of two results is equal: the run totals,
+// throughput, latencies, alignment and each ForEachField word of the
+// measured-phase snapshot.
+void ExpectSameResult(const workload::RunResult& a,
+                      const workload::RunResult& b, const std::string& where) {
+  EXPECT_EQ(a.workload, b.workload) << where;
+  EXPECT_EQ(a.ops, b.ops) << where;
+  EXPECT_EQ(a.requests, b.requests) << where;
+  EXPECT_EQ(a.busy_cycles, b.busy_cycles) << where;
+  EXPECT_EQ(a.tlb_hits, b.tlb_hits) << where;
+  EXPECT_EQ(a.tlb_misses, b.tlb_misses) << where;
+  EXPECT_EQ(a.faulting_accesses, b.faulting_accesses) << where;
+  EXPECT_DOUBLE_EQ(a.throughput, b.throughput) << where;
+  EXPECT_DOUBLE_EQ(a.mean_latency, b.mean_latency) << where;
+  EXPECT_DOUBLE_EQ(a.p99_latency, b.p99_latency) << where;
+  EXPECT_DOUBLE_EQ(a.tlb_miss_rate, b.tlb_miss_rate) << where;
+  EXPECT_EQ(a.alignment.guest_huge, b.alignment.guest_huge) << where;
+  EXPECT_EQ(a.alignment.host_huge, b.alignment.host_huge) << where;
+  EXPECT_EQ(a.alignment.aligned_pairs, b.alignment.aligned_pairs) << where;
+  EXPECT_DOUBLE_EQ(a.alignment.well_aligned_rate,
+                   b.alignment.well_aligned_rate)
+      << where;
+  EXPECT_DOUBLE_EQ(a.alignment.aligned_coverage, b.alignment.aligned_coverage)
+      << where;
+  size_t word = 0;
+  metrics::ForEachField(
+      [&](metrics::FieldKind, uint64_t x, uint64_t y) {
+        EXPECT_EQ(x, y) << where << ", StackSnapshot word " << word;
+        ++word;
+      },
+      a.counters, b.counters);
 }
 
 TEST(SweepJobs, ParsesPositiveInteger) {
@@ -223,21 +257,81 @@ TEST(RunSweep, SerialAndParallelResultsAreBitIdentical) {
   }
   ASSERT_EQ(serial.cells.size(), parallel.cells.size());
   for (size_t i = 0; i < serial.cells.size(); ++i) {
-    const workload::RunResult& a = serial.cells[i].result;
-    const workload::RunResult& b = parallel.cells[i].result;
-    EXPECT_EQ(a.ops, b.ops) << i;
-    EXPECT_EQ(a.tlb_misses, b.tlb_misses) << i;
-    EXPECT_EQ(a.tlb_hits, b.tlb_hits) << i;
-    EXPECT_EQ(a.busy_cycles, b.busy_cycles) << i;
-    EXPECT_DOUBLE_EQ(a.throughput, b.throughput) << i;
-    EXPECT_DOUBLE_EQ(a.mean_latency, b.mean_latency) << i;
-    EXPECT_DOUBLE_EQ(a.p99_latency, b.p99_latency) << i;
-    EXPECT_EQ(a.alignment.guest_huge, b.alignment.guest_huge) << i;
-    EXPECT_EQ(a.alignment.host_huge, b.alignment.host_huge) << i;
-    EXPECT_DOUBLE_EQ(a.alignment.well_aligned_rate,
-                     b.alignment.well_aligned_rate)
+    ExpectSameResult(serial.cells[i].result, parallel.cells[i].result,
+                     "cell " + std::to_string(i));
+  }
+}
+
+TEST(RunSweep, CellResultDoesNotDependOnTheSweepAroundIt) {
+  // Each experiment binary runs its sweep once and prints several figures
+  // from row/column subsets of it, which is sound only if a cell computes
+  // the same result whatever sweep it runs in.  Shore x THP is cell 4 of
+  // the tiny sweep and the only cell of a second sweep under another label.
+  const bench::SweepResult full = RunTinySweep();
+  const workload::WorkloadSpec spec = TinySpecs()[1];
+  const harness::SystemKind system = harness::SystemKind::kThp;
+  const bench::SweepResult single = bench::RunSweep(
+      {spec}, {system}, TinyBed(), harness::RunCleanSlate, "test_sweep_one");
+  ASSERT_EQ(single.cells.size(), 1u);
+  EXPECT_GT(single.cells[0].result.tlb_misses, 0u);
+  ExpectSameResult(full.result(1, 1), single.cells[0].result, spec.name);
+
+  const bench::SweepResult subset = bench::Subset(full, {spec.name}, {system});
+  EXPECT_EQ(subset.workloads, single.workloads);
+  EXPECT_EQ(subset.systems, single.systems);
+  ASSERT_EQ(subset.cells.size(), 1u);
+  EXPECT_EQ(subset.cells[0].workload, single.cells[0].workload);
+  EXPECT_EQ(subset.cells[0].system, single.cells[0].system);
+  EXPECT_EQ(subset.cells[0].seed, single.cells[0].seed);
+  ExpectSameResult(subset.cells[0].result, single.cells[0].result,
+                   "subset");
+}
+
+TEST(RunSweep, SubsetPicksRowsAndColumnsInTheOrderGiven) {
+  const bench::SweepResult full = RunTinySweep();
+  const bench::SweepResult subset = bench::Subset(
+      full, {"Shore", "Canneal"},
+      {harness::SystemKind::kGemini, harness::SystemKind::kHostBVmB});
+  ASSERT_EQ(subset.cells.size(), 4u);
+  // Full columns: Host-B-VM-B 0, THP 1, Gemini 2; rows Canneal 0, Shore 1.
+  const size_t from[4][2] = {{1, 2}, {1, 0}, {0, 2}, {0, 0}};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(subset.cells[i].workload, full.workloads[from[i][0]]) << i;
+    EXPECT_EQ(subset.cells[i].system, full.systems[from[i][1]]) << i;
+    EXPECT_EQ(subset.cells[i].result.busy_cycles,
+              full.result(from[i][0], from[i][1]).busy_cycles)
         << i;
   }
+}
+
+TEST(PrintNormalizedTable, ZeroBaselineRowPrintsDashes) {
+  // Normalized to Gemini, a workload on which Gemini makes no TLB misses
+  // has no ratio: its row prints "-" in every column, and the geomean
+  // skips it as it always has.
+  bench::SweepResult sweep;
+  sweep.workloads = {"Busy", "Idle"};
+  sweep.systems = {harness::SystemKind::kHostBVmB,
+                   harness::SystemKind::kGemini};
+  const uint64_t misses[2][2] = {{30, 10}, {7, 0}};
+  for (size_t w = 0; w < 2; ++w) {
+    for (size_t k = 0; k < 2; ++k) {
+      bench::SweepCell cell;
+      cell.workload = sweep.workloads[w];
+      cell.system = sweep.systems[k];
+      cell.result.tlb_misses = misses[w][k];
+      sweep.cells.push_back(cell);
+    }
+  }
+  ::testing::internal::CaptureStdout();
+  bench::PrintNormalizedTable("Misses", sweep, harness::SystemKind::kGemini,
+                              bench::TlbMisses, false);
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+            "\n== Misses (normalized to Gemini; lower is better) ==\n"
+            "workload                   Host-B-VM-B  Gemini\n"
+            "----------------------------------------------\n"
+            "Busy                       3.00         1.00  \n"
+            "Idle                       -            -     \n"
+            "geomean (lower is better)  3.00         1.00  \n");
 }
 
 TEST(RunSweep, TraceFilesAreNamedByLabelCellWorkloadAndSystem) {

@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Diff two bench_translation JSON exports and print a markdown report.
+"""Diff two BENCH_*.json exports and print a markdown report.
 
 Usage:
     tools/bench_diff.py BASELINE.json CURRENT.json
     tools/bench_diff.py --fail-threshold 15 BASELINE.json CURRENT.json
 
-Scenarios are matched by name; the report shows mops_per_s for both
-sides and the current/baseline ratio, plus lat_p99 (simulated cycles)
-when either side exports it.  Scenarios present on only one side
+Both files are JSON arrays of scenario rows, as bench_translation,
+bench_collocation and bench_overcommit write them.  The report is titled
+after the two files' names.  Scenarios are matched by name; the report
+shows mops_per_s for both sides and the current/baseline ratio, plus
+lat_p99 (simulated cycles) when either side exports it.  Scenarios present on only one side
 (e.g. a bench that grew new cells after its baseline was committed)
 appear as table rows with "new" / "removed" in the ratio column rather
 than being dropped, and fields a side lacks (older baselines predate
@@ -28,6 +30,7 @@ missing or malformed.
 """
 import argparse
 import json
+import os
 import sys
 
 
@@ -77,7 +80,8 @@ def main(argv):
     only_base = [name for name in baseline if name not in current]
     only_curr = [name for name in current if name not in baseline]
 
-    print("### Translation microbenchmark vs committed baseline")
+    print(f"### {os.path.basename(args.current)} vs "
+          f"{os.path.basename(args.baseline)}")
     print()
     print("| scenario | baseline Mops/s | current Mops/s | ratio "
           "| base p99 cyc | curr p99 cyc |")
