@@ -8,18 +8,6 @@
 
 namespace base {
 
-// Byte addresses.  We use distinct aliases for the three address spaces the
-// paper reasons about; they are all plain 64-bit values, the aliases exist
-// for readability of signatures.
-using Gva = uint64_t;  // Guest virtual address.
-using Gpa = uint64_t;  // Guest physical address.
-using Hpa = uint64_t;  // Host physical address.
-
-// Page-frame numbers (address >> 12).
-using Vpn = uint64_t;  // Virtual page number (guest virtual).
-using Gfn = uint64_t;  // Guest frame number (guest physical).
-using Pfn = uint64_t;  // Host frame number (host physical).
-
 inline constexpr uint64_t kPageShift = 12;
 inline constexpr uint64_t kPageSize = 1ull << kPageShift;            // 4 KiB
 inline constexpr uint64_t kHugeShift = 21;
@@ -31,37 +19,18 @@ inline constexpr uint64_t kHugeOrder = 9;  // log2(kPagesPerHuge)
 // i.e. the largest block is 2^10 pages = 4 MiB.
 inline constexpr int kMaxOrder = 11;
 
-inline constexpr uint64_t PageAlignDown(uint64_t addr) {
-  return addr & ~(kPageSize - 1);
-}
-inline constexpr uint64_t PageAlignUp(uint64_t addr) {
-  return (addr + kPageSize - 1) & ~(kPageSize - 1);
-}
 inline constexpr uint64_t HugeAlignDown(uint64_t addr) {
   return addr & ~(kHugeSize - 1);
 }
 inline constexpr uint64_t HugeAlignUp(uint64_t addr) {
   return (addr + kHugeSize - 1) & ~(kHugeSize - 1);
 }
-inline constexpr bool IsPageAligned(uint64_t addr) {
-  return (addr & (kPageSize - 1)) == 0;
-}
-inline constexpr bool IsHugeAligned(uint64_t addr) {
-  return (addr & (kHugeSize - 1)) == 0;
-}
-inline constexpr uint64_t PageNumber(uint64_t addr) { return addr >> kPageShift; }
-inline constexpr uint64_t PageOffset(uint64_t addr) { return addr & (kPageSize - 1); }
-inline constexpr uint64_t HugeNumber(uint64_t addr) { return addr >> kHugeShift; }
 
 // A page mapping can be at either of two granularities.
 enum class PageSize : uint8_t {
   kBase,  // 4 KiB
   kHuge,  // 2 MiB
 };
-
-inline constexpr uint64_t SizeBytes(PageSize size) {
-  return size == PageSize::kBase ? kPageSize : kHugeSize;
-}
 
 // The two layers of the virtualization stack.
 enum class Layer : uint8_t {

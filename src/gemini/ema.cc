@@ -41,22 +41,6 @@ void Ema::AddSpan(int32_t vma_id, uint64_t start_page, uint64_t pages,
   ++stats_.descriptors_created;
 }
 
-void Ema::RemoveSpanAt(int32_t vma_id, uint64_t page) {
-  auto it = spans_.find(vma_id);
-  if (it == spans_.end()) {
-    return;
-  }
-  for (auto span_it = it->second.begin(); span_it != it->second.end();
-       ++span_it) {
-    if (page >= span_it->start_page &&
-        page < span_it->start_page + span_it->pages) {
-      it->second.erase(span_it);
-      ++stats_.ranges_reassigned;
-      return;
-    }
-  }
-}
-
 void Ema::SplitSpanAt(int32_t vma_id, uint64_t page) {
   auto it = spans_.find(vma_id);
   if (it == spans_.end()) {

@@ -50,10 +50,6 @@ class Ema {
   void AddSpan(int32_t vma_id, uint64_t start_page, uint64_t pages,
                int64_t offset);
 
-  // Removes the span covering `page` (sub-VMA re-placement after a target
-  // collision).  No-op if none covers it.
-  void RemoveSpanAt(int32_t vma_id, uint64_t page);
-
   // Shrinks the span covering `page` so it ends at the huge-region boundary
   // at or below `page` (erasing it if that empties it), keeping the prefix
   // whose targets were already consumed.  Creates no new span (the caller

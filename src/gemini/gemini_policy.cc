@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "base/check.h"
+#include "os/cost_model.h"
 
 namespace gemini {
 
@@ -14,13 +15,21 @@ using policy::FaultInfo;
 using policy::KernelOps;
 using vmem::kInvalidFrame;
 
+namespace {
+
+// How long the huge bucket retains freed well-aligned regions.
+constexpr base::Cycles kBucketRetention = 2'000'000'000;
+// Bookings initiated per daemon tick (scan batching).
+constexpr uint32_t kBookingsPerTick = 64;
+
+}  // namespace
+
 // --- GeminiGuestPolicy -----------------------------------------------------
 
 GeminiGuestPolicy::GeminiGuestPolicy(GeminiRuntime* runtime,
                                      const GeminiOptions& options)
     : runtime_(runtime),
       options_(options),
-      promoter_(options.promoter),
       controller_(options.initial_booking_timeout) {
   SIM_CHECK(runtime_ != nullptr);
 }
@@ -34,7 +43,7 @@ void GeminiGuestPolicy::EnsureComponents(KernelOps& kernel) {
         kernel.layer());
     bucket_ = std::make_unique<HugeBucket>(
         &kernel.buddy(), &kernel.frames(), kernel.vm_id(),
-        options_.bucket_retention, kernel.tracer(), kernel.layer());
+        kBucketRetention, kernel.tracer(), kernel.layer());
     contiguity_ = std::make_unique<vmem::ContiguityList>(&kernel.buddy());
   }
 }
@@ -184,7 +193,7 @@ void GeminiGuestPolicy::OnDaemonTick(KernelOps& kernel) {
     // Book the guest-physical regions of type-1 misaligned host huge
     // pages: nothing is allocated there yet, so reserving them keeps the
     // future fix migration-free.
-    uint32_t quota = options_.bookings_per_tick;
+    uint32_t quota = kBookingsPerTick;
     for (const auto& [region, status] : channel.host_huge_misaligned) {
       if (quota == 0) {
         break;
@@ -193,7 +202,7 @@ void GeminiGuestPolicy::OnDaemonTick(KernelOps& kernel) {
         continue;
       }
       const uint64_t frame = region << kHugeOrder;
-      kernel.ChargeOverhead(kernel.costs().daemon_scan_region);
+      kernel.ChargeOverhead(osim::kCosts.daemon_scan_region);
       if (booking_->IsBooked(frame)) {
         continue;
       }
@@ -207,9 +216,7 @@ void GeminiGuestPolicy::OnDaemonTick(KernelOps& kernel) {
     bucket_->ExpireRetention(now);
   }
 
-  if (options_.enable_promoter) {
-    promoter_.RunGuestTick(kernel, channel);
-  }
+  promoter_.RunGuestTick(kernel, channel);
 }
 
 bool GeminiGuestPolicy::OnFreeRegion(KernelOps& kernel, uint64_t region,
@@ -295,7 +302,6 @@ GeminiHostPolicy::GeminiHostPolicy(GeminiRuntime* runtime,
                                    const GeminiOptions& options)
     : runtime_(runtime),
       options_(options),
-      promoter_(options.promoter),
       controller_(options.initial_booking_timeout) {
   SIM_CHECK(runtime_ != nullptr);
 }
@@ -409,13 +415,13 @@ void GeminiHostPolicy::OnDaemonTick(KernelOps& kernel) {
   } else if (options_.enable_ema) {
     // Book host blocks for type-1 misaligned guest huge pages so the next
     // EPT fault can back them huge, in place.
-    uint32_t quota = options_.bookings_per_tick;
+    uint32_t quota = kBookingsPerTick;
     contiguity_->Refresh();
     for (const auto& [region, status] : channel.guest_huge_misaligned) {
       if (quota == 0) {
         break;
       }
-      kernel.ChargeOverhead(kernel.costs().daemon_scan_region);
+      kernel.ChargeOverhead(osim::kCosts.daemon_scan_region);
       if (status.type2 || booked_for_.count(region) != 0) {
         continue;
       }
@@ -431,9 +437,7 @@ void GeminiHostPolicy::OnDaemonTick(KernelOps& kernel) {
     }
   }
 
-  if (options_.enable_promoter) {
-    promoter_.RunHostTick(kernel, channel);
-  }
+  promoter_.RunHostTick(kernel, channel);
 }
 
 policy::PolicyTelemetry GeminiHostPolicy::Telemetry() const {

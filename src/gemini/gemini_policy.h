@@ -15,8 +15,8 @@
 //     Promoter (process table)
 //     BookingTimeoutController   BookingTimeoutController
 //
-// The ablation switches in GeminiOptions (EMA/booking, bucket, promoter)
-// drive the Figure 16 performance-breakdown experiment.
+// The ablation switches in GeminiOptions (EMA/booking, bucket) drive the
+// Figure 16 performance-breakdown experiment.
 #ifndef SRC_GEMINI_GEMINI_POLICY_H_
 #define SRC_GEMINI_GEMINI_POLICY_H_
 
@@ -36,19 +36,13 @@
 namespace gemini {
 
 struct GeminiOptions {
-  PromoterOptions promoter;
   // Booking timeout start value and the measurement period P of
   // Algorithm 1.
   base::Cycles initial_booking_timeout = 40'000'000;
   base::Cycles controller_period = 20'000'000;
-  // How long the huge bucket retains freed well-aligned regions.
-  base::Cycles bucket_retention = 2'000'000'000;
-  // Bookings initiated per daemon tick (scan batching).
-  uint32_t bookings_per_tick = 64;
   // Ablation switches (Figure 16 breakdown).
-  bool enable_ema = true;      // EMA placement + booking ("EMA/HB")
-  bool enable_bucket = true;   // huge bucket
-  bool enable_promoter = true; // MHPP background promotion
+  bool enable_ema = true;     // EMA placement + booking ("EMA/HB")
+  bool enable_bucket = true;  // huge bucket
 };
 
 class GeminiRuntime;  // below

@@ -4,11 +4,21 @@
 #include <vector>
 
 #include "base/types.h"
+#include "os/cost_model.h"
 
 namespace gemini {
 
 using base::kHugeOrder;
 using base::kPagesPerHuge;
+
+namespace {
+
+// Ordinary (non-alignment) host migrations stop while fewer than this many
+// order-9 blocks remain: the reserve is kept for turning misaligned huge
+// pages well-aligned ("first ... before other memory regions").
+constexpr uint64_t kOrdinaryBlockReserve = 12;
+
+}  // namespace
 
 bool Promoter::TryPreallocatePromote(policy::KernelOps& kernel,
                                      uint64_t region) {
@@ -36,7 +46,7 @@ bool Promoter::TryPreallocatePromote(policy::KernelOps& kernel,
     table.MapBase((region << kHugeOrder) + slot, anchor + slot);
     // Zero-filling in kernel context: no per-page trap, roughly a page
     // copy's worth of work, in the background.
-    kernel.ChargeOverhead(kernel.costs().copy_page);
+    kernel.ChargeOverhead(osim::kCosts.copy_page);
   }
   kernel.PromoteInPlace(region);
   ++stats_.preallocated;
@@ -54,7 +64,7 @@ void Promoter::RunGuestTick(policy::KernelOps& kernel,
   std::vector<Candidate> candidates;
   const mmu::PageTable& table = kernel.table();
   table.ForEachBaseRegion([&](uint64_t region, uint32_t present) {
-    kernel.ChargeOverhead(kernel.costs().daemon_scan_region);
+    kernel.ChargeOverhead(osim::kCosts.daemon_scan_region);
     const auto first = table.FirstPresent(region);
     if (!first.has_value()) {
       return;
@@ -156,7 +166,7 @@ void Promoter::RunHostTick(policy::KernelOps& kernel,
   std::vector<uint64_t> in_place;
   std::vector<uint64_t> dense;
   ept.ForEachBaseRegion([&](uint64_t region, uint32_t present) {
-    kernel.ChargeOverhead(kernel.costs().daemon_scan_region);
+    kernel.ChargeOverhead(osim::kCosts.daemon_scan_region);
     if (present == kPagesPerHuge && ept.CanPromoteInPlace(region)) {
       in_place.push_back(region);
     } else if (present >= options_.normal_min_present &&
@@ -177,7 +187,7 @@ void Promoter::RunHostTick(policy::KernelOps& kernel,
       break;
     }
     if (kernel.buddy().BlocksAvailable(base::kHugeOrder) <=
-        options_.ordinary_block_reserve) {
+        kOrdinaryBlockReserve) {
       break;  // keep the remaining blocks for alignment repairs
     }
     if (kernel.PromoteWithMigration(region)) {

@@ -29,10 +29,6 @@ struct PromoterOptions {
   // Huge preallocation gate (paper: 256 pages, FMFI <= 0.5).
   uint32_t prealloc_min_present = 256;
   double prealloc_max_fmfi = 0.5;
-  // Ordinary (non-alignment) host migrations stop while fewer than this
-  // many order-9 blocks remain: the reserve is kept for turning misaligned
-  // huge pages well-aligned ("first ... before other memory regions").
-  uint64_t ordinary_block_reserve = 12;
 };
 
 struct PromoterStats {

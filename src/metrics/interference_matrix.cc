@@ -97,7 +97,7 @@ std::string RenderInterferenceTriplets(
                std::to_string(row.displaced_by[e]);
       }
       if (top.empty()) {
-        top = "-";
+        top += '-';
       }
       table.AddRow({cell_label, row.label, top,
                     std::to_string(Unattributed(row)),

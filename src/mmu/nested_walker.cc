@@ -8,20 +8,11 @@ namespace mmu {
 
 NestedWalker::NestedWalker(const WalkerConfig& config)
     : config_(config),
-      guest_pwc_(config.guest_pwc),
-      host_pwc_(config.host_pwc),
-      nested_pt_(config.nested_cache_entries),
-      nested_pd_(config.nested_cache_entries),
-      nested_pdpt_(config.nested_cache_entries),
-      nested_pml4_(config.nested_cache_entries) {
-  if (config.walk_memo_slots > 0) {
-    SIM_CHECK((config.walk_memo_slots & (config.walk_memo_slots - 1)) == 0);
-    // Memo slots are 16-bit (one-cache-line entries); every memoized cache
-    // must keep its slot indices in range.
-    SIM_CHECK(config.nested_cache_entries <= (1u << 16));
-    SIM_CHECK(config.guest_pwc.pml4_entries <= (1u << 16));
-    SIM_CHECK(config.guest_pwc.pdpt_entries <= (1u << 16));
-  }
+      nested_pt_(kNestedCacheEntries),
+      nested_pd_(kNestedCacheEntries),
+      nested_pdpt_(kNestedCacheEntries),
+      nested_pml4_(kNestedCacheEntries) {
+  SIM_CHECK((config.walk_memo_slots & (config.walk_memo_slots - 1)) == 0);
 }
 
 void NestedWalker::GrowMemo(uint64_t region) {

@@ -58,9 +58,6 @@
 namespace mmu {
 
 struct WalkerConfig {
-  PageWalkCache::Config guest_pwc;
-  PageWalkCache::Config host_pwc;
-  uint32_t nested_cache_entries = 64;  // per guest-table level
   base::Cycles cycles_per_memory_ref = 50;
   base::Cycles cycles_per_cached_ref = 2;
   // Direct-mapped walk-memo size cap in regions (power of two); 0
@@ -134,12 +131,14 @@ class NestedWalker {
   static constexpr uint32_t kMemoRefs = 6;
   static constexpr uint32_t kNoRegion = ~0u;
   static constexpr uint32_t kMinMemoSlots = 64;  // one 4 KiB page
+  // Entries of each nested translation cache (per guest-table level).
+  static constexpr uint32_t kNestedCacheEntries = 64;
 
   // One memo entry, packed into a single cache line: the memo probe is on
   // the miss path's critical chain, so it must cost one line fill, not
   // two.  Regions are 32-bit (simulated address spaces are dense; a region
-  // >= kNoRegion simply bypasses the memo), slots are 16-bit (cache
-  // capacities are checked <= 2^16 at construction), and mutation counters
+  // >= kNoRegion simply bypasses the memo), slots are 16-bit (every
+  // memoized cache holds at most 2^16 entries), and mutation counters
   // are validated through their low 32 bits — a false match would need
   // exactly 2^32 key-set changes on one cache between record and replay,
   // beyond any simulated run by orders of magnitude.
@@ -150,6 +149,10 @@ class NestedWalker {
     std::array<uint32_t, kMemoRefs> muts{};   // low 32 mutation bits
   };
   static_assert(sizeof(Memo) == 64, "memo entry must stay one cache line");
+  static_assert(kNestedCacheEntries <= (1u << 16) &&
+                    PageWalkCache::kPml4Entries <= (1u << 16) &&
+                    PageWalkCache::kPdptEntries <= (1u << 16),
+                "memo slots are 16-bit");
 
   // Cost of one host-dimension walk for a guest-table page covering the
   // given GVA prefix; served by the nested cache when warm.  `level` indexes

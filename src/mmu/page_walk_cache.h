@@ -82,9 +82,6 @@ class PrefixCache {
   // counter unchanged since); equivalent to a Lookup hit on that key.
   void Touch(uint32_t slot) { MoveToFront(slot); }
 
-  // Key currently held by a slot (tests / memo validation).
-  uint64_t KeyAt(uint32_t slot) const { return keys_[slot]; }
-
   // Bumped by every key-set change (insert, evict, flush); never by LRU
   // refreshes.  Equal reads bracket an interval of stable contents.
   uint64_t mutations() const { return mutations_; }
@@ -153,13 +150,10 @@ struct WalkCost {
 
 class PageWalkCache {
  public:
-  struct Config {
-    uint32_t pml4_entries = 16;
-    uint32_t pdpt_entries = 32;
-  };
+  static constexpr uint32_t kPml4Entries = 16;
+  static constexpr uint32_t kPdptEntries = 32;
 
-  explicit PageWalkCache(const Config& config)
-      : pml4_(config.pml4_entries), pdpt_(config.pdpt_entries) {}
+  PageWalkCache() : pml4_(kPml4Entries), pdpt_(kPdptEntries) {}
 
   // Simulates one walk of a 4-level table for `vpn`, with the leaf at the
   // PT level for base pages (4 refs uncached) or the PD level for huge

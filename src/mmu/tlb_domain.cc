@@ -67,7 +67,6 @@ TlbView TlbDomain::AddVm(uint16_t vmid) {
     if (repartitioner_ == nullptr) {
       TlbRepartitioner::Config rc;
       rc.min_ways = config_.repart_min_ways;
-      rc.hysteresis = config_.repart_hysteresis;
       repartitioner_ =
           std::make_unique<TlbRepartitioner>(shared_.get(), monitor_.get(), rc);
     }

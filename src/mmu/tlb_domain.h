@@ -67,11 +67,10 @@ struct TlbDomainConfig {
   // over expected_vms.
   uint32_t partition_ways = 0;
   uint32_t expected_vms = 2;
-  // kDynamic: repartitioner policy knobs (see TlbRepartitioner::Config;
+  // kDynamic: the repartitioner's way floor (see TlbRepartitioner::Config;
   // the tick *interval* is the machine's scheduling concern, not the
   // domain's).
   uint32_t repart_min_ways = 1;
-  double repart_hysteresis = 0.05;
 };
 
 // A per-VM handle onto a physical Tlb: every operation is forwarded with

@@ -7,11 +7,17 @@ namespace mmu {
 using base::kHugeOrder;
 using base::kPagesPerHuge;
 
+namespace {
+
+// Cycles charged to a translation served by the TLB.
+constexpr base::Cycles kTlbHitCycles = 1;
+
+}  // namespace
+
 TranslationEngine::TranslationEngine(const Config& config,
                                      PageTable* guest_table,
                                      PageTable* host_table)
-    : config_(config),
-      guest_table_(guest_table),
+    : guest_table_(guest_table),
       host_table_(host_table),
       owned_tlb_(std::make_unique<Tlb>(config.tlb)),
       tlb_(owned_tlb_.get(), /*vmid=*/0, /*exclusive=*/true),
@@ -22,8 +28,7 @@ TranslationEngine::TranslationEngine(const Config& config,
 TranslationEngine::TranslationEngine(const Config& config,
                                      PageTable* guest_table,
                                      PageTable* host_table, TlbView tlb_view)
-    : config_(config),
-      guest_table_(guest_table),
+    : guest_table_(guest_table),
       host_table_(host_table),
       tlb_(tlb_view),
       walker_(config.walker) {
@@ -54,7 +59,7 @@ TranslateResult TranslationEngine::Translate(uint64_t vpn) {
          cached.stamp.host_gen ==
              host_table_->generation(cached.stamp.host_region))) {
       result.tlb_hit = true;
-      result.cycles = config_.tlb_hit_cycles;
+      result.cycles = kTlbHitCycles;
       Charge(result.cycles);
       result.frame = cached.size == base::PageSize::kHuge
                          ? cached.frame + (vpn & (kPagesPerHuge - 1))
@@ -104,7 +109,7 @@ TranslateResult TranslationEngine::Translate(uint64_t vpn) {
       stamp.well_aligned = aligned;
       tlb_.RestampHit(stamp);
       result.tlb_hit = true;
-      result.cycles = config_.tlb_hit_cycles;
+      result.cycles = kTlbHitCycles;
       Charge(result.cycles);
       result.frame = frame;
       result.well_aligned_huge = aligned;
@@ -191,11 +196,6 @@ TranslateResult TranslationEngine::Translate(uint64_t vpn) {
     tlb_.InsertMiss(vpn, base::PageSize::kBase, host->frame, stamp);
   }
   return result;
-}
-
-void TranslationEngine::FlushAll() {
-  tlb_.Flush();
-  walker_.Flush();
 }
 
 void TranslationEngine::ResetCounters() {

@@ -54,7 +54,6 @@ class TranslationEngine {
   struct Config {
     TlbConfig tlb;
     WalkerConfig walker;
-    base::Cycles tlb_hit_cycles = 1;
   };
 
   // `host_table` may be null for a native (non-virtualized) engine.  This
@@ -79,7 +78,6 @@ class TranslationEngine {
   void ShootdownRange(uint64_t vpn, uint64_t pages) {
     tlb_.ShootdownRange(vpn, pages);
   }
-  void FlushAll();
 
   // The engine's per-VM TLB view.  Counter accessors on it report this
   // VM's translations only, even when the physical array is shared with
@@ -109,7 +107,6 @@ class TranslationEngine {
     latency_hist_.Add(cycles);
   }
 
-  Config config_;
   PageTable* guest_table_;
   PageTable* host_table_;
   // Set only by the owning constructor; declared before tlb_ so the view

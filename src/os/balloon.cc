@@ -4,6 +4,7 @@
 
 #include "base/check.h"
 #include "base/types.h"
+#include "os/cost_model.h"
 
 namespace osim {
 
@@ -37,7 +38,7 @@ void BalloonDriver::ReleaseHostBacking(uint64_t gfn) {
     ++stats_.host_frames_released;
   }
   machine_->FlushVmTranslations(vm_id_);
-  host.ChargeOverhead(host.costs().tlb_shootdown);
+  host.ChargeOverhead(kCosts.tlb_shootdown);
 }
 
 uint64_t BalloonDriver::Inflate(uint64_t frames) {

@@ -11,6 +11,8 @@
 // shootdown IPI costs a few microseconds): at ~2 GHz, 1 us ~ 2000 cycles.
 // Absolute values only scale the overhead terms; the figure *shapes* come
 // from the relative magnitudes.
+//
+// Every kernel at both layers charges from the one table, kCosts.
 #ifndef SRC_OS_COST_MODEL_H_
 #define SRC_OS_COST_MODEL_H_
 
@@ -54,6 +56,8 @@ struct CostModel {
   // swap_in_page path, which is what makes overcommit tolerable at all).
   base::Cycles far_refault_page = 16000;
 };
+
+inline constexpr CostModel kCosts{};
 
 }  // namespace osim
 

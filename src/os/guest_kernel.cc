@@ -8,11 +8,11 @@ using base::kHugeOrder;
 using base::kPagesPerHuge;
 
 GuestKernel::GuestKernel(int32_t vm_id, uint64_t gfn_count,
-                         const CostModel& costs, MachineHooks* hooks,
+                         MachineHooks* hooks,
                          std::unique_ptr<policy::HugePagePolicy> policy,
                          uint64_t alloc_seed)
-    : KernelBase(base::Layer::kGuest, vm_id, &gpa_buddy_, &gpa_frames_, costs,
-                 hooks, std::move(policy)),
+    : KernelBase(base::Layer::kGuest, vm_id, &gpa_buddy_, &gpa_frames_, hooks,
+                 std::move(policy)),
       gpa_frames_(gfn_count),
       gpa_buddy_(gfn_count, alloc_seed) {}
 

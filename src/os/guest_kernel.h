@@ -21,8 +21,7 @@ namespace osim {
 
 class GuestKernel final : public KernelBase {
  public:
-  GuestKernel(int32_t vm_id, uint64_t gfn_count, const CostModel& costs,
-              MachineHooks* hooks,
+  GuestKernel(int32_t vm_id, uint64_t gfn_count, MachineHooks* hooks,
               std::unique_ptr<policy::HugePagePolicy> policy,
               uint64_t alloc_seed = 0);
   // The policy may hold components (bookings, buckets) that reference this
@@ -43,8 +42,8 @@ class GuestKernel final : public KernelBase {
  protected:
   void ShootdownRegion(uint64_t region) override;
   base::Cycles AfterFramesWritten(uint64_t frame, uint64_t count) override;
-  base::Cycles BaseFaultCost() const override { return costs_.base_fault; }
-  base::Cycles HugeFaultCost() const override { return costs_.huge_fault; }
+  base::Cycles BaseFaultCost() const override { return kCosts.base_fault; }
+  base::Cycles HugeFaultCost() const override { return kCosts.huge_fault; }
 
  private:
   vmem::FrameSpace gpa_frames_;

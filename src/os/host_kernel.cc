@@ -10,10 +10,10 @@ using base::kPagesPerHuge;
 HostVmKernel::HostVmKernel(int32_t vm_id, uint64_t vm_gfn_count,
                            vmem::BuddyAllocator* host_buddy,
                            vmem::FrameSpace* host_frames,
-                           const CostModel& costs, MachineHooks* hooks,
+                           MachineHooks* hooks,
                            std::unique_ptr<policy::HugePagePolicy> policy)
-    : KernelBase(base::Layer::kHost, vm_id, host_buddy, host_frames, costs,
-                 hooks, std::move(policy)),
+    : KernelBase(base::Layer::kHost, vm_id, host_buddy, host_frames, hooks,
+                 std::move(policy)),
       vm_gfn_count_(vm_gfn_count) {}
 
 base::Cycles HostVmKernel::HandleFault(uint64_t gfn) {
@@ -45,11 +45,10 @@ void HostVmKernel::ShootdownRegion(uint64_t region) {
   }
 }
 
-HostKernel::HostKernel(uint64_t host_frame_count, const CostModel& costs,
-                       MachineHooks* hooks, uint64_t alloc_seed)
+HostKernel::HostKernel(uint64_t host_frame_count, MachineHooks* hooks,
+                       uint64_t alloc_seed)
     : frames_(host_frame_count),
       buddy_(host_frame_count, alloc_seed),
-      costs_(costs),
       hooks_(hooks) {}
 
 HostVmKernel& HostKernel::AddVm(
@@ -57,7 +56,7 @@ HostVmKernel& HostKernel::AddVm(
     std::unique_ptr<policy::HugePagePolicy> policy) {
   SIM_CHECK(vm_id == static_cast<int32_t>(vms_.size()));
   vms_.push_back(std::make_unique<HostVmKernel>(
-      vm_id, vm_gfn_count, &buddy_, &frames_, costs_, hooks_,
+      vm_id, vm_gfn_count, &buddy_, &frames_, hooks_,
       std::move(policy)));
   return *vms_.back();
 }

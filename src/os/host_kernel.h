@@ -22,7 +22,7 @@ class HostVmKernel final : public KernelBase {
  public:
   HostVmKernel(int32_t vm_id, uint64_t vm_gfn_count,
                vmem::BuddyAllocator* host_buddy, vmem::FrameSpace* host_frames,
-               const CostModel& costs, MachineHooks* hooks,
+               MachineHooks* hooks,
                std::unique_ptr<policy::HugePagePolicy> policy);
   // Symmetric with GuestKernel: drop policy-held reservations while the
   // shared host buddy is still alive.
@@ -37,8 +37,8 @@ class HostVmKernel final : public KernelBase {
 
  protected:
   void ShootdownRegion(uint64_t region) override;
-  base::Cycles BaseFaultCost() const override { return costs_.host_fault; }
-  base::Cycles HugeFaultCost() const override { return costs_.host_huge_fault; }
+  base::Cycles BaseFaultCost() const override { return kCosts.host_fault; }
+  base::Cycles HugeFaultCost() const override { return kCosts.host_huge_fault; }
 
  private:
   uint64_t vm_gfn_count_;
@@ -47,8 +47,8 @@ class HostVmKernel final : public KernelBase {
 
 class HostKernel {
  public:
-  HostKernel(uint64_t host_frame_count, const CostModel& costs,
-             MachineHooks* hooks, uint64_t alloc_seed = 0);
+  HostKernel(uint64_t host_frame_count, MachineHooks* hooks,
+             uint64_t alloc_seed = 0);
 
   // Registers a VM and its host-layer policy; returns its kernel slice.
   HostVmKernel& AddVm(int32_t vm_id, uint64_t vm_gfn_count,
@@ -65,7 +65,6 @@ class HostKernel {
  private:
   vmem::FrameSpace frames_;
   vmem::BuddyAllocator buddy_;
-  CostModel costs_;
   MachineHooks* hooks_;
   std::vector<std::unique_ptr<HostVmKernel>> vms_;
 };

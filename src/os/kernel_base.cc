@@ -13,17 +13,16 @@ using vmem::kInvalidFrame;
 
 KernelBase::KernelBase(base::Layer layer, int32_t vm_id,
                        vmem::BuddyAllocator* buddy, vmem::FrameSpace* frames,
-                       const CostModel& costs, MachineHooks* hooks,
+                       MachineHooks* hooks,
                        std::unique_ptr<policy::HugePagePolicy> policy)
     : layer_(layer),
       vm_id_(vm_id),
       buddy_(buddy),
       frames_(frames),
-      costs_(costs),
       hooks_(hooks),
       policy_(std::move(policy)),
       owned_tier_(std::make_unique<vmem::TierSpace>(
-          /*capacity_pages=*/0, costs.swap_out_page, costs.swap_in_page)),
+          /*capacity_pages=*/0, kCosts.swap_out_page, kCosts.swap_in_page)),
       tier_(owned_tier_.get()) {
   SIM_CHECK(buddy_ != nullptr && frames_ != nullptr && hooks_ != nullptr);
   SIM_CHECK(policy_ != nullptr);
@@ -76,7 +75,7 @@ base::Cycles KernelBase::DoFault(const policy::FaultInfo& info,
       // the fragmentation the paper studies, compaction mostly fails to
       // produce a 2 MiB block because pinned pages cannot move; we charge
       // the stall and retry once in case the buddy recovered.
-      cost += costs_.direct_compaction;
+      cost += kCosts.direct_compaction;
       frame = buddy_->Allocate(kHugeOrder);
     }
     if (frame != kInvalidFrame) {
@@ -117,7 +116,7 @@ base::Cycles KernelBase::DoFault(const policy::FaultInfo& info,
 
 void KernelBase::PromoteInPlace(uint64_t region) {
   table_.PromoteInPlace(region);
-  ChargeOverhead(costs_.promote_in_place);
+  ChargeOverhead(kCosts.promote_in_place);
   ++stats_.promotions_in_place;
   if (tracer_ != nullptr) {
     tracer_->Emit(trace::EventKind::kPromoteInPlace, layer_, vm_id_, region);
@@ -148,7 +147,7 @@ bool KernelBase::PromoteWithMigration(uint64_t region, uint64_t target_frame) {
   if (table_.PresentBasePages(region) == 0) {
     // Nothing to migrate; this degenerates to a fresh huge mapping.
     table_.MapHuge(region, frame);
-    ChargeOverhead(costs_.promote_in_place +
+    ChargeOverhead(kCosts.promote_in_place +
                    AfterFramesWritten(frame, kPagesPerHuge));
   } else {
     const auto old_pages = table_.PromoteWithMigration(region, frame);
@@ -162,8 +161,8 @@ bool KernelBase::PromoteWithMigration(uint64_t region, uint64_t target_frame) {
     }
     stats_.pages_copied += old_pages.size();
     copied = old_pages.size();
-    ChargeOverhead(costs_.copy_page * old_pages.size() +
-                   costs_.tlb_shootdown + costs_.promote_in_place +
+    ChargeOverhead(kCosts.copy_page * old_pages.size() +
+                   kCosts.tlb_shootdown + kCosts.promote_in_place +
                    AfterFramesWritten(frame, kPagesPerHuge));
     ShootdownRegion(region);
   }
@@ -177,7 +176,7 @@ bool KernelBase::PromoteWithMigration(uint64_t region, uint64_t target_frame) {
 
 void KernelBase::Demote(uint64_t region) {
   table_.Demote(region);
-  ChargeOverhead(costs_.promote_in_place);
+  ChargeOverhead(kCosts.promote_in_place);
   ++stats_.demotions;
   if (tracer_ != nullptr) {
     tracer_->Emit(trace::EventKind::kDemote, layer_, vm_id_, region);

@@ -44,8 +44,7 @@ class KernelBase : public policy::KernelOps {
   // `buddy`, `frames` are owned by the caller (a guest kernel owns its own;
   // the per-VM host kernels share the host's).
   KernelBase(base::Layer layer, int32_t vm_id, vmem::BuddyAllocator* buddy,
-             vmem::FrameSpace* frames, const CostModel& costs,
-             MachineHooks* hooks,
+             vmem::FrameSpace* frames, MachineHooks* hooks,
              std::unique_ptr<policy::HugePagePolicy> policy);
   ~KernelBase() override;
 
@@ -101,7 +100,6 @@ class KernelBase : public policy::KernelOps {
 
   policy::HugePagePolicy& policy() { return *policy_; }
   const KernelStats& stats() const { return stats_; }
-  const CostModel& costs() const { return costs_; }
   MachineHooks& hooks() { return *hooks_; }
 
   // Wires this kernel to the machine's tracer.  The machine tags the
@@ -142,7 +140,6 @@ class KernelBase : public policy::KernelOps {
   int32_t vm_id_;
   vmem::BuddyAllocator* buddy_;
   vmem::FrameSpace* frames_;
-  CostModel costs_;
   MachineHooks* hooks_;
   trace::Tracer* tracer_ = nullptr;
   std::unique_ptr<policy::HugePagePolicy> policy_;

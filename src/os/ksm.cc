@@ -3,11 +3,23 @@
 #include <vector>
 
 #include "base/check.h"
+#include "os/cost_model.h"
 
 namespace osim {
 
 using base::kHugeOrder;
 using base::kPagesPerHuge;
+
+namespace {
+
+// Only regions whose access count is at or below this are candidates (KSM
+// targets cold memory).
+constexpr uint64_t kMaxHeat = 8;
+// Fraction of merged pages that are later written and take a CoW fault
+// (charged at merge time as expected future work).
+constexpr double kCowWriteFraction = 0.25;
+
+}  // namespace
 
 KsmScanner::KsmScanner(Machine* machine, int32_t vm_id,
                        const KsmOptions& options)
@@ -37,7 +49,7 @@ void KsmScanner::Run(base::Cycles now) {
   uint64_t wrap = vmem::kInvalidFrame;
   ept.ForEachHuge([&](uint64_t region, uint64_t frame) {
     (void)frame;
-    if (ept.AccessCount(region) > options_.max_heat) {
+    if (ept.AccessCount(region) > kMaxHeat) {
       return;
     }
     if (region >= cursor_) {
@@ -80,10 +92,10 @@ void KsmScanner::Run(base::Cycles now) {
     // faults for later writes are charged now (as HawkEye's model does).
     machine_->FlushVmTranslations(vm_id_);
     host.ChargeOverhead(
-        host.costs().tlb_shootdown +
-        static_cast<base::Cycles>(options_.cow_write_fraction *
+        kCosts.tlb_shootdown +
+        static_cast<base::Cycles>(kCowWriteFraction *
                                   static_cast<double>(pages.size())) *
-            host.costs().cow_fault);
+            kCosts.cow_fault);
   }
 }
 

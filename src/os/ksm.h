@@ -25,12 +25,6 @@ struct KsmOptions {
   double mergeable_fraction = 0.5;
   // Regions scanned per pass.
   uint32_t regions_per_pass = 4;
-  // Only regions whose access count is at or below this are candidates
-  // (KSM targets cold memory).
-  uint64_t max_heat = 8;
-  // Fraction of merged pages that are later written and take a CoW fault
-  // (charged at merge time as expected future work).
-  double cow_write_fraction = 0.25;
 };
 
 struct KsmStats {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/check.h"
+#include "os/cost_model.h"
 #include "os/reclaim_daemon.h"
 
 namespace osim {
@@ -27,11 +28,13 @@ class RepartitionTask final : public PeriodicTask {
 
 Machine::Machine(const MachineConfig& config)
     : config_(config),
-      host_(config.host_frames, config.costs, this, config.seed * 2 + 1),
+      host_(config.host_frames, this, config.seed * 2 + 1),
       tlb_domain_(mmu::TlbDomainConfig{
-          config.engine.tlb, config.tlb_mode, config.tlb_partition_ways,
-          config.tlb_expected_vms, config.tlb_repart_min_ways,
-          config.tlb_repart_hysteresis}),
+          .tlb = mmu::TlbConfig{},
+          .mode = config.tlb_mode,
+          .partition_ways = config.tlb_partition_ways,
+          .expected_vms = config.tlb_expected_vms,
+          .repart_min_ways = config.tlb_repart_min_ways}),
       next_daemon_(config.daemon_period),
       next_event_(config.daemon_period) {
   host_fragmenter_ = std::make_unique<vmem::Fragmenter>(
@@ -47,9 +50,9 @@ Machine::Machine(const MachineConfig& config)
   }
   if (config_.reclaim.enabled) {
     host_tier_ = std::make_unique<vmem::TierSpace>(
-        config_.reclaim.far_capacity_pages, config_.costs.far_demote_page,
-        config_.costs.far_refault_page);
-    auto daemon = std::make_unique<ReclaimDaemon>(this, config_.reclaim);
+        config_.reclaim.far_capacity_pages, kCosts.far_demote_page,
+        kCosts.far_refault_page);
+    auto daemon = std::make_unique<ReclaimDaemon>(this, config_.reclaim.policy);
     reclaim_daemon_ = daemon.get();
     const base::Cycles interval = config_.reclaim.interval != 0
                                       ? config_.reclaim.interval
@@ -68,10 +71,10 @@ VirtualMachine& Machine::AddVm(
   HostVmKernel& slice =
       host_.AddVm(id, gfn_count, std::move(host_policy));
   auto guest = std::make_unique<GuestKernel>(
-      id, gfn_count, config_.costs, this, std::move(guest_policy),
+      id, gfn_count, this, std::move(guest_policy),
       config_.seed * 131 + static_cast<uint64_t>(id) * 31 + 7);
   vms_.push_back(std::make_unique<VirtualMachine>(
-      id, std::move(guest), &slice, config_.engine,
+      id, std::move(guest), &slice,
       tlb_domain_.AddVm(static_cast<uint16_t>(id))));
   VirtualMachine& vm = *vms_.back();
   vm.guest().AttachTracer(&tracer_);

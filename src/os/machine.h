@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "mmu/tlb_domain.h"
-#include "os/cost_model.h"
 #include "os/hooks.h"
 #include "os/host_kernel.h"
 #include "os/virtual_machine.h"
@@ -30,26 +29,23 @@ class ReclaimDaemon;
 struct MachineConfig {
   // Host physical memory in 4 KiB frames.  Default 2 GiB simulated.
   uint64_t host_frames = 512 * 1024;
-  CostModel costs;
-  mmu::TranslationEngine::Config engine;
   // Promotion daemons tick every this many cycles.
   base::Cycles daemon_period = 2'000'000;
   uint64_t seed = 1;
   // How the VMs' L2 TLB arrays are arranged (see mmu/tlb_domain.h):
   // kPrivate gives each VM its own full array (the status quo), kShared
   // makes all VMs compete for one VMID-tagged array, kPartitioned statically
-  // way-partitions one array.  Geometry always comes from engine.tlb.
+  // way-partitions one array.  Geometry is mmu::TlbConfig's.
   mmu::TlbShareMode tlb_mode = mmu::TlbShareMode::kPrivate;
   // kPartitioned / kDynamic: ways per VM at boot; 0 = even split over
   // tlb_expected_vms.
   uint32_t tlb_partition_ways = 0;
   uint32_t tlb_expected_vms = 2;
-  // kDynamic: repartitioner tick interval (0 = daemon_period) and policy
-  // knobs (see mmu/tlb_repartitioner.h).  The tick runs as a PeriodicTask,
+  // kDynamic: repartitioner tick interval (0 = daemon_period) and way
+  // floor (see mmu/tlb_repartitioner.h).  The tick runs as a PeriodicTask,
   // so it only ever fires outside epoch-parallel phases.
   base::Cycles tlb_repart_interval = 0;
   uint32_t tlb_repart_min_ways = 1;
-  double tlb_repart_hysteresis = 0.05;
   // Tiered-memory overcommit (DESIGN.md §3i): when enabled, the machine
   // owns a far TierSpace shared by every VM's host kernel slice and runs a
   // watermark-driven ReclaimDaemon over it.  Disabled (the default), no

@@ -6,15 +6,25 @@
 
 namespace osim {
 
-ReclaimDaemon::ReclaimDaemon(Machine* machine,
-                             const policy::ReclaimConfig& config)
-    : machine_(machine),
-      config_(config),
-      policy_(policy::MakeReclaimPolicy(config.policy, config.damon)) {
+namespace {
+
+// Watermark math (DESIGN.md §3i): with F host frames, reclaim wakes when
+// free < kLowWatermark * F and each pass demotes cold pages until
+// free >= kHighWatermark * F, or the per-pass budget is spent, or the far
+// tier rejects (capacity).  The gap between the two watermarks is the
+// burst headroom demand faults can consume between daemon ticks.
+constexpr double kLowWatermark = 0.08;
+constexpr double kHighWatermark = 0.15;
+static_assert(kLowWatermark > 0.0 && kLowWatermark <= kHighWatermark &&
+              kHighWatermark < 1.0);
+// Per-pass demotion budget, bounding one tick's stall contribution.
+constexpr uint64_t kMaxPagesPerPass = 8192;
+
+}  // namespace
+
+ReclaimDaemon::ReclaimDaemon(Machine* machine, policy::ReclaimPolicyKind kind)
+    : machine_(machine), policy_(policy::MakeReclaimPolicy(kind)) {
   SIM_CHECK(machine_ != nullptr);
-  SIM_CHECK(config_.low_watermark > 0.0 &&
-            config_.low_watermark <= config_.high_watermark &&
-            config_.high_watermark < 1.0);
 }
 
 void ReclaimDaemon::Run(base::Cycles) {
@@ -24,9 +34,9 @@ void ReclaimDaemon::Run(base::Cycles) {
 
   const uint64_t total = host.buddy().frame_count();
   const uint64_t low =
-      static_cast<uint64_t>(config_.low_watermark * static_cast<double>(total));
-  const uint64_t high = static_cast<uint64_t>(config_.high_watermark *
-                                              static_cast<double>(total));
+      static_cast<uint64_t>(kLowWatermark * static_cast<double>(total));
+  const uint64_t high =
+      static_cast<uint64_t>(kHighWatermark * static_cast<double>(total));
   if (host.buddy().free_frames() >= low) {
     return;
   }
@@ -34,18 +44,18 @@ void ReclaimDaemon::Run(base::Cycles) {
   uint64_t freed = 0;
   bool progress = true;
   std::vector<policy::ReclaimVictim> victims;
-  while (progress && freed < config_.max_pages_per_pass &&
+  while (progress && freed < kMaxPagesPerPass &&
          host.buddy().free_frames() < high) {
     progress = false;
     victims.clear();
     policy_->RankVictims(host, /*max_victims=*/64, &victims);
     for (const policy::ReclaimVictim& v : victims) {
-      if (freed >= config_.max_pages_per_pass ||
+      if (freed >= kMaxPagesPerPass ||
           host.buddy().free_frames() >= high) {
         break;
       }
       const uint64_t got = host.vm_kernel(v.vm_id).DemoteRegionToTier(
-          v.region, config_.max_pages_per_pass - freed);
+          v.region, kMaxPagesPerPass - freed);
       freed += got;
       progress = progress || got > 0;
     }

@@ -36,7 +36,7 @@ struct ReclaimDaemonStats {
 
 class ReclaimDaemon final : public PeriodicTask {
  public:
-  ReclaimDaemon(Machine* machine, const policy::ReclaimConfig& config);
+  ReclaimDaemon(Machine* machine, policy::ReclaimPolicyKind kind);
 
   void Run(base::Cycles now) override;
 
@@ -45,7 +45,6 @@ class ReclaimDaemon final : public PeriodicTask {
 
  private:
   Machine* machine_;
-  policy::ReclaimConfig config_;
   std::unique_ptr<policy::ReclaimPolicy> policy_;
   ReclaimDaemonStats stats_;
 };

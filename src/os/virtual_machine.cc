@@ -6,13 +6,12 @@ namespace osim {
 
 VirtualMachine::VirtualMachine(
     int32_t id, std::unique_ptr<GuestKernel> guest, HostVmKernel* host_slice,
-    const mmu::TranslationEngine::Config& engine_config,
     mmu::TlbView tlb_view)
     : id_(id),
       guest_(std::move(guest)),
       host_slice_(host_slice),
-      engine_(engine_config, &guest_->table(), &host_slice_->table(),
-              tlb_view) {
+      engine_(mmu::TranslationEngine::Config{}, &guest_->table(),
+              &host_slice_->table(), tlb_view) {
   SIM_CHECK(guest_ != nullptr && host_slice_ != nullptr);
 }
 

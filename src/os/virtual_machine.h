@@ -14,9 +14,7 @@ namespace osim {
 class VirtualMachine {
  public:
   VirtualMachine(int32_t id, std::unique_ptr<GuestKernel> guest,
-                 HostVmKernel* host_slice,
-                 const mmu::TranslationEngine::Config& engine_config,
-                 mmu::TlbView tlb_view);
+                 HostVmKernel* host_slice, mmu::TlbView tlb_view);
 
   int32_t id() const { return id_; }
   GuestKernel& guest() { return *guest_; }

@@ -34,11 +34,6 @@ uint64_t FindContiguousRun(const vmem::BuddyAllocator& buddy,
   return found != vmem::kInvalidFrame ? found : best_before_cursor;
 }
 
-CaPagingPolicy::CaPagingPolicy(const CaPagingOptions& options)
-    : ThpPolicy(options.thp) {
-  options_.fault_huge = false;  // async daemon only
-}
-
 FaultDecision CaPagingPolicy::OnFault(KernelOps& kernel,
                                       const FaultInfo& info) {
   FaultDecision decision;

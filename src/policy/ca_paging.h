@@ -21,13 +21,10 @@
 
 namespace policy {
 
-struct CaPagingOptions {
-  ThpOptions thp;  // daemon settings (fault_huge is forced off)
-};
-
 class CaPagingPolicy : public ThpPolicy {
  public:
-  explicit CaPagingPolicy(const CaPagingOptions& options = {});
+  // THP's khugepaged daemon without fault-time huge allocation.
+  CaPagingPolicy() : ThpPolicy(ThpOptions{.fault_huge = false}) {}
 
   std::string_view name() const override { return "ca-paging"; }
 

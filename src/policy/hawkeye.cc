@@ -4,7 +4,17 @@
 #include <cstdint>
 #include <vector>
 
+#include "os/cost_model.h"
+
 namespace policy {
+
+namespace {
+
+// Fraction of zero-filled (absent) pages that are later written and take a
+// CoW fault.
+constexpr double kCowWriteFraction = 0.5;
+
+}  // namespace
 
 FaultDecision HawkEyePolicy::OnFault(KernelOps& kernel,
                                      const FaultInfo& info) {
@@ -24,7 +34,7 @@ void HawkEyePolicy::OnDaemonTick(KernelOps& kernel) {
   };
   std::vector<Candidate> candidates;
   kernel.table().ForEachBaseRegion([&](uint64_t region, uint32_t present) {
-    kernel.ChargeOverhead(kernel.costs().daemon_scan_region);
+    kernel.ChargeOverhead(osim::kCosts.daemon_scan_region);
     const uint64_t heat = kernel.table().AccessCount(region);
     if (present >= options_.promote_min_present && heat > 0) {
       candidates.push_back(Candidate{region, present, heat});
@@ -57,8 +67,8 @@ void HawkEyePolicy::OnDaemonTick(KernelOps& kernel) {
       const uint32_t absent =
           static_cast<uint32_t>(base::kPagesPerHuge) - c.present;
       const auto cow_faults = static_cast<uint64_t>(
-          options_.cow_write_fraction * static_cast<double>(absent));
-      kernel.ChargeOverhead(cow_faults * kernel.costs().cow_fault);
+          kCowWriteFraction * static_cast<double>(absent));
+      kernel.ChargeOverhead(cow_faults * osim::kCosts.cow_fault);
     }
   }
   kernel.table().DecayAccessCounts();

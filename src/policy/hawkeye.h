@@ -22,9 +22,6 @@ namespace policy {
 struct HawkEyeOptions {
   uint32_t promote_min_present = 256;  // lower bar than Ingens; holes filled
   uint32_t promotions_per_tick = 8;
-  // Fraction of zero-filled (absent) pages that are later written and take
-  // a CoW fault.
-  double cow_write_fraction = 0.5;
 };
 
 class HawkEyePolicy : public HugePagePolicy {

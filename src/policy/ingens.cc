@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "os/cost_model.h"
+
 namespace policy {
 
 FaultDecision IngensPolicy::OnFault(KernelOps& kernel,
@@ -17,7 +19,7 @@ void IngensPolicy::OnDaemonTick(KernelOps& kernel) {
   }
   std::vector<uint64_t> candidates;
   kernel.table().ForEachBaseRegion([&](uint64_t region, uint32_t present) {
-    kernel.ChargeOverhead(kernel.costs().daemon_scan_region);
+    kernel.ChargeOverhead(osim::kCosts.daemon_scan_region);
     // Utilization is measured over *recently accessed* memory (Ingens
     // tracks access bits); stale-but-present mappings do not qualify.
     if (present >= options_.promote_min_present &&

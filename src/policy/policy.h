@@ -20,7 +20,6 @@
 
 #include "base/types.h"
 #include "mmu/page_table.h"
-#include "os/cost_model.h"
 #include "vmem/buddy_allocator.h"
 #include "vmem/frame_space.h"
 
@@ -97,9 +96,6 @@ class KernelOps {
 
   // Current simulated time.
   virtual base::Cycles Now() const = 0;
-
-  // Cycle-cost constants of this kernel (for charging scan/promotion work).
-  virtual const osim::CostModel& costs() const = 0;
 
   // The machine's tracer, for policy-owned components (bookings, buckets)
   // to emit tracepoints through.  Null when the kernel has no machine

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "base/check.h"
+#include "os/cost_model.h"
 #include "os/host_kernel.h"
 
 namespace policy {
@@ -61,7 +62,7 @@ class LruApproxPolicy final : public ReclaimPolicy {
       if (charge) {
         // One referenced-bit sweep per daemon tick, at most: the cost that
         // makes full-EPT aging expensive on big VMs.
-        slice.ChargeOverhead(slice.costs().daemon_scan_region * scanned);
+        slice.ChargeOverhead(osim::kCosts.daemon_scan_region * scanned);
         table.DecayAccessCounts();
       }
     }
@@ -92,9 +93,6 @@ class LruApproxPolicy final : public ReclaimPolicy {
 // victims are the coldest monitored regions' mapped EPT huge-regions.
 class DamonPolicy final : public ReclaimPolicy {
  public:
-  explicit DamonPolicy(const damon::MonitorConfig& config)
-      : config_(config) {}
-
   ReclaimPolicyKind kind() const override { return ReclaimPolicyKind::kDamon; }
 
   void Observe(osim::HostKernel& host) override {
@@ -106,8 +104,8 @@ class DamonPolicy final : public ReclaimPolicy {
         const uint64_t span =
             std::max<uint64_t>(1, (slice.gfn_count() + kPagesPerHuge - 1) >>
                                       kHugeOrder);
-        damon::MonitorConfig per_vm = config_;
-        per_vm.seed = config_.seed * 0x9e3779b97f4a7c15ull +
+        damon::MonitorConfig per_vm;
+        per_vm.seed = per_vm.seed * 0x9e3779b97f4a7c15ull +
                       static_cast<uint64_t>(id) * 131 + 1;
         it = monitors_
                  .emplace(id, std::make_unique<damon::RegionMonitor>(per_vm,
@@ -119,7 +117,7 @@ class DamonPolicy final : public ReclaimPolicy {
           [&table](uint64_t region) { return table.AccessCount(region); });
       // The whole point of region sampling: overhead scales with the
       // region bound, not with the VM's memory size.
-      slice.ChargeOverhead(slice.costs().daemon_scan_region *
+      slice.ChargeOverhead(osim::kCosts.daemon_scan_region *
                            it->second->regions().size());
     }
   }
@@ -176,7 +174,6 @@ class DamonPolicy final : public ReclaimPolicy {
   }
 
  private:
-  damon::MonitorConfig config_;
   std::map<int32_t, std::unique_ptr<damon::RegionMonitor>> monitors_;
 };
 
@@ -202,13 +199,12 @@ std::optional<ReclaimPolicyKind> ParseReclaimPolicy(std::string_view name) {
   return std::nullopt;
 }
 
-std::unique_ptr<ReclaimPolicy> MakeReclaimPolicy(
-    ReclaimPolicyKind kind, const damon::MonitorConfig& damon_config) {
+std::unique_ptr<ReclaimPolicy> MakeReclaimPolicy(ReclaimPolicyKind kind) {
   switch (kind) {
     case ReclaimPolicyKind::kLruApprox:
       return std::make_unique<LruApproxPolicy>();
     case ReclaimPolicyKind::kDamon:
-      return std::make_unique<DamonPolicy>(damon_config);
+      return std::make_unique<DamonPolicy>();
   }
   SIM_CHECK(false);
   return nullptr;

@@ -77,32 +77,23 @@ class ReclaimPolicy {
   }
 };
 
-// `damon_config` is used by kDamon only (per-VM monitor seeds are derived
-// from damon_config.seed and the vm id).
-std::unique_ptr<ReclaimPolicy> MakeReclaimPolicy(
-    ReclaimPolicyKind kind, const damon::MonitorConfig& damon_config);
+// kDamon runs one monitor per VM at damon::MonitorConfig's defaults, its
+// seed derived from the default seed and the vm id.
+std::unique_ptr<ReclaimPolicy> MakeReclaimPolicy(ReclaimPolicyKind kind);
 
-// Watermark-driven host reclaim configuration, consumed by osim::Machine
-// (which instantiates the far tier and the reclaim daemon when enabled).
-// Watermark math (DESIGN.md §3i): with F host frames, reclaim wakes when
-// free < low_watermark * F and each pass demotes cold pages until
-// free >= high_watermark * F, or the per-pass budget is spent, or the far
-// tier rejects (capacity) — the gap between the two watermarks is the
-// burst headroom demand faults can consume between daemon ticks.
+// Host reclaim configuration, consumed by osim::Machine (which
+// instantiates the far tier and the reclaim daemon when enabled).  The
+// watermarks and the per-pass budget are the daemon's constants
+// (os/reclaim_daemon.cc, DESIGN.md §3i).
 struct ReclaimConfig {
   bool enabled = false;
   ReclaimPolicyKind policy = ReclaimPolicyKind::kLruApprox;
-  double low_watermark = 0.08;
-  double high_watermark = 0.15;
   // Far-tier capacity in pages (0 = unbounded).
   uint64_t far_capacity_pages = 0;
   // Daemon tick period (0 = the machine's daemon_period).  A PeriodicTask,
   // so it only ever fires at logical-time boundaries: reclaim decisions
   // are byte-identical at any GEMINI_VM_THREADS / batch size.
   base::Cycles interval = 0;
-  // Per-pass demotion budget, bounding one tick's stall contribution.
-  uint64_t max_pages_per_pass = 8192;
-  damon::MonitorConfig damon;
 };
 
 }  // namespace policy

@@ -2,14 +2,27 @@
 
 #include <vector>
 
+#include "os/cost_model.h"
+
 namespace policy {
+
+namespace {
+
+// khugepaged's per-pass budget of regions visited.
+constexpr uint32_t kScanRegionsPerTick = 4;
+// khugepaged collapses a region when at least this many of its 512 pages
+// are present (Linux max_ptes_none analogue; 64 present = up to 448 empty
+// PTEs tolerated).
+constexpr uint32_t kCollapseMinPresent = 64;
+
+}  // namespace
 
 FaultDecision ThpPolicy::OnFault(KernelOps& kernel, const FaultInfo& info) {
   (void)info;
   FaultDecision decision;
   if (options_.fault_huge && HasFreeMemoryHeadroom(kernel)) {
     decision.try_huge = true;
-    decision.synchronous_compaction = options_.synchronous_compaction;
+    decision.synchronous_compaction = true;  // "always" stalls on compaction
   }
   return decision;
 }
@@ -28,7 +41,7 @@ void ThpPolicy::OnDaemonTick(KernelOps& kernel) {
       first_region = region;
     }
     if (region >= scan_cursor_ &&
-        visited.size() < options_.scan_regions_per_tick) {
+        visited.size() < kScanRegionsPerTick) {
       visited.emplace_back(region, present);
     }
   });
@@ -36,15 +49,15 @@ void ThpPolicy::OnDaemonTick(KernelOps& kernel) {
     scan_cursor_ = first_region;  // wrap around
     kernel.table().ForEachBaseRegion([&](uint64_t region, uint32_t present) {
       if (region >= scan_cursor_ &&
-          visited.size() < options_.scan_regions_per_tick) {
+          visited.size() < kScanRegionsPerTick) {
         visited.emplace_back(region, present);
       }
     });
   }
   for (const auto& [region, present] : visited) {
-    kernel.ChargeOverhead(kernel.costs().daemon_scan_region);
+    kernel.ChargeOverhead(osim::kCosts.daemon_scan_region);
     scan_cursor_ = region + 1;
-    if (present < options_.collapse_min_present) {
+    if (present < kCollapseMinPresent) {
       continue;
     }
     if (kernel.table().CanPromoteInPlace(region)) {

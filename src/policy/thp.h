@@ -21,13 +21,7 @@
 namespace policy {
 
 struct ThpOptions {
-  bool fault_huge = true;             // THP "always" vs "madvise-never"
-  bool synchronous_compaction = true; // stall faults on compaction
-  uint32_t scan_regions_per_tick = 4;
-  // khugepaged collapses a region when at least this many of its 512 pages
-  // are present (Linux max_ptes_none analogue; 64 present = up to 448
-  // empty PTEs tolerated).
-  uint32_t collapse_min_present = 64;
+  bool fault_huge = true;  // THP "always" vs "madvise-never"
 };
 
 class ThpPolicy : public HugePagePolicy {

@@ -15,30 +15,12 @@
 
 namespace policy {
 
-struct RangerOptions {
-  // Regions migrated per tick; Ranger has no utilization bar, so this is
-  // pure migration throughput.
-  uint32_t migrations_per_tick = 32;
-  uint32_t min_present = 8;  // skip nearly-empty regions
-  // Pages moved per tick by the continuous defragmentation pass.  Ranger
-  // keeps exchanging pages to maintain large contiguous ranges even when no
-  // promotion results; this steady copy + shootdown traffic is where the
-  // paper's -7% throughput / +11% latency versus Host-B-VM-B comes from.
-  uint32_t background_moves_per_tick = 384;
-};
-
 class TranslationRangerPolicy final : public HugePagePolicy {
  public:
-  explicit TranslationRangerPolicy(const RangerOptions& options = {})
-      : options_(options) {}
-
   std::string_view name() const override { return "translation-ranger"; }
 
   FaultDecision OnFault(KernelOps& kernel, const FaultInfo& info) override;
   void OnDaemonTick(KernelOps& kernel) override;
-
- private:
-  RangerOptions options_;
 };
 
 }  // namespace policy

@@ -1,6 +1,7 @@
 #include "trace/session.h"
 
 #include <cctype>
+#include <cstddef>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -10,6 +11,12 @@
 #include "trace/perfetto.h"
 
 namespace trace {
+
+namespace {
+
+constexpr size_t kRingCapacity = 1 << 18;  // events retained (~9 MiB)
+
+}  // namespace
 
 std::string SanitizeFileStem(const std::string& s) {
   std::string out;
@@ -50,7 +57,7 @@ StackSampler* SetupTracing(osim::Machine& machine, const TraceConfig& config) {
   if (!config.enabled) {
     return nullptr;
   }
-  machine.tracer().Enable(config.ring_capacity);
+  machine.tracer().Enable(kRingCapacity);
   auto sampler = std::make_unique<StackSampler>(&machine);
   StackSampler* raw = sampler.get();
   machine.AddTask(std::move(sampler), config.sample_period);

@@ -15,7 +15,6 @@
 #ifndef SRC_TRACE_SESSION_H_
 #define SRC_TRACE_SESSION_H_
 
-#include <cstddef>
 #include <string>
 
 #include "os/machine.h"
@@ -28,7 +27,6 @@ struct TraceConfig {
   std::string dir;   // output directory (must exist)
   std::string stem;  // file stem, e.g. "fig9_cell03_redis_gemini"
   base::Cycles sample_period = 1'000'000;
-  size_t ring_capacity = 1 << 18;  // events retained (~9 MiB)
 };
 
 // Lowercases `s` and maps every non-[a-z0-9] run to one '_', so sweep

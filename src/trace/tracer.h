@@ -97,7 +97,6 @@ class Tracer {
   // Allocates the ring (capacity events, capacity >= 1) and starts
   // recording.  Calling Enable again resizes and clears the ring.
   void Enable(size_t capacity);
-  void Disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
 
   // Points the tracer at the simulated clock cell it stamps events from

@@ -4,6 +4,7 @@
 
 #include "base/rng.h"
 #include "base/types.h"
+#include "os/cost_model.h"
 #include "os/machine.h"
 #include "policy/base_only.h"
 #include "policy/ca_paging.h"
@@ -70,7 +71,7 @@ TEST(Thp, SynchronousCompactionChargedOnFailure) {
   const auto r = machine.Access(0, vma.start_page);
   EXPECT_EQ(guest.stats().failed_huge_allocs, 1u);
   // The access stalled on direct compaction.
-  EXPECT_GT(r.cycles, machine.config().costs.direct_compaction);
+  EXPECT_GT(r.cycles, osim::kCosts.direct_compaction);
 }
 
 TEST(Thp, KhugepagedCollapsesPartialRegions) {

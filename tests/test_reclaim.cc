@@ -4,6 +4,7 @@
 
 #include "base/types.h"
 #include "gemini/gemini_policy.h"
+#include "os/cost_model.h"
 #include "os/machine.h"
 #include "policy/base_only.h"
 #include "policy/thp.h"
@@ -54,7 +55,7 @@ TEST(Reclaim, SwapInChargesTheReturningFault) {
     }
   }
   EXPECT_GT(vm.guest().stats().swap_ins, swap_ins_before);
-  EXPECT_GE(max_cost, machine.config().costs.swap_in_page);
+  EXPECT_GE(max_cost, osim::kCosts.swap_in_page);
 }
 
 TEST(Reclaim, ColdRegionsSwappedBeforeHotOnes) {

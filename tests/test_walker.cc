@@ -45,20 +45,20 @@ TEST(PrefixCache, FlushEmpties) {
 }
 
 TEST(PageWalkCache, ColdBaseWalkIsFourRefs) {
-  PageWalkCache pwc({});
+  PageWalkCache pwc;
   const auto cost = pwc.Walk(0, PageSize::kBase);
   EXPECT_EQ(cost.memory_refs, 4u);
   EXPECT_EQ(cost.cached_refs, 0u);
 }
 
 TEST(PageWalkCache, ColdHugeWalkIsThreeRefs) {
-  PageWalkCache pwc({});
+  PageWalkCache pwc;
   const auto cost = pwc.Walk(0, PageSize::kHuge);
   EXPECT_EQ(cost.memory_refs, 3u);
 }
 
 TEST(PageWalkCache, WarmUpperLevelsAreCached) {
-  PageWalkCache pwc({});
+  PageWalkCache pwc;
   pwc.Walk(0, PageSize::kBase);
   // Second walk in the same 1 GiB range: PML4 + PDPT hit, PD/PT still paid.
   const auto cost = pwc.Walk(1, PageSize::kBase);
@@ -69,7 +69,7 @@ TEST(PageWalkCache, WarmUpperLevelsAreCached) {
 }
 
 TEST(PageWalkCache, DistantAddressMissesUpperLevels) {
-  PageWalkCache pwc({});
+  PageWalkCache pwc;
   pwc.Walk(0, PageSize::kBase);
   const auto cost = pwc.Walk(1ull << 40, PageSize::kBase);  // far away
   EXPECT_EQ(cost.memory_refs, 4u);

@@ -25,8 +25,9 @@ the baseline fails the run with exit code 1.  The gate covers only the
 scenarios named by --gate because mixed-load scenarios on shared CI
 runners are too noisy for tight thresholds (see BENCHMARKS.md "Reading
 bench_diff.py output"); miss_heavy is walker-bound and stable enough
-to gate at a generous 15%.  Exit code 2 still means an input file was
-missing or malformed.
+to gate at a generous 15%.  A gated scenario missing from either file
+also fails the gate, naming the file that lacks it.  Exit code 2 still
+means an input file was missing or malformed.
 """
 import argparse
 import json
@@ -123,11 +124,17 @@ def main(argv):
                   f"({old:.2f} -> {new:.2f} Mops/s), threshold "
                   f"{args.fail_threshold:g}%", file=sys.stderr)
         return 1
-    missing = [g for g in gates if g not in shared]
+    # A gate that silently never runs is worse than no gate.  Name the
+    # file(s) that lack each gated scenario.
+    missing = []
+    for gate in gates:
+        lacking = [path for path, rows in ((args.baseline, baseline),
+                                           (args.current, current))
+                   if gate not in rows]
+        if lacking:
+            missing.append(f"`{gate}` absent from {' and '.join(lacking)}")
     if missing:
-        # A gate that silently never runs is worse than no gate.
-        print("_Gate: FAILED — gated scenario(s) absent from both files: "
-              + ", ".join(f"`{g}`" for g in missing) + "._")
+        print("_Gate: FAILED — " + "; ".join(missing) + "._")
         return 1
     print(f"_Gate: OK — {', '.join(f'`{g}`' for g in gates)} within "
           f"{args.fail_threshold:g}% of baseline._")
