@@ -1,9 +1,10 @@
 // Google-benchmark micro benchmarks for the hot substrate paths: buddy
-// allocation, targeted allocation, TLB lookup/insert, page-table walks and
-// access-count aging, far-tier demotion/refault, EMA descriptor search,
-// and contiguity-list refresh.  These are
-// engineering benchmarks (not paper figures): they bound the simulator's
-// own costs and catch regressions in the data structures Gemini leans on.
+// allocation, targeted allocation, TLB lookup/insert and region shootdown,
+// page-table walks and access-count aging, far-tier demotion/refault, EMA
+// descriptor search, CA-paging's run search, and contiguity-list refresh.
+// These are engineering benchmarks (not paper figures): they bound the
+// simulator's own costs and catch regressions in the data structures
+// Gemini leans on.
 #include <benchmark/benchmark.h>
 
 #include "base/rng.h"
@@ -12,8 +13,11 @@
 #include "mmu/page_table.h"
 #include "mmu/tlb.h"
 #include "mmu/translation_engine.h"
+#include "policy/ca_paging.h"
 #include "vmem/buddy_allocator.h"
 #include "vmem/contiguity_list.h"
+#include "vmem/fragmenter.h"
+#include "vmem/frame_space.h"
 #include "vmem/tier_space.h"
 
 namespace {
@@ -86,6 +90,22 @@ void BM_TlbInsertEvict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TlbInsertEvict);
+
+// One 512-page region shootdown, as the kernels issue on unmap and
+// migration, on a full 1,536-entry TLB.  The entries sit in three other
+// regions, so the array stays full and every iteration scans all of it.
+void BM_TlbShootdownRegion(benchmark::State& state) {
+  mmu::Tlb tlb(mmu::TlbConfig{});
+  for (uint64_t vpn = 0; vpn < 3 * kPagesPerHuge; ++vpn) {
+    tlb.Insert(vpn, base::PageSize::kBase, vpn);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tlb.ShootdownRange(7 * kPagesPerHuge,
+                                                kPagesPerHuge));
+  }
+  state.counters["entries"] = tlb.entry_count();
+}
+BENCHMARK(BM_TlbShootdownRegion);
 
 void BM_PageTableLookupBase(benchmark::State& state) {
   mmu::PageTable table;
@@ -178,6 +198,25 @@ void BM_EmaTargetForMtf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EmaTargetForMtf);
+
+// CA-paging's anchor search on a fragmented testbed buddy: a guest VMA's
+// 256-frame request that a run near the start serves, and the host's
+// request for a whole 131,072-frame guest, which no run can serve.
+void BM_FindContiguousRun(benchmark::State& state, uint64_t frame_count,
+                          double fmfi, uint64_t min_frames) {
+  vmem::BuddyAllocator buddy(frame_count);
+  vmem::FrameSpace frames(frame_count);
+  vmem::Fragmenter(&buddy, &frames, 11).FragmentToTarget(fmfi);
+  uint64_t found = 0;
+  for (auto _ : state) {
+    found = policy::FindContiguousRun(buddy, min_frames, 0);
+    benchmark::DoNotOptimize(found);
+  }
+  state.counters["found"] = found != vmem::kInvalidFrame;
+}
+BENCHMARK_CAPTURE(BM_FindContiguousRun, guest_256_hit, 131072, 0.8, 256);
+BENCHMARK_CAPTURE(BM_FindContiguousRun, host_131072_miss, 409600, 0.85,
+                  131072);
 
 void BM_ContiguityRefresh(benchmark::State& state) {
   vmem::BuddyAllocator buddy(1 << 18);

@@ -59,7 +59,7 @@ Tlb::Tlb(const TlbConfig& config) : config_(config) {
 }
 
 void Tlb::RegisterVm(uint16_t vmid) {
-  SIM_CHECK(vmid < kMaxVms);
+  SIM_CHECK(vmid < tlb_tag::kMaxVms);
   if (vms_.size() <= vmid) {
     vms_.resize(vmid + 1);
   }
@@ -69,7 +69,7 @@ void Tlb::RegisterVm(uint16_t vmid) {
 }
 
 void Tlb::SetVmWays(uint16_t vmid, uint32_t way_begin, uint32_t way_count) {
-  SIM_CHECK(vmid < kMaxVms);
+  SIM_CHECK(vmid < tlb_tag::kMaxVms);
   SIM_CHECK(way_count > 0 && way_begin + way_count <= config_.ways);
   if (vms_.size() <= vmid) {
     vms_.resize(vmid + 1);
@@ -85,14 +85,15 @@ void Tlb::SetVmWays(uint16_t vmid, uint32_t way_begin, uint32_t way_count) {
   for (uint32_t s = 0; s < config_.sets; ++s) {
     const size_t base_i = static_cast<size_t>(s) * config_.ways;
     for (uint32_t w = way_begin; w < way_begin + way_count; ++w) {
-      vm.window_valid += static_cast<uint32_t>(tags_[base_i + w] & 1);
+      vm.window_valid +=
+          static_cast<uint32_t>(tlb_tag::Valid(tags_[base_i + w]));
     }
   }
 }
 
 uint32_t Tlb::RepartitionVmWays(uint16_t vmid, uint32_t way_begin,
                                 uint32_t way_count) {
-  SIM_CHECK(vmid < kMaxVms);
+  SIM_CHECK(vmid < tlb_tag::kMaxVms);
   SIM_CHECK(way_count > 0 && way_begin + way_count <= config_.ways);
   if (const VmState* vm = VmOrNull(vmid);
       vm != nullptr && vm->way_begin == way_begin &&
@@ -106,8 +107,7 @@ uint32_t Tlb::RepartitionVmWays(uint16_t vmid, uint32_t way_begin,
   uint32_t dropped = 0;
   const uint32_t way_end = way_begin + way_count;
   for (size_t i = 0; i < tags_.size(); ++i) {
-    const uint64_t t = tags_[i];
-    if ((t & 1) == 0 || TagVmid(t) != vmid) {
+    if (!tlb_tag::Owned(tags_[i], vmid)) {
       continue;
     }
     const uint32_t way = static_cast<uint32_t>(i % config_.ways);
@@ -127,8 +127,7 @@ uint32_t Tlb::entry_count_outside_window(uint16_t vmid) const {
   }
   uint32_t n = 0;
   for (size_t i = 0; i < tags_.size(); ++i) {
-    const uint64_t t = tags_[i];
-    if ((t & 1) == 0 || TagVmid(t) != vmid) {
+    if (!tlb_tag::Owned(tags_[i], vmid)) {
       continue;
     }
     const uint32_t way = static_cast<uint32_t>(i % config_.ways);
@@ -169,7 +168,7 @@ uint64_t Tlb::Sum(uint64_t VmTlbCounters::* field) const {
 int64_t Tlb::FindEntry(uint64_t key, base::PageSize size,
                        uint16_t vmid) const {
   const size_t base_i = static_cast<size_t>(SetIndex(key)) * config_.ways;
-  const uint64_t target = PackedTag(key, size, vmid);
+  const uint64_t target = tlb_tag::Pack(key, size, vmid);
 #ifdef MMU_TLB_HAVE_AVX2_PROBE
   if (HaveAvx2()) {
     const int64_t w = ProbeWaysAvx2(&tags_[base_i], config_.ways, target);
@@ -224,7 +223,7 @@ Tlb::LookupResult Tlb::Lookup(uint64_t vpn, uint16_t vmid) {
 }
 
 void Tlb::RestampHit(const Stamp& stamp) {
-  SIM_CHECK(last_hit_ >= 0 && (tags_[last_hit_] & 1) != 0);
+  SIM_CHECK(last_hit_ >= 0 && tlb_tag::Valid(tags_[last_hit_]));
   entries_[last_hit_].stamp = stamp;
 }
 
@@ -274,7 +273,7 @@ void Tlb::InsertMiss(uint64_t vpn, base::PageSize size, uint64_t frame,
   uint64_t victim_lru = ~0ull;
   for (uint32_t w = vm.way_begin; w < way_end; ++w) {
     const size_t i = base_i + w;
-    if ((tags_[i] & 1) == 0) {
+    if (!tlb_tag::Valid(tags_[i])) {
       victim = i;
       break;
     }
@@ -283,13 +282,13 @@ void Tlb::InsertMiss(uint64_t vpn, base::PageSize size, uint64_t frame,
     victim = older ? i : victim;
     victim_lru = older ? l : victim_lru;
   }
-  if ((tags_[victim] & 1) != 0) {
+  if (tlb_tag::Valid(tags_[victim])) {
     // Evicting a valid entry: attribute the eviction to its owner, split
     // conflict vs true-capacity by whether the inserting VM's window still
     // has a free way in some other set (it has none in this one).
     const uint64_t vt = tags_[victim];
-    const uint16_t victim_vmid = TagVmid(vt);
-    const bool victim_huge = (vt & 2) != 0;
+    const uint16_t victim_vmid = tlb_tag::Vmid(vt);
+    const bool victim_huge = tlb_tag::IsHuge(vt);
     const bool conflict =
         vm.window_valid <
         static_cast<uint64_t>(config_.sets) * vm.way_count;
@@ -305,14 +304,14 @@ void Tlb::InsertMiss(uint64_t vpn, base::PageSize size, uint64_t frame,
                      : vc.capacity_evictions_base);
     }
     if (monitor_ != nullptr) {
-      monitor_->OnEviction(vt >> (kVmidBits + 2),
+      monitor_->OnEviction(tlb_tag::Key(vt),
                            victim_huge ? base::PageSize::kHuge
                                        : base::PageSize::kBase,
                            victim_vmid, vmid);
     }
     DropSlot(victim);
   }
-  tags_[victim] = PackedTag(key, size, vmid);
+  tags_[victim] = tlb_tag::Pack(key, size, vmid);
   AddSlot(victim);
   lru_[victim] = clock_;
   entries_[victim].frame = frame;
@@ -367,8 +366,7 @@ void Tlb::Flush() {
 uint32_t Tlb::InvalidateVm(uint16_t vmid) {
   uint32_t dropped = 0;
   for (size_t i = 0; i < tags_.size(); ++i) {
-    const uint64_t t = tags_[i];
-    if ((t & 1) != 0 && TagVmid(t) == vmid) {
+    if (tlb_tag::Owned(tags_[i], vmid)) {
       DropSlot(i);
       ++dropped;
     }
@@ -402,33 +400,18 @@ uint32_t Tlb::ShootdownPage(uint64_t vpn, uint16_t vmid) {
 }
 
 uint32_t Tlb::ShootdownRange(uint64_t vpn, uint64_t pages, uint16_t vmid) {
-  // For large ranges a full scan is cheaper than per-page probes.
-  if (pages >= entries_.size()) {
-    uint32_t dropped = 0;
-    const uint64_t end = vpn + pages;
-    for (size_t i = 0; i < tags_.size(); ++i) {
-      const uint64_t t = tags_[i];
-      if ((t & 1) == 0 || TagVmid(t) != vmid) {
-        continue;
-      }
-      const bool huge = (t & 2) != 0;
-      const uint64_t tag = t >> (kVmidBits + 2);
-      const uint64_t lo = huge ? tag << base::kHugeOrder : tag;
-      const uint64_t hi = lo + (huge ? base::kPagesPerHuge : 1);
-      if (lo < end && hi > vpn) {
-        DropSlot(i);
-        ++dropped;
-      }
-    }
-    Counters(vmid).shootdowns += dropped;
-    if (monitor_ != nullptr) {
-      monitor_->OnShootdownRange(vpn, pages, vmid);
-    }
-    return dropped;
-  }
+  const uint64_t end = vpn + pages;
   uint32_t dropped = 0;
-  for (uint64_t p = 0; p < pages; ++p) {
-    dropped += ShootdownPage(vpn + p, vmid);
+  for (size_t i = 0; i < tags_.size(); ++i) {
+    const uint64_t t = tags_[i];
+    if (tlb_tag::Owned(t, vmid) && tlb_tag::Overlaps(t, vpn, end)) {
+      DropSlot(i);
+      ++dropped;
+    }
+  }
+  Counters(vmid).shootdowns += dropped;
+  if (monitor_ != nullptr) {
+    monitor_->OnShootdownRange(vpn, pages, vmid);
   }
   return dropped;
 }
@@ -438,7 +421,7 @@ uint32_t Tlb::entry_count() const { return valid_total_; }
 uint32_t Tlb::entry_count(uint16_t vmid) const {
   uint32_t n = 0;
   for (const uint64_t t : tags_) {
-    n += static_cast<uint32_t>((t & 1) != 0 && TagVmid(t) == vmid);
+    n += static_cast<uint32_t>(tlb_tag::Owned(t, vmid));
   }
   return n;
 }

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "base/types.h"
+#include "mmu/tlb_tag.h"
 #include "mmu/tlb_utility_monitor.h"
 
 namespace mmu {
@@ -56,12 +57,6 @@ struct TlbConfig {
 
 class Tlb {
  public:
-  // VMID tag width: collocation experiments run a handful of VMs, so a
-  // byte of tag is generous.  Keys (VPNs) keep 54 bits — far beyond the
-  // simulated address spaces.
-  static constexpr uint32_t kVmidBits = 8;
-  static constexpr uint16_t kMaxVms = 1u << kVmidBits;
-
   // Validity stamp recorded when an entry is filled (or revalidated): the
   // page-table generations the translation was derived under.  The host
   // fields are unused (zero) in native mode.
@@ -117,6 +112,8 @@ class Tlb {
     // window and the entries sat outside the new window (RepartitionVmWays;
     // the cost side of adapting the partition).
     uint64_t repartition_evictions = 0;
+
+    bool operator==(const VmTlbCounters&) const = default;
   };
 
   explicit Tlb(const TlbConfig& config);
@@ -215,7 +212,13 @@ class Tlb {
   // page; also drops a covering huge entry).  Returns entries dropped.
   uint32_t ShootdownPage(uint64_t vpn, uint16_t vmid = 0);
 
-  // Invalidates all entries of `vmid` overlapping [vpn, vpn + pages).
+  // Invalidates all entries of `vmid` overlapping [vpn, vpn + pages): one
+  // pass over the packed tags whatever the range length, so a 512-page
+  // region costs one array scan rather than 1,024 probes.  Counts the
+  // dropped entries as shootdowns and tells an attached monitor once
+  // (OnShootdownRange).  Drops, counts and monitor state match a
+  // ShootdownPage of every page in the range; a zero-page range drops
+  // nothing.  Returns entries dropped.
   uint32_t ShootdownRange(uint64_t vpn, uint64_t pages, uint16_t vmid = 0);
 
   // Aggregate counters (summed over every registered VM); identical to the
@@ -288,18 +291,6 @@ class Tlb {
   uint32_t SetIndex(uint64_t key) const {
     return static_cast<uint32_t>(key) & (config_.sets - 1);
   }
-  // Packed way identity: tag << (kVmidBits + 2) | vmid << 2 | is_huge << 1
-  // | valid.  Zero (invalid) never matches a probe, whose target always
-  // has the valid bit set.
-  static uint64_t PackedTag(uint64_t key, base::PageSize size,
-                            uint16_t vmid) {
-    return (key << (kVmidBits + 2)) |
-           (static_cast<uint64_t>(vmid) << 2) |
-           (size == base::PageSize::kHuge ? 2ull : 0ull) | 1ull;
-  }
-  static uint16_t TagVmid(uint64_t packed) {
-    return static_cast<uint16_t>((packed >> 2) & (kMaxVms - 1));
-  }
   // Index of the entry translating (key, size) for `vmid`, or -1.
   int64_t FindEntry(uint64_t key, base::PageSize size, uint16_t vmid) const;
 
@@ -323,7 +314,7 @@ class Tlb {
   uint64_t Sum(uint64_t VmTlbCounters::* field) const;
 
   TlbConfig config_;
-  std::vector<uint64_t> tags_;     // sets * ways packed way identities
+  std::vector<uint64_t> tags_;     // sets * ways tlb_tag::Pack identities
   std::vector<uint64_t> lru_;      // lru_[i]: last touch of entry i
   std::vector<Entry> entries_;     // sets * ways payloads
   std::vector<VmState> vms_;       // indexed by vmid; grown by RegisterVm

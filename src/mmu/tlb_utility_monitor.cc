@@ -58,7 +58,7 @@ void TlbUtilityMonitor::ShadowAccess(uint64_t key, base::PageSize size,
   }
   VmShadow& vm = Shadow(vmid);
   std::vector<uint64_t>& stack = vm.stacks[set / config_.sample_stride];
-  const uint64_t entry = Packed(key, size, vmid);
+  const uint64_t entry = tlb_tag::Pack(key, size, vmid);
   for (size_t d = 0; d < stack.size(); ++d) {
     if (stack[d] == entry) {
       ++vm.utility.way_hits[d];
@@ -95,14 +95,14 @@ void TlbUtilityMonitor::OnEviction(uint64_t key, base::PageSize size,
   RegisterVm(victim_vmid);
   RegisterVm(evictor_vmid);
   DisplacedRecord& slot = records_[DisplacedSlot(key, size, victim_vmid)];
-  slot.tag = Packed(key, size, victim_vmid);
+  slot.tag = tlb_tag::Pack(key, size, victim_vmid);
   slot.evictor = evictor_vmid;
 }
 
 int32_t TlbUtilityMonitor::TakeRecord(uint64_t key, base::PageSize size,
                                       uint16_t vmid) {
   DisplacedRecord& slot = records_[DisplacedSlot(key, size, vmid)];
-  if (slot.tag != Packed(key, size, vmid)) {
+  if (slot.tag != tlb_tag::Pack(key, size, vmid)) {
     return -1;
   }
   const int32_t evictor = slot.evictor;
@@ -130,7 +130,7 @@ int32_t TlbUtilityMonitor::AttributeMiss(uint64_t vpn, uint16_t vmid) {
 void TlbUtilityMonitor::ClearRecord(uint64_t key, base::PageSize size,
                                     uint16_t vmid) {
   DisplacedRecord& slot = records_[DisplacedSlot(key, size, vmid)];
-  if (slot.tag == Packed(key, size, vmid)) {
+  if (slot.tag == tlb_tag::Pack(key, size, vmid)) {
     slot.tag = 0;
   }
 }
@@ -144,8 +144,9 @@ void TlbUtilityMonitor::OnShootdown(uint64_t vpn, uint16_t vmid) {
   // VM's utility curve.
   if (vmid < vms_.size() && !vms_[vmid].stacks.empty()) {
     VmShadow& vm = vms_[vmid];
-    const uint64_t keys[2] = {Packed(vpn, base::PageSize::kBase, vmid),
-                              Packed(region, base::PageSize::kHuge, vmid)};
+    const uint64_t keys[2] = {
+        tlb_tag::Pack(vpn, base::PageSize::kBase, vmid),
+        tlb_tag::Pack(region, base::PageSize::kHuge, vmid)};
     const uint32_t sets[2] = {SetIndex(vpn), SetIndex(region)};
     for (int i = 0; i < 2; ++i) {
       if (!Sampled(sets[i])) {
@@ -161,17 +162,10 @@ void TlbUtilityMonitor::OnShootdown(uint64_t vpn, uint16_t vmid) {
 void TlbUtilityMonitor::OnShootdownRange(uint64_t vpn, uint64_t pages,
                                          uint16_t vmid) {
   const uint64_t end = vpn + pages;
-  // Rare bulk event (teardown/migration): scan the fixed-size structures.
+  // One call per range shootdown: scan each fixed-size structure once.
   for (DisplacedRecord& slot : records_) {
-    if ((slot.tag & 1) == 0 ||
-        static_cast<uint16_t>((slot.tag >> 2) & 0xff) != vmid) {
-      continue;
-    }
-    const bool huge = (slot.tag & 2) != 0;
-    const uint64_t key = slot.tag >> 10;
-    const uint64_t lo = huge ? key << base::kHugeOrder : key;
-    const uint64_t hi = lo + (huge ? base::kPagesPerHuge : 1);
-    if (lo < end && hi > vpn) {
+    if (tlb_tag::Owned(slot.tag, vmid) &&
+        tlb_tag::Overlaps(slot.tag, vpn, end)) {
       slot.tag = 0;
     }
   }
@@ -179,13 +173,7 @@ void TlbUtilityMonitor::OnShootdownRange(uint64_t vpn, uint64_t pages,
     for (std::vector<uint64_t>& stack : vms_[vmid].stacks) {
       stack.erase(std::remove_if(stack.begin(), stack.end(),
                                  [&](uint64_t e) {
-                                   const bool huge = (e & 2) != 0;
-                                   const uint64_t key = e >> 10;
-                                   const uint64_t lo =
-                                       huge ? key << base::kHugeOrder : key;
-                                   const uint64_t hi =
-                                       lo + (huge ? base::kPagesPerHuge : 1);
-                                   return lo < end && hi > vpn;
+                                   return tlb_tag::Overlaps(e, vpn, end);
                                  }),
                   stack.end());
     }
@@ -194,8 +182,7 @@ void TlbUtilityMonitor::OnShootdownRange(uint64_t vpn, uint64_t pages,
 
 void TlbUtilityMonitor::OnInvalidateVm(uint16_t vmid) {
   for (DisplacedRecord& slot : records_) {
-    if ((slot.tag & 1) != 0 &&
-        static_cast<uint16_t>((slot.tag >> 2) & 0xff) == vmid) {
+    if (tlb_tag::Owned(slot.tag, vmid)) {
       slot.tag = 0;
     }
   }

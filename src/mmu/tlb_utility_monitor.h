@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "base/types.h"
+#include "mmu/tlb_tag.h"
 
 namespace mmu {
 
@@ -139,21 +140,16 @@ class TlbUtilityMonitor {
 
  private:
   struct DisplacedRecord {
-    uint64_t tag = 0;      // packed (key, size, victim vmid); 0 = empty
+    uint64_t tag = 0;      // tlb_tag::Pack of the victim entry; 0 = empty
     uint16_t evictor = 0;  // inserting vmid recorded at eviction
   };
   struct VmShadow {
-    // stacks[sampled_set]: MRU-ordered packed (key, size), depth <= ways.
+    // stacks[sampled_set]: MRU-ordered tlb_tag::Pack(key, size, vmid),
+    // depth <= ways.
     std::vector<std::vector<uint64_t>> stacks;
     VmUtility utility;
   };
 
-  // Same packing discipline as Tlb's way tags: the valid bit makes an
-  // empty record slot unmatchable.
-  static uint64_t Packed(uint64_t key, base::PageSize size, uint16_t vmid) {
-    return (key << 10) | (static_cast<uint64_t>(vmid) << 2) |
-           (size == base::PageSize::kHuge ? 2ull : 0ull) | 1ull;
-  }
   uint32_t SetIndex(uint64_t key) const {
     return static_cast<uint32_t>(key) & (config_.sets - 1);
   }
@@ -163,7 +159,8 @@ class TlbUtilityMonitor {
   size_t DisplacedSlot(uint64_t key, base::PageSize size,
                        uint16_t vmid) const {
     // Cheap deterministic mix; full-tag compare makes collisions benign.
-    const uint64_t h = Packed(key, size, vmid) * 0x9e3779b97f4a7c15ull;
+    const uint64_t h =
+        tlb_tag::Pack(key, size, vmid) * 0x9e3779b97f4a7c15ull;
     return static_cast<size_t>(h >> 32) & (config_.displaced_slots - 1);
   }
   VmShadow& Shadow(uint16_t vmid);

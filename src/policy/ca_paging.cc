@@ -10,7 +10,11 @@ uint64_t FindContiguousRun(const vmem::BuddyAllocator& buddy,
   uint64_t run_start = vmem::kInvalidFrame;
   uint64_t run_end = 0;
   uint64_t found = vmem::kInvalidFrame;
-  // Returns false, ending the visit, once the answer is known.
+  // Only the blocks of free runs of at least `min_frames` are visited.  A
+  // shorter run never reaches run_end - run_start >= min_frames, so it
+  // changes no state the next run reads (its first block resets
+  // run_start), and skipping it leaves the answer exact.  Returns false,
+  // ending the visit, once the answer is known.
   buddy.ForEachFreeBlock([&](uint64_t head, int order) {
     const uint64_t size = 1ull << order;
     if (run_start == vmem::kInvalidFrame || head != run_end) {
@@ -30,7 +34,7 @@ uint64_t FindContiguousRun(const vmem::BuddyAllocator& buddy,
       }
     }
     return found == vmem::kInvalidFrame;
-  });
+  }, min_frames);
   return found != vmem::kInvalidFrame ? found : best_before_cursor;
 }
 

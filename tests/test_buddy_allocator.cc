@@ -288,6 +288,20 @@ TEST(Buddy, FreeVisitorsStopWhenToldTo) {
     });
     EXPECT_EQ(seen_blocks,
               decltype(blocks)(blocks.begin(), blocks.begin() + stop));
+    // Both of the long-run visitor's paths: the filtered ForEachFreeRun
+    // below 128 frames and the all-free-word scan from 128 up.  Only the
+    // first run, [0, 100), is shorter than either.
+    for (const uint64_t min_frames : {101ull, 128ull}) {
+      std::vector<std::pair<uint64_t, uint64_t>> seen_long;
+      buddy.ForEachFreeRunOfAtLeast(
+          min_frames, [&](uint64_t frame, uint64_t count) {
+            seen_long.emplace_back(frame, count);
+            return seen_long.size() < stop;
+          });
+      EXPECT_EQ(seen_long, decltype(runs)(runs.begin() + 1,
+                                          runs.begin() + 1 + stop))
+          << min_frames;
+    }
   }
 }
 

@@ -2,6 +2,10 @@
 // Ingens, HawkEye, CA-paging, Translation Ranger).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "base/rng.h"
 #include "base/types.h"
 #include "os/cost_model.h"
@@ -13,6 +17,8 @@
 #include "policy/misalignment.h"
 #include "policy/thp.h"
 #include "policy/translation_ranger.h"
+#include "vmem/fragmenter.h"
+#include "vmem/frame_space.h"
 
 namespace {
 
@@ -261,6 +267,96 @@ TEST(CaPaging, FindContiguousRunMatchesFullScan) {
     }
   }
   EXPECT_EQ(compared, 2000);
+}
+
+// Bed-scale differential for the long-run visitor and the run search on
+// buddies the fragmenter leaves behind at testbed sizes: a guest of
+// 131,072 frames at FMFI 0.8, a host of 409,600 frames at FMFI 0.85, and
+// a frame count that is not a multiple of 64.  Each bed is checked as
+// fragmented, then again with its first and last 300 frames and one wide
+// window freed, so that long runs touch frame 0 and the last frame and
+// the longest run can serve the largest request.  The visitor must yield
+// ForEachFreeRun's runs of at least `min_frames`, and FindContiguousRun
+// must equal the full scan for cursors at 0, inside the longest run, on
+// the edges of runs and past the last frame.
+TEST(CaPaging, RunSearchMatchesFullScanOnFragmentedBeds) {
+  using Span = std::pair<uint64_t, uint64_t>;
+  struct Bed {
+    uint64_t frames;
+    double fmfi;
+    uint64_t window;  // frames freed at frames / 4 in the widened pass
+  };
+  const Bed kBeds[] = {
+      {131072, 0.8, 5000}, {409600, 0.85, 140000}, {100003, 0.8, 4500}};
+  const uint64_t kMinFrames[] = {1,   63,  64,   127,   128,
+                                 129, 256, 4096, 131072};
+  int hits = 0;
+  int misses = 0;
+  for (const Bed& bed : kBeds) {
+    vmem::BuddyAllocator buddy(bed.frames);
+    vmem::FrameSpace frames(bed.frames);
+    vmem::Fragmenter fragmenter(&buddy, &frames, 11);
+    ASSERT_GE(fragmenter.FragmentToTarget(bed.fmfi), bed.fmfi);
+    for (const bool widened : {false, true}) {
+      if (widened) {
+        const auto free_span = [&](uint64_t lo, uint64_t hi) {
+          for (uint64_t f = lo; f < hi; ++f) {
+            if (!buddy.IsFrameFree(f)) {
+              buddy.Free(f, 1);
+            }
+          }
+        };
+        free_span(0, 300);
+        free_span(bed.frames - 300, bed.frames);
+        free_span(bed.frames / 4, bed.frames / 4 + bed.window);
+      }
+      std::vector<Span> runs;
+      buddy.ForEachFreeRun(
+          [&](uint64_t lo, uint64_t count) { runs.emplace_back(lo, count); });
+      ASSERT_FALSE(runs.empty());
+      if (widened) {
+        ASSERT_EQ(runs.front().first, 0u);
+        ASSERT_EQ(runs.back().first + runs.back().second, bed.frames);
+      }
+      const Span longest = *std::max_element(
+          runs.begin(), runs.end(), [](const Span& a, const Span& b) {
+            return a.second < b.second;
+          });
+      std::vector<uint64_t> cursors = {0, longest.first + longest.second / 2,
+                                       bed.frames, bed.frames + 7};
+      for (const size_t i : {size_t{0}, size_t{1}, runs.size() / 2,
+                             runs.size() - 1}) {
+        cursors.push_back(runs[i].first);
+        cursors.push_back(runs[i].first + runs[i].second);
+      }
+      cursors.push_back(longest.first);
+      cursors.push_back(longest.first + longest.second);
+      for (const uint64_t min_frames : kMinFrames) {
+        std::vector<Span> want;
+        for (const Span& run : runs) {
+          if (run.second >= min_frames) {
+            want.push_back(run);
+          }
+        }
+        std::vector<Span> got;
+        buddy.ForEachFreeRunOfAtLeast(
+            min_frames,
+            [&](uint64_t lo, uint64_t count) { got.emplace_back(lo, count); });
+        ASSERT_EQ(got, want) << bed.frames << " frames, widened " << widened
+                             << ", min " << min_frames;
+        for (const uint64_t cursor : cursors) {
+          const uint64_t found =
+              policy::FindContiguousRun(buddy, min_frames, cursor);
+          ASSERT_EQ(found, FullScanContiguousRun(buddy, min_frames, cursor))
+              << bed.frames << " frames, widened " << widened << ", min "
+              << min_frames << ", cursor " << cursor;
+          ++(found == vmem::kInvalidFrame ? misses : hits);
+        }
+      }
+    }
+  }
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
 }
 
 TEST(Ranger, MigratesSparseRegionsUnconditionally) {

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
 #include <vector>
 
+#include "base/rng.h"
 #include "base/types.h"
+#include "mmu/tlb_utility_monitor.h"
 
 namespace {
 
@@ -110,13 +114,26 @@ TEST(Tlb, ShootdownRangeSmall) {
 }
 
 TEST(Tlb, ShootdownRangeLargeScansAllEntries) {
-  Tlb tlb(Small(2, 2));  // 4 entries => range of 8 pages triggers the scan
+  Tlb tlb(Small(2, 2));  // a range far larger than the 4-entry array
   tlb.Insert(0, PageSize::kBase, 1);
   tlb.Insert(1000, PageSize::kBase, 2);
   const uint64_t huge_vpn = 2ull << kHugeOrder;
   tlb.Insert(huge_vpn, PageSize::kHuge, 1024);
   tlb.ShootdownRange(0, 100000);
   EXPECT_EQ(tlb.entry_count(), 0u);
+}
+
+// A zero-page range drops nothing, not even a huge entry covering `vpn`.
+TEST(Tlb, ShootdownRangeOfZeroPagesDropsNothing) {
+  Tlb tlb(Small(8, 4));
+  const uint64_t vpn = (3ull << kHugeOrder) + 7;
+  tlb.Insert(vpn, PageSize::kHuge, 1536);
+  tlb.Insert(vpn, PageSize::kBase, 9);
+  EXPECT_EQ(tlb.ShootdownRange(vpn, 0), 0u);
+  EXPECT_EQ(tlb.ShootdownRange(vpn + 1, 0), 0u);
+  EXPECT_EQ(tlb.entry_count(), 2u);
+  EXPECT_EQ(tlb.shootdowns(), 0u);
+  EXPECT_EQ(tlb.ShootdownRange(vpn, 1), 2u);
 }
 
 TEST(Tlb, StaleHitDiscountMovesCounters) {
@@ -246,6 +263,189 @@ TEST_P(TlbEvictionClassTest, SplitMatchesWindowResidency) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, TlbEvictionClassTest,
+                         ::testing::Values(0, 1, 2));
+
+// ShootdownRange is one pass over the array.  The reference is what it
+// replaced: a ShootdownPage of every page in the range.
+uint32_t PerPageShootdown(Tlb& tlb, uint64_t vpn, uint64_t pages,
+                          uint16_t vmid) {
+  uint32_t dropped = 0;
+  for (uint64_t p = 0; p < pages; ++p) {
+    dropped += tlb.ShootdownPage(vpn + p, vmid);
+  }
+  return dropped;
+}
+
+// Twin arrays take one fuzzed stream of lookups, fills, page shootdowns and
+// invalidations; range shootdowns go through ShootdownRange on one and the
+// per-page loop on the other.  After every range both must agree on the
+// return value, every VM's counters and entry count, every set's
+// occupancy, every key's residency and, with a monitor attached, the
+// utility curves and the displaced-by matrix.  The stream goes on after
+// each range, so a displaced record or shadow entry one twin kept and the
+// other cleared shows up in later attributions.  Arrangements: 0 =
+// private (one VM, no monitor), 1 = shared (three VMs over every way),
+// 2 = partitioned (three VMs on disjoint two-way windows); 1 and 2 attach
+// a monitor as the shared domains do.
+class TlbRangeShootdownTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TlbRangeShootdownTest, OnePassMatchesThePerPageLoop) {
+  const int arrangement = GetParam();
+  const TlbConfig config = Small(16, 6);
+  const uint64_t entries = config.sets * config.ways;
+  constexpr uint64_t kRegions = 4;
+  constexpr uint64_t kSpan = kRegions * kPagesPerHuge;
+  Tlb one_pass(config);
+  Tlb per_page(config);
+  mmu::TlbUtilityMonitor::Config mc;
+  mc.sets = config.sets;
+  mc.ways = config.ways;
+  mc.sample_stride = 2;
+  mc.displaced_slots = 128;
+  mmu::TlbUtilityMonitor one_pass_monitor(mc);
+  mmu::TlbUtilityMonitor per_page_monitor(mc);
+  const std::vector<uint16_t> vms =
+      arrangement == 0 ? std::vector<uint16_t>{0}
+                       : std::vector<uint16_t>{0, 1, 2};
+  if (arrangement != 0) {
+    one_pass.AttachUtilityMonitor(&one_pass_monitor);
+    per_page.AttachUtilityMonitor(&per_page_monitor);
+  }
+  for (size_t i = 0; i < vms.size(); ++i) {
+    for (Tlb* tlb : {&one_pass, &per_page}) {
+      if (arrangement == 2) {
+        tlb->SetVmWays(vms[i], static_cast<uint32_t>(2 * i), 2);
+      } else {
+        tlb->RegisterVm(vms[i]);
+      }
+    }
+  }
+
+  const auto expect_same_state = [&](const std::string& where) {
+    for (const uint16_t v : vms) {
+      ASSERT_TRUE(one_pass.vm_counters(v) == per_page.vm_counters(v))
+          << "vm " << v << " " << where;
+      ASSERT_EQ(one_pass.entry_count(v), per_page.entry_count(v))
+          << "vm " << v << " " << where;
+    }
+    for (uint32_t set = 0; set < config.sets; ++set) {
+      ASSERT_EQ(one_pass.set_occupancy(set), per_page.set_occupancy(set))
+          << "set " << set << " " << where;
+    }
+    for (uint64_t vpn = 0; vpn < kSpan; ++vpn) {
+      for (const uint16_t v : vms) {
+        ASSERT_EQ(one_pass.Probe(vpn, v), per_page.Probe(vpn, v))
+            << "vpn " << vpn << " vm " << v << " " << where;
+      }
+    }
+    if (arrangement == 0) {
+      return;
+    }
+    for (const uint16_t v : vms) {
+      const mmu::TlbUtilityMonitor::VmUtility& a = one_pass_monitor.utility(v);
+      const mmu::TlbUtilityMonitor::VmUtility& b = per_page_monitor.utility(v);
+      ASSERT_EQ(a.way_hits, b.way_hits) << "vm " << v << " " << where;
+      ASSERT_EQ(a.shadow_misses, b.shadow_misses) << "vm " << v << " " << where;
+      for (const uint16_t e : vms) {
+        ASSERT_EQ(one_pass_monitor.displaced(v, e),
+                  per_page_monitor.displaced(v, e))
+            << "vm " << v << " evictor " << e << " " << where;
+      }
+    }
+  };
+
+  base::Rng rng(static_cast<uint64_t>(31 + arrangement));
+  std::array<int, 5> range_kinds{};
+  for (int step = 0; step < 8000; ++step) {
+    const uint16_t vmid = vms[rng.NextBelow(vms.size())];
+    const uint64_t vpn = rng.NextBelow(kSpan);
+    const uint64_t region_base = vpn & ~(kPagesPerHuge - 1);
+    const double roll = rng.NextDouble();
+    if (roll < 0.60) {
+      // The engine's pattern: probe, fill on a miss.
+      const bool hit = one_pass.Lookup(vpn, vmid).hit;
+      ASSERT_EQ(per_page.Lookup(vpn, vmid).hit, hit) << "step " << step;
+      if (!hit) {
+        const PageSize size =
+            rng.NextBool(0.15) ? PageSize::kHuge : PageSize::kBase;
+        one_pass.InsertMiss(vpn, size, vpn, Tlb::Stamp{}, vmid);
+        per_page.InsertMiss(vpn, size, vpn, Tlb::Stamp{}, vmid);
+      }
+    } else if (roll < 0.85) {
+      const PageSize size =
+          rng.NextBool(0.15) ? PageSize::kHuge : PageSize::kBase;
+      one_pass.Insert(vpn, size, vpn, Tlb::Stamp{}, vmid);
+      per_page.Insert(vpn, size, vpn, Tlb::Stamp{}, vmid);
+    } else if (roll < 0.93) {
+      ASSERT_EQ(one_pass.ShootdownPage(vpn, vmid),
+                per_page.ShootdownPage(vpn, vmid))
+          << "step " << step;
+    } else if (roll < 0.995) {
+      const int kind = static_cast<int>(rng.NextBelow(range_kinds.size()));
+      ++range_kinds[kind];
+      uint64_t lo = vpn;
+      uint64_t pages = 0;
+      bool in_huge = false;
+      switch (kind) {
+        case 0:  // empty, half the time inside a huge entry just filled
+          in_huge = rng.NextBool(0.5);
+          if (in_huge) {
+            lo = region_base + rng.NextRange(1, kPagesPerHuge);
+            one_pass.Insert(lo, PageSize::kHuge, lo, Tlb::Stamp{}, vmid);
+            per_page.Insert(lo, PageSize::kHuge, lo, Tlb::Stamp{}, vmid);
+          }
+          break;
+        case 1:  // a few pages
+          pages = rng.NextRange(1, 5);
+          break;
+        case 2:  // exactly one region, as the kernels shoot down
+          lo = region_base;
+          pages = kPagesPerHuge;
+          break;
+        case 3: {  // unaligned, across a region boundary
+          const uint64_t before = rng.NextRange(1, kPagesPerHuge);
+          lo = region_base + kPagesPerHuge - before;
+          pages = before + rng.NextRange(1, kPagesPerHuge + 100);
+          break;
+        }
+        default:  // at least the whole array's entry count
+          pages = entries + rng.NextBelow(kSpan);
+          break;
+      }
+      const std::string where = "step " + std::to_string(step) + " range [" +
+                                std::to_string(lo) + ", +" +
+                                std::to_string(pages) + ") vm " +
+                                std::to_string(vmid);
+      const uint32_t dropped = one_pass.ShootdownRange(lo, pages, vmid);
+      ASSERT_EQ(dropped, PerPageShootdown(per_page, lo, pages, vmid))
+          << where;
+      if (pages == 0) {
+        ASSERT_EQ(dropped, 0u) << where;
+        ASSERT_TRUE(!in_huge || one_pass.Probe(lo, vmid)) << where;
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_same_state(where));
+    } else {
+      one_pass.InvalidateVm(vmid);
+      per_page.InvalidateVm(vmid);
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_same_state("end"));
+
+  for (const int n : range_kinds) {
+    EXPECT_GT(n, 20);
+  }
+  EXPECT_GT(one_pass.shootdowns(), 0u);
+  if (arrangement != 0) {
+    uint64_t attributed = 0;
+    for (const uint16_t v : vms) {
+      attributed += one_pass.vm_counters(v).displaced_by_self +
+                    one_pass.vm_counters(v).displaced_by_other;
+    }
+    EXPECT_GT(attributed, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Arrangements, TlbRangeShootdownTest,
                          ::testing::Values(0, 1, 2));
 
 }  // namespace

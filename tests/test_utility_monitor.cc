@@ -189,7 +189,11 @@ TEST(UtilityMonitor, RangeShootdownClearsOnlyOverlappingRecords) {
   mon.OnEviction(3, PageSize::kBase, 0, 1);
   mon.OnShootdownRange(/*vpn=*/0, /*pages=*/8, 0);  // covers key 3
   EXPECT_EQ(mon.AttributeMiss(3, 0), -1);
-  // A huge record overlaps through its whole region.
+  // A huge record overlaps through its whole region, but an empty range
+  // overlaps nothing.
+  mon.OnEviction(/*key=*/1, PageSize::kHuge, 0, 1);
+  mon.OnShootdownRange(base::kPagesPerHuge + 5, 0, 0);
+  EXPECT_EQ(mon.AttributeMiss(base::kPagesPerHuge + 7, 0), 1);
   mon.OnEviction(/*key=*/1, PageSize::kHuge, 0, 1);
   mon.OnShootdownRange(base::kPagesPerHuge + 5, 1, 0);
   EXPECT_EQ(mon.AttributeMiss(base::kPagesPerHuge + 7, 0), -1);
@@ -350,7 +354,11 @@ TEST_P(UtilityMonitorDifferentialTest, MatchesBruteForceFullLruReference) {
   std::string last_op;
   for (int i = 0; i < 4000; ++i) {
     const uint16_t vmid = static_cast<uint16_t>(rng.NextBelow(2));
-    const uint64_t vpn = rng.NextBelow(vpn_space);
+    // Half the keys come from a hot window four times the array's size,
+    // and whole-VM invalidations and flushes are rare, so the array fills,
+    // evicted translations come back and displaced records get consumed.
+    const uint64_t vpn =
+        rng.NextBelow(rng.NextBool(0.5) ? 4 * tc.sets * tc.ways : vpn_space);
     const double r = rng.NextDouble();
     last_op = "iter " + std::to_string(i) + " r=" + std::to_string(r) +
               " vmid=" + std::to_string(vmid) + " vpn=" + std::to_string(vpn);
@@ -381,12 +389,18 @@ TEST_P(UtilityMonitorDifferentialTest, MatchesBruteForceFullLruReference) {
       tlb.ShootdownPage(vpn, vmid);
       ref.Shootdown(vpn, vmid);
     } else if (r < 0.90) {
-      // Small ranges take the per-page path (pages < total entries).
-      tlb.ShootdownRange(vpn, 4, vmid);
-      for (uint64_t p = 0; p < 4; ++p) {
-        ref.Shootdown(vpn + p, vmid);
+      // A range is one pass over the array and one OnShootdownRange; the
+      // reference shoots it down page by page.  One range in four is the
+      // whole region around `vpn`, as the kernels issue; the rest are a
+      // few pages.
+      const bool region = rng.NextBool(0.25);
+      const uint64_t lo = region ? vpn & ~(base::kPagesPerHuge - 1) : vpn;
+      const uint64_t pages = region ? base::kPagesPerHuge : 4;
+      tlb.ShootdownRange(lo, pages, vmid);
+      for (uint64_t p = 0; p < pages; ++p) {
+        ref.Shootdown(lo + p, vmid);
       }
-    } else if (r < 0.97) {
+    } else if (r < 0.995) {
       // Probe without filling: a hit still samples, a miss stays cold (or
       // consumes a displaced record).
       const mmu::Tlb::LookupResult result = tlb.Lookup(vpn, vmid);
@@ -395,7 +409,7 @@ TEST_P(UtilityMonitorDifferentialTest, MatchesBruteForceFullLruReference) {
             result.size == PageSize::kHuge ? vpn >> kHugeOrder : vpn;
         ref.Access(key, result.size, vmid);
       }
-    } else if (r < 0.99) {
+    } else if (r < 0.999) {
       tlb.InvalidateVm(vmid);
       ref.InvalidateVm(vmid);
     } else {
