@@ -6,6 +6,7 @@
 #include "bench/bench_common.h"
 
 int main() {
+  bench::CheckEnvironment();
   workload::WorkloadSpec spec = workload::SpecByName("Memcached");
   harness::BedOptions bed;
 

@@ -38,6 +38,7 @@ workload::RunResult RunWith(bool with_ksm,
 }  // namespace
 
 int main() {
+  bench::CheckEnvironment();
   struct Case {
     const char* label;
     bool ksm;

@@ -32,9 +32,8 @@
 //
 // The simulated side (ops, TLB counters, epochs, the parallel/serial op
 // split, digests) is deterministic at any GEMINI_VM_THREADS; only wall_ms
-// and mops_per_s are host-performance numbers.  collocated_64 runs
-// $GEMINI_BENCH_REPS repetitions (default 1 — the machine is 64 VMs big)
-// and keeps the fastest, with every repetition digest-checked.
+// and mops_per_s are host-performance numbers.  Each collocated_64 run
+// happens once: the machine is 64 VMs big.
 //
 // Output: BENCH_collocation.json in $GEMINI_EXPORT (if set) or the
 // current directory — an array of one object per scenario, with the
@@ -50,7 +49,6 @@
 #include <vector>
 
 #include "base/check.h"
-#include "base/env.h"
 #include "bench/bench_common.h"
 #include "harness/experiment.h"
 #include "metrics/export.h"
@@ -184,28 +182,13 @@ harness::BedOptions SpeedupBed() {
   return bed;
 }
 
-harness::CollocatedManyResult RunSpeedupOnce(uint32_t threads) {
+Row RunSpeedup(const std::string& scenario, uint32_t threads) {
   const std::vector<workload::WorkloadSpec> specs(64, SpeedupSpec());
   harness::ScaleOptions scale;
   scale.threads = threads;
-  return harness::RunCollocatedMany(harness::SystemKind::kGemini, specs,
-                                    SpeedupBed(), scale);
-}
-
-// Best-of-reps at `threads`; every repetition must reproduce the digest.
-Row RunSpeedupBest(const std::string& scenario, uint32_t threads,
-                   uint64_t reps) {
-  Row best = MakeRow(scenario, threads, RunSpeedupOnce(threads));
-  for (uint64_t rep = 1; rep < reps; ++rep) {
-    const Row r = MakeRow(scenario, threads, RunSpeedupOnce(threads));
-    SIM_CHECK_MSG(r.digest == best.digest,
-                  "%s not deterministic across repetitions",
-                  scenario.c_str());
-    if (r.wall_ms < best.wall_ms) {
-      best = r;
-    }
-  }
-  return best;
+  return MakeRow(scenario, threads,
+                 harness::RunCollocatedMany(harness::SystemKind::kGemini,
+                                            specs, SpeedupBed(), scale));
 }
 
 // ---------------------------------------------------------------------------
@@ -293,17 +276,14 @@ constexpr auto RowColumns = [](const Row& r, auto& sink) {
 }  // namespace
 
 int main() {
-  // $GEMINI_BENCH_REPS, default 1: a 64-VM machine is heavy enough that one
-  // repetition is the CI default; local perf work can raise it.
-  const uint64_t reps =
-      base::EnvInt("GEMINI_BENCH_REPS", 1, UINT64_MAX).value_or(1);
+  bench::CheckEnvironment();
   std::vector<Row> rows;
 
   // Part 1: collocated_64 serial-vs-parallel pair.  The digests MUST be
   // identical — GEMINI_VM_THREADS is unobservable by contract — before
   // any wall-clock comparison is meaningful.
-  rows.push_back(RunSpeedupBest("collocated_64_serial", 1, reps));
-  rows.push_back(RunSpeedupBest("collocated_64_t8", 8, reps));
+  rows.push_back(RunSpeedup("collocated_64_serial", 1));
+  rows.push_back(RunSpeedup("collocated_64_t8", 8));
   SIM_CHECK_MSG(rows[0].digest == rows[1].digest,
                 "collocated_64 diverged between 1 and 8 threads");
   PrintRow(rows[0]);
@@ -324,7 +304,7 @@ int main() {
   // private mode at 128 would only re-measure the backend, more slowly.
   const std::vector<uint64_t> counts = {2, 4, 8, 16, 32, 64, 128};
   std::string interference_text;
-  for (const mmu::TlbShareMode mode : harness::TlbModesFromEnv()) {
+  for (const mmu::TlbShareMode mode : bench::TlbModesFromEnv()) {
     for (const uint64_t n : counts) {
       if ((mode == mmu::TlbShareMode::kPartitioned ||
            mode == mmu::TlbShareMode::kDynamic) &&

@@ -9,18 +9,25 @@
 // on top of it, and RunPairFigure the collocated-pair sweep that fig17 and
 // fig18 share.  Tables print one row per workload and one column per
 // system, normalized the way the paper normalizes them.  The GEMINI_*
-// variables the binaries read are documented in BENCHMARKS.md's
-// environment table, which test_export checks against the code.  Tables
+// knobs are declared once, in kKnobs below; BENCHMARKS.md's environment
+// table documents them and test_export checks it against kKnobs.  Tables
 // on stdout are bit-identical at any job count; progress and timing go to
 // stderr.
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <type_traits>
 #include <vector>
 
@@ -32,6 +39,7 @@
 #include "metrics/perf_model.h"
 #include "metrics/table.h"
 #include "trace/session.h"
+#include "workload/epoch_executor.h"
 
 namespace bench {
 
@@ -67,10 +75,118 @@ struct Timed {
   double wall_ms = 0.0;  // host wall-clock; NOT deterministic
 };
 
+// --- The GEMINI_* environment knobs ---------------------------------------
+// The bench layer is the only reader of the environment; the simulator
+// library takes its configuration as arguments, except GEMINI_VM_THREADS,
+// which the epoch executor reads (workload/epoch_executor.h).  Unset and
+// empty mean the default; a malformed value aborts naming the variable.
+
+// Sweep workers from GEMINI_JOBS, a positive integer; 0 when it is unset,
+// which harness::SweepRunner resolves to every hardware thread.
+inline int SweepJobs() {
+  return static_cast<int>(
+      base::EnvInt("GEMINI_JOBS", 1, std::numeric_limits<int>::max())
+          .value_or(0));
+}
+
+// The existing directory the variable `name` holds; empty when it is unset.
+inline std::string EnvDir(const char* name) {
+  const char* dir = base::EnvValue(name);
+  if (dir == nullptr) {
+    return "";
+  }
+  std::error_code error;
+  SIM_CHECK_MSG(std::filesystem::is_directory(dir, error),
+                "%s='%s' is not an existing directory", name, dir);
+  return dir;
+}
+
 // The GEMINI_EXPORT directory; empty when unset.
-inline std::string ExportDir() {
-  const char* dir = base::EnvValue("GEMINI_EXPORT");
-  return dir != nullptr ? dir : "";
+inline std::string ExportDir() { return EnvDir("GEMINI_EXPORT"); }
+
+// The trace config of the files named `stem`: into the GEMINI_TRACE
+// directory, or tracing off when it is unset.
+inline trace::TraceConfig TraceConfigFromEnv(const std::string& stem) {
+  return trace::TraceConfig{EnvDir("GEMINI_TRACE"), stem};
+}
+
+// The sharing modes a collocated bench should sweep, from GEMINI_TLB_MODE:
+// a mode name (mmu::TlbShareModeName), a comma-separated list, or "all" for
+// all four.  Unset or empty means {kPrivate} — the historical single-mode
+// output.  Aborts on an unrecognized name (silently measuring the wrong
+// mode would poison comparisons).
+inline std::vector<mmu::TlbShareMode> TlbModesFromEnv() {
+  const std::vector<mmu::TlbShareMode> all = {
+      mmu::TlbShareMode::kPrivate, mmu::TlbShareMode::kShared,
+      mmu::TlbShareMode::kPartitioned, mmu::TlbShareMode::kDynamic};
+  const char* env = base::EnvValue("GEMINI_TLB_MODE");
+  if (env == nullptr) {
+    return {mmu::TlbShareMode::kPrivate};
+  }
+  const std::string spec(env);
+  if (spec == "all") {
+    return all;
+  }
+  std::vector<mmu::TlbShareMode> modes;
+  size_t start = 0;
+  while (start <= spec.size()) {
+    size_t comma = spec.find(',', start);
+    if (comma == std::string::npos) {
+      comma = spec.size();
+    }
+    const std::string name = spec.substr(start, comma - start);
+    const auto mode =
+        std::find_if(all.begin(), all.end(), [&](mmu::TlbShareMode m) {
+          return name == mmu::TlbShareModeName(m);
+        });
+    SIM_CHECK_MSG(mode != all.end(), "GEMINI_TLB_MODE: unknown mode '%s'",
+                  name.c_str());
+    modes.push_back(*mode);
+    start = comma + 1;
+  }
+  return modes;
+}
+
+// One knob: the variable, what an unset or empty value means (the
+// "default" column of BENCHMARKS.md's table), and its check, which reads
+// the value through the knob's reader above.
+struct Knob {
+  const char* name;
+  const char* fallback;
+  void (*check)();
+};
+
+// Every knob, in BENCHMARKS.md's order.
+inline constexpr Knob kKnobs[] = {
+    {"GEMINI_JOBS", "all cores", [] { SweepJobs(); }},
+    {"GEMINI_EXPORT", "unset", [] { ExportDir(); }},
+    {"GEMINI_TRACE", "unset", [] { TraceConfigFromEnv(""); }},
+    {"GEMINI_VM_THREADS", "1", [] { workload::VmThreadsFromEnv(); }},
+    {"GEMINI_TLB_MODE", "private", [] { TlbModesFromEnv(); }},
+};
+
+// The first call of every bench main.  Warns on stderr about each set
+// GEMINI_* variable that is not a knob (a misspelt knob would otherwise
+// run the default unannounced), then runs every knob's check, so a
+// malformed value aborts before the first cell whether or not the binary
+// reads that knob.  Unknown names only warn: other tools share the prefix
+// (GEMINI_API_KEY), and a shell that sets one must still run the benches.
+inline void CheckEnvironment() {
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    const std::string_view var(*entry);
+    const std::string_view name = var.substr(0, var.find('='));
+    if (name.starts_with("GEMINI_") &&
+        std::none_of(std::begin(kKnobs), std::end(kKnobs),
+                     [&](const Knob& knob) { return name == knob.name; })) {
+      std::fprintf(stderr,
+                   "warning: %.*s is not a knob of these benches "
+                   "(BENCHMARKS.md); ignored\n",
+                   static_cast<int>(name.size()), name.data());
+    }
+  }
+  for (const Knob& knob : kKnobs) {
+    knob.check();
+  }
 }
 
 // Where the artifact `file` goes: into GEMINI_EXPORT when set, else into
@@ -129,7 +245,7 @@ inline std::string RenderInterferenceSection(
 }
 
 // The one cell runner.  Runs run(i, bed_i) for every i in [0, count) on
-// the sweep pool (harness::SweepRunner, GEMINI_JOBS workers) and returns
+// the sweep pool (harness::SweepRunner, SweepJobs() workers) and returns
 // the results in index order, each beside its host wall time.  Each cell
 // builds its own machine and RNGs from `bed`, so cells are independent
 // and the results are identical at any job count.  bed_i is `bed` with
@@ -145,6 +261,7 @@ auto RunCells(const std::string& label, size_t count,
   using Result =
       std::invoke_result_t<const Run&, size_t, const harness::BedOptions&>;
   harness::SweepRunnerOptions options;
+  options.jobs = SweepJobs();
   options.label = label;
   options.cell_name = cell_name;
   return harness::ParallelMap(
@@ -153,7 +270,7 @@ auto RunCells(const std::string& label, size_t count,
         harness::BedOptions cell_bed = bed;
         char cell_tag[32];
         std::snprintf(cell_tag, sizeof(cell_tag), "cell%02zu", i);
-        cell_bed.trace = trace::TraceConfigFromEnv(
+        cell_bed.trace = TraceConfigFromEnv(
             trace::SanitizeFileStem(label) + "_" + cell_tag + "_" +
             trace::SanitizeFileStem(cell_name(i)));
         const auto start = std::chrono::steady_clock::now();
@@ -356,7 +473,7 @@ inline PairSweep RunPairFigure(const std::string& figure,
                                const std::string& title,
                                double (*metric)(const workload::RunResult&)) {
   PairSweep sweep;
-  sweep.modes = harness::TlbModesFromEnv();
+  sweep.modes = TlbModesFromEnv();
   const std::vector<mmu::TlbShareMode>& modes = sweep.modes;
   const bool annotate_mode =
       modes.size() > 1 || modes[0] != mmu::TlbShareMode::kPrivate;

@@ -9,18 +9,16 @@
 //             interesting contrast is between systems that rebuild huge
 //             pages after reclaim breaks them and systems that do not.
 //   ratios    committed base-page guest demand as a multiple of the
-//             host's frames; the default sweep is {1.0, 1.5, 2.0} and
-//             GEMINI_OVERCOMMIT narrows it to a single ratio.  At 1.0 the
-//             host carries 30% headroom over that nominal demand, so
-//             conservative systems idle at the watermark (Gemini: one
-//             reclaim pass) — but fault-greedy huge allocation can bloat
-//             real residency far past nominal demand (THP backs a region
-//             with 512 frames on first touch), so greedy systems reclaim
-//             even in the nominal-1.0 column.  That bloat is part of what
-//             the bench measures, not an artifact.
+//             host's frames: {1.0, 1.5, 2.0}.  At 1.0 the host carries
+//             30% headroom over that nominal demand, so conservative
+//             systems idle at the watermark (Gemini: one reclaim pass) —
+//             but fault-greedy huge allocation can bloat real residency
+//             far past nominal demand (THP backs a region with 512 frames
+//             on first touch), so greedy systems reclaim even in the
+//             nominal-1.0 column.  That bloat is part of what the bench
+//             measures, not an artifact.
 //   policies  lru (coldest-region approximation over EPT access counts)
 //             vs damon (region-sampling monitor; src/damon/).
-//             GEMINI_RECLAIM_POLICY narrows the sweep to one of them.
 //
 // Each cell collocates 4 VMs (two zipf key-value stores whose cold tails
 // are what a good policy should demote, one scan-heavy analytics job, one
@@ -281,15 +279,10 @@ constexpr auto RowColumns = [](const Row& r, auto& sink) {
 }  // namespace
 
 int main() {
-  std::vector<double> ratios = {1.0, 1.5, 2.0};
-  if (const auto env_ratio = harness::OvercommitFromEnv()) {
-    ratios = {*env_ratio};
-  }
-  std::vector<policy::ReclaimPolicyKind> policies = {
+  bench::CheckEnvironment();
+  const std::vector<double> ratios = {1.0, 1.5, 2.0};
+  const std::vector<policy::ReclaimPolicyKind> policies = {
       policy::ReclaimPolicyKind::kLruApprox, policy::ReclaimPolicyKind::kDamon};
-  if (const auto env_policy = harness::ReclaimPolicyFromEnv()) {
-    policies = {*env_policy};
-  }
   const std::vector<harness::SystemKind> systems = {
       harness::SystemKind::kGemini, harness::SystemKind::kThp,
       harness::SystemKind::kIngens, harness::SystemKind::kHawkEye};

@@ -22,8 +22,8 @@
 // The simulated side is deterministic: same seed, same access sequence,
 // same frame checksum and TLB counters on every run and at any optimization
 // level.  Only wall_ms and mops_per_s are host-performance numbers; each
-// scenario runs $GEMINI_BENCH_REPS times (default 3) and reports the best
-// repetition, with all repetitions required to agree on the simulated side.
+// scenario runs kReps times and reports the best repetition, with all
+// repetitions required to agree on the simulated side.
 //
 // Output: BENCH_translation.json in $GEMINI_EXPORT (if set) or the current
 // directory — an array of one object per scenario, with the columns
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "base/check.h"
-#include "base/env.h"
 #include "base/rng.h"
 #include "base/stats.h"
 #include "base/types.h"
@@ -88,14 +87,12 @@ enum class Pattern {
   kStride,      // one access per region, regions in a 513-step permutation
 };
 
-// Repetitions per scenario ($GEMINI_BENCH_REPS, default 3).  Each scenario
-// is run this many times and the best (minimum) wall time is reported:
-// min-of-N is the standard defense against scheduler and frequency noise,
-// and every repetition must reproduce the same checksum and counters
-// (enforced below), so the simulated side cannot vary between reps.
-uint64_t ResolveReps() {
-  return base::EnvInt("GEMINI_BENCH_REPS", 1, UINT64_MAX).value_or(3);
-}
+// Repetitions per scenario.  Each scenario is run this many times and the
+// best (minimum) wall time is reported: min-of-N is the standard defense
+// against scheduler and frequency noise, and every repetition must
+// reproduce the same checksum and counters (enforced below), so the
+// simulated side cannot vary between reps.
+constexpr uint64_t kReps = 3;
 
 TranslationEngine::Config EngineConfig() {
   // Paper-sized TLB (128 x 12): the same geometry the figure benches use.
@@ -221,7 +218,7 @@ constexpr auto ScenarioColumns = [](const ScenarioResult& r, auto& sink) {
   sink("checksum", r.checksum);
 };
 
-// Runs the scenario ResolveReps() times and keeps the fastest repetition.
+// Runs the scenario kReps times and keeps the fastest repetition.
 // Every repetition must produce identical simulated results — a repeated
 // determinism check.
 ScenarioResult RunBest(const std::string& name, uint64_t regions,
@@ -230,8 +227,7 @@ ScenarioResult RunBest(const std::string& name, uint64_t regions,
                        Pattern pattern = Pattern::kRandom) {
   ScenarioResult best =
       RunScenario(name, regions, ops, churn_period, layout, pattern);
-  const uint64_t reps = ResolveReps();
-  for (uint64_t rep = 1; rep < reps; ++rep) {
+  for (uint64_t rep = 1; rep < kReps; ++rep) {
     ScenarioResult r =
         RunScenario(name, regions, ops, churn_period, layout, pattern);
     SIM_CHECK_MSG(r.checksum == best.checksum && r.tlb_hits == best.tlb_hits &&
@@ -248,6 +244,7 @@ ScenarioResult RunBest(const std::string& name, uint64_t regions,
 }  // namespace
 
 int main() {
+  bench::CheckEnvironment();
   std::vector<ScenarioResult> results;
   // 4 regions = 2 huge entries + 1024 base entries: fully TLB-resident at
   // 128x12, so after warm-up every access is a fast-path hit.

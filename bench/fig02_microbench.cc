@@ -13,6 +13,7 @@
 
 #include "base/rng.h"
 #include "base/types.h"
+#include "bench/bench_common.h"
 #include "harness/sweep_runner.h"
 #include "metrics/table.h"
 #include "mmu/page_table.h"
@@ -76,6 +77,7 @@ double Measure(uint64_t regions, Mapping guest_mode, Mapping host_mode) {
 }  // namespace
 
 int main() {
+  bench::CheckEnvironment();
   const std::vector<Config> configs = {
       {"Host-B-VM-B", Mapping::kBase, Mapping::kBase},
       {"Host-B-VM-H", Mapping::kHuge, Mapping::kBase},
@@ -97,6 +99,7 @@ int main() {
   // All (size, config) cells are independent measurements; run them on the
   // sweep pool and read them back in index order.
   harness::SweepRunnerOptions options;
+  options.jobs = bench::SweepJobs();
   options.label = "fig02_microbench";
   options.cell_name = [&](size_t i) {
     return std::to_string(sizes[i / configs.size()] * 2) + " MiB x " +

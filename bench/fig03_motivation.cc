@@ -13,6 +13,7 @@
 #include "bench/bench_common.h"
 
 int main() {
+  bench::CheckEnvironment();
   const auto systems = harness::AllSystems();
   harness::BedOptions bed;
   const auto sweep = bench::RunSweep(workload::MotivationCatalog(), systems,

@@ -15,6 +15,7 @@
 #include "bench/bench_common.h"
 
 int main() {
+  bench::CheckEnvironment();
   const auto systems = harness::AllSystems();
   const char* const beds[] = {"fragmented", "unfragmented"};
   bench::SweepResult sweeps[2];

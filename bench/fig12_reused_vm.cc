@@ -18,6 +18,7 @@
 #include "bench/bench_common.h"
 
 int main() {
+  bench::CheckEnvironment();
   const auto systems = harness::AllSystems();
   const auto sweep = bench::RunSweep(workload::CleanSlateCatalog(), systems,
                                      harness::BedOptions{},

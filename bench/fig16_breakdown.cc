@@ -12,6 +12,7 @@
 #include "metrics/miss_breakdown.h"
 
 int main() {
+  bench::CheckEnvironment();
   const std::vector<std::string> names = {"Canneal", "Redis",  "RocksDB",
                                           "Memcached", "CG.D", "SVM"};
   harness::BedOptions bed;

@@ -24,6 +24,7 @@
 #include "bench/bench_common.h"
 
 int main() {
+  bench::CheckEnvironment();
   bench::PairSweep sweep = bench::RunPairFigure(
       "Figure 17", "fig17_collocated",
       {
@@ -76,7 +77,7 @@ int main() {
       harness::BedOptions cbed;
       cbed.host_frames = bench::kPairHostFrames;
       cbed.tlb_mode = cmode;
-      cbed.trace = trace::TraceConfigFromEnv(std::string("fig17_churn4_") +
+      cbed.trace = bench::TraceConfigFromEnv(std::string("fig17_churn4_") +
                                              cmode_name);
       churn_results.push_back(harness::RunCollocatedMany(
           harness::SystemKind::kHostBVmB, churn_specs, cbed, scale));

@@ -8,6 +8,7 @@
 #include "bench/bench_common.h"
 
 int main() {
+  bench::CheckEnvironment();
   const bench::PairSweep sweep = bench::RunPairFigure(
       "Figure 18", "fig18_collocated",
       {

@@ -1,7 +1,6 @@
 #include "base/env.h"
 
 #include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -11,14 +10,6 @@
 namespace base {
 
 namespace {
-
-std::string Bound(uint64_t v) { return std::to_string(v); }
-
-std::string Bound(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
 
 template <typename T>
 std::optional<T> ParseWhole(const char* text, T min, T max) {
@@ -30,18 +21,6 @@ std::optional<T> ParseWhole(const char* text, T min, T max) {
     return value;
   }
   return std::nullopt;
-}
-
-template <typename T>
-std::optional<T> ParseEnv(const char* name, T min, T max, const char* what) {
-  const char* env = EnvValue(name);
-  if (env == nullptr) {
-    return std::nullopt;
-  }
-  const std::optional<T> value = ParseWhole(env, min, max);
-  SIM_CHECK_MSG(value.has_value(), "%s='%s' is not %s in [%s, %s]", name, env,
-                what, Bound(min).c_str(), Bound(max).c_str());
-  return value;
 }
 
 }  // namespace
@@ -61,11 +40,15 @@ const char* EnvValue(const char* name) {
 }
 
 std::optional<uint64_t> EnvInt(const char* name, uint64_t min, uint64_t max) {
-  return ParseEnv(name, min, max, "an integer");
-}
-
-std::optional<double> EnvRatio(const char* name, double min, double max) {
-  return ParseEnv(name, min, max, "a ratio");
+  const char* env = EnvValue(name);
+  if (env == nullptr) {
+    return std::nullopt;
+  }
+  const std::optional<uint64_t> value = ParseWhole(env, min, max);
+  SIM_CHECK_MSG(value.has_value(), "%s='%s' is not an integer in [%s, %s]",
+                name, env, std::to_string(min).c_str(),
+                std::to_string(max).c_str());
+  return value;
 }
 
 }  // namespace base

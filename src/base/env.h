@@ -25,9 +25,6 @@ const char* EnvValue(const char* name);
 // A decimal integer ("8") in [min, max]; nullopt when unset or empty.
 std::optional<uint64_t> EnvInt(const char* name, uint64_t min, uint64_t max);
 
-// A decimal ratio ("1.5") in [min, max]; nullopt when unset or empty.
-std::optional<double> EnvRatio(const char* name, double min, double max);
-
 }  // namespace base
 
 #endif  // SRC_BASE_ENV_H_

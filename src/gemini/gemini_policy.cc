@@ -119,8 +119,10 @@ uint64_t GeminiGuestPolicy::PlacementTarget(KernelOps& kernel,
         const uint64_t avail = ext.frame + ext.count - aligned;
         frame = aligned;
         span_pages = std::min<uint64_t>(remaining, avail);
-        // The taken extent is gone from the list view only after the next
-        // Refresh; advance the next-fit cursor past it meanwhile.
+        // The span reserves nothing: the list shows these frames as free
+        // until faults allocate them and a later Refresh sees it, and the
+        // next-fit cursor stays put (only a successful FindFit moves it),
+        // so a later placement can be offered frames of this extent.
       } else if (ext.count >= 64) {
         // 5) No aligned space at all: still place contiguously in the
         //    largest extent.  Contiguity for its own sake pays later —
@@ -171,17 +173,8 @@ void GeminiGuestPolicy::OnDaemonTick(KernelOps& kernel) {
   const base::Cycles now = kernel.Now();
   GeminiChannel& channel = runtime_->channel();
 
-  // Algorithm 1: one measurement period ends, adjust the booking timeout.
-  if (now >= next_controller_period_) {
-    const base::Cycles before = controller_.effective_timeout();
-    const base::Cycles after =
-        controller_.OnPeriod(kernel.DrainTlbMisses(), kernel.Fmfi());
-    next_controller_period_ = now + options_.controller_period;
-    if (after != before && kernel.tracer() != nullptr) {
-      kernel.tracer()->Emit(trace::EventKind::kTimeoutChange, kernel.layer(),
-                            kernel.vm_id(), after, before);
-    }
-  }
+  // Algorithm 1: when a measurement period ends, adjust the booking timeout.
+  controller_.OnDaemonTick(kernel, options_.controller_period);
 
   booking_->ExpireTimeouts(now);
 
@@ -389,16 +382,7 @@ void GeminiHostPolicy::OnDaemonTick(KernelOps& kernel) {
   const base::Cycles now = kernel.Now();
   GeminiChannel& channel = runtime_->channel();
 
-  if (now >= next_controller_period_) {
-    const base::Cycles before = controller_.effective_timeout();
-    const base::Cycles after =
-        controller_.OnPeriod(kernel.DrainTlbMisses(), kernel.Fmfi());
-    next_controller_period_ = now + options_.controller_period;
-    if (after != before && kernel.tracer() != nullptr) {
-      kernel.tracer()->Emit(trace::EventKind::kTimeoutChange, kernel.layer(),
-                            kernel.vm_id(), after, before);
-    }
-  }
+  controller_.OnDaemonTick(kernel, options_.controller_period);
 
   booking_->ExpireTimeouts(now);
   for (auto it = booked_for_.begin(); it != booked_for_.end();) {

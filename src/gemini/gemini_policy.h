@@ -93,7 +93,6 @@ class GeminiGuestPolicy final : public policy::HugePagePolicy {
   std::unique_ptr<BookingManager> booking_;
   std::unique_ptr<HugeBucket> bucket_;
   std::unique_ptr<vmem::ContiguityList> contiguity_;
-  base::Cycles next_controller_period_ = 0;
   uint64_t placement_retry_epoch_ = 0;  // backoff after placement failure
 };
 
@@ -127,7 +126,6 @@ class GeminiHostPolicy final : public policy::HugePagePolicy {
   std::unordered_map<uint64_t, uint64_t> anchors_;
   // Host blocks booked for specific guest-huge-misaligned regions.
   std::unordered_map<uint64_t, uint64_t> booked_for_;
-  base::Cycles next_controller_period_ = 0;
   uint64_t placement_retry_epoch_ = 0;  // backoff after placement failure
 };
 

@@ -1,6 +1,7 @@
 #include "gemini/huge_booking.h"
 
 #include "base/check.h"
+#include "policy/policy.h"
 
 namespace gemini {
 
@@ -12,7 +13,6 @@ base::Cycles BookingTimeoutController::OnPeriod(uint64_t tlb_misses,
     case Phase::kBaseline:
       baseline_misses_ = tlb_misses;
       baseline_fmfi_ = fmfi;
-      have_baseline_ = true;
       // Start probing upward: T_e <- T_d * 1.1 for the next period.
       phase_ = Phase::kProbeUp;
       effective_ = static_cast<base::Cycles>(desired_ * 1.1);
@@ -44,6 +44,21 @@ base::Cycles BookingTimeoutController::OnPeriod(uint64_t tlb_misses,
       break;
   }
   return effective_;
+}
+
+void BookingTimeoutController::OnDaemonTick(policy::KernelOps& kernel,
+                                            base::Cycles period) {
+  const base::Cycles now = kernel.Now();
+  if (now < next_period_) {
+    return;
+  }
+  const base::Cycles before = effective_;
+  const base::Cycles after = OnPeriod(kernel.DrainTlbMisses(), kernel.Fmfi());
+  next_period_ = now + period;
+  if (after != before && kernel.tracer() != nullptr) {
+    kernel.tracer()->Emit(trace::EventKind::kTimeoutChange, kernel.layer(),
+                          kernel.vm_id(), after, before);
+  }
 }
 
 BookingManager::~BookingManager() { ReleaseAll(); }

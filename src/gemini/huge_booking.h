@@ -16,7 +16,8 @@
 // fragmentation increasing, else probe -10 %, symmetrically.  The
 // BookingTimeoutController below is a direct state-machine transcription of
 // the algorithm's while-loop: each OnPeriod() call delivers one period P of
-// measurements (TLB misses, FMFI).
+// measurements (TLB misses, FMFI), and OnDaemonTick() is the clock that
+// ends the periods.
 #ifndef SRC_GEMINI_HUGE_BOOKING_H_
 #define SRC_GEMINI_HUGE_BOOKING_H_
 
@@ -27,6 +28,10 @@
 #include "trace/tracer.h"
 #include "vmem/buddy_allocator.h"
 #include "vmem/frame_space.h"
+
+namespace policy {
+class KernelOps;
+}  // namespace policy
 
 namespace gemini {
 
@@ -39,6 +44,12 @@ class BookingTimeoutController {
   // Feeds one measurement period: TLB misses observed during the period and
   // the FMFI at its end.  Returns the effective timeout to use next.
   base::Cycles OnPeriod(uint64_t tlb_misses, double fmfi);
+
+  // The period clock, run on each daemon tick of a Gemini policy: once
+  // `period` cycles have passed since the last period ended (the first
+  // tick ends one at once), feeds the kernel's TLB misses and FMFI to
+  // OnPeriod and traces a change of the effective timeout.
+  void OnDaemonTick(policy::KernelOps& kernel, base::Cycles period);
 
   base::Cycles effective_timeout() const { return effective_; }
   double desired_timeout() const { return desired_; }
@@ -63,7 +74,7 @@ class BookingTimeoutController {
   base::Cycles effective_;
   uint64_t baseline_misses_ = 0;
   double baseline_fmfi_ = 0.0;
-  bool have_baseline_ = false;
+  base::Cycles next_period_ = 0;
 };
 
 // Reserves and hands out huge-page-sized physical regions.

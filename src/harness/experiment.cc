@@ -1,11 +1,9 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
-#include <cfloat>
 #include <chrono>
 
 #include "base/check.h"
-#include "base/env.h"
 #include "base/rng.h"
 #include "os/reclaim_daemon.h"
 #include "workload/epoch_executor.h"
@@ -227,63 +225,6 @@ workload::WorkloadSpec ScaleSpec(const workload::WorkloadSpec& spec,
                   static_cast<double>(spec.churn_period_ops) * op_scale));
   }
   return scaled;
-}
-
-bool ParseTlbShareMode(const std::string& name, mmu::TlbShareMode* mode) {
-  if (name == "private") {
-    *mode = mmu::TlbShareMode::kPrivate;
-  } else if (name == "shared") {
-    *mode = mmu::TlbShareMode::kShared;
-  } else if (name == "partitioned") {
-    *mode = mmu::TlbShareMode::kPartitioned;
-  } else if (name == "dynamic") {
-    *mode = mmu::TlbShareMode::kDynamic;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-std::optional<double> OvercommitFromEnv() {
-  return base::EnvRatio("GEMINI_OVERCOMMIT", 1.0, DBL_MAX);
-}
-
-std::optional<policy::ReclaimPolicyKind> ReclaimPolicyFromEnv() {
-  const char* env = base::EnvValue("GEMINI_RECLAIM_POLICY");
-  if (env == nullptr) {
-    return std::nullopt;
-  }
-  const auto kind = policy::ParseReclaimPolicy(env);
-  SIM_CHECK_MSG(kind.has_value(),
-                "GEMINI_RECLAIM_POLICY: unknown policy '%s'", env);
-  return kind;
-}
-
-std::vector<mmu::TlbShareMode> TlbModesFromEnv() {
-  const char* env = base::EnvValue("GEMINI_TLB_MODE");
-  if (env == nullptr) {
-    return {mmu::TlbShareMode::kPrivate};
-  }
-  const std::string spec(env);
-  if (spec == "all") {
-    return {mmu::TlbShareMode::kPrivate, mmu::TlbShareMode::kShared,
-            mmu::TlbShareMode::kPartitioned, mmu::TlbShareMode::kDynamic};
-  }
-  std::vector<mmu::TlbShareMode> modes;
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) {
-      comma = spec.size();
-    }
-    const std::string name = spec.substr(start, comma - start);
-    mmu::TlbShareMode mode;
-    SIM_CHECK_MSG(ParseTlbShareMode(name, &mode),
-                  "GEMINI_TLB_MODE: unknown mode '%s'", name.c_str());
-    modes.push_back(mode);
-    start = comma + 1;
-  }
-  return modes;
 }
 
 }  // namespace harness

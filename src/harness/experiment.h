@@ -6,7 +6,6 @@
 #define SRC_HARNESS_EXPERIMENT_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,8 +34,8 @@ struct BedOptions {
   // not fault-time allocation, on real reused hosts.
   double boot_noise_fraction = 0.3;
   uint64_t seed = 17;
-  // Observability: when trace.enabled, the machine records tracepoints and
-  // time series, written by the Run* helpers when the measurement ends.
+  // Observability: when trace.dir is set, the machine records tracepoints
+  // and time series, written by the Run* helpers when the measurement ends.
   trace::TraceConfig trace;
   // TLB sharing arrangement for the machine's VMs (mmu/tlb_domain.h).
   // kPrivate reproduces the historical per-engine TLB exactly; kShared /
@@ -144,26 +143,6 @@ CollocatedManyResult RunCollocatedMany(
 // at 5 000) by `op_scale`; perfbench sizes its catalog cells with it.
 workload::WorkloadSpec ScaleSpec(const workload::WorkloadSpec& spec,
                                  double op_scale);
-
-// Parses a TLB sharing-mode name ("private" / "shared" / "partitioned" /
-// "dynamic").  Returns false (and leaves *mode untouched) on anything else.
-bool ParseTlbShareMode(const std::string& name, mmu::TlbShareMode* mode);
-
-// The sharing modes a collocated bench should sweep, from GEMINI_TLB_MODE:
-// a mode name, a comma-separated list, or "all" for all four.  Unset or
-// empty means {kPrivate} — the historical single-mode output.  Aborts on
-// an unrecognized name (silently measuring the wrong mode would poison
-// comparisons).
-std::vector<mmu::TlbShareMode> TlbModesFromEnv();
-
-// Overcommit ratio from GEMINI_OVERCOMMIT: total guest-physical memory as
-// a multiple of host frames (e.g. "1.5"), at least 1.  Unset or empty
-// returns nullopt.
-std::optional<double> OvercommitFromEnv();
-
-// Reclaim victim-selection policy from GEMINI_RECLAIM_POLICY ("lru" /
-// "damon"); unset or empty returns nullopt, unknown names abort.
-std::optional<policy::ReclaimPolicyKind> ReclaimPolicyFromEnv();
 
 }  // namespace harness
 

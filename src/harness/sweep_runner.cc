@@ -4,26 +4,18 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <thread>
 
-#include "base/env.h"
-
 namespace harness {
-
-int SweepJobs() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(
-      base::EnvInt("GEMINI_JOBS", 1, std::numeric_limits<int>::max())
-          .value_or(hw > 0 ? hw : 1));
-}
 
 SweepRunner::SweepRunner(SweepRunnerOptions options)
     : options_(std::move(options)) {}
 
 int SweepRunner::EffectiveJobs(size_t count) const {
-  int jobs = options_.jobs > 0 ? options_.jobs : SweepJobs();
+  int jobs = options_.jobs > 0
+                 ? options_.jobs
+                 : static_cast<int>(std::thread::hardware_concurrency());
   if (count > 0 && static_cast<size_t>(jobs) > count) {
     jobs = static_cast<int>(count);
   }

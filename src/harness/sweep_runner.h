@@ -8,7 +8,7 @@
 //
 //  * Results are keyed by cell index, never by completion order, so a
 //    sweep's output is bit-identical at any job count — same seed, same
-//    RunResult counters whether GEMINI_JOBS is 1 or 64.
+//    RunResult counters whether the sweep runs on 1 worker or 64.
 //  * With one job the cells run inline on the calling thread; no worker
 //    threads are spawned.
 //  * A cell that throws does not deadlock or abandon the pool: the
@@ -26,13 +26,9 @@
 
 namespace harness {
 
-// Worker count for sweeps: the GEMINI_JOBS environment variable, a positive
-// integer; std::thread::hardware_concurrency (at least 1) when it is unset
-// or empty.  Any other value aborts (base/env.h).
-int SweepJobs();
-
 struct SweepRunnerOptions {
-  // Worker threads; <= 0 means SweepJobs().  Capped at the cell count.
+  // Worker threads; <= 0 means std::thread::hardware_concurrency (at least
+  // 1).  Capped at the cell count.
   int jobs = 0;
   // Prefix for stderr progress lines, typically the bench name.
   std::string label = "sweep";

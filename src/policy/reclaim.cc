@@ -189,16 +189,6 @@ const char* ReclaimPolicyName(ReclaimPolicyKind kind) {
   return "unknown";
 }
 
-std::optional<ReclaimPolicyKind> ParseReclaimPolicy(std::string_view name) {
-  if (name == "lru") {
-    return ReclaimPolicyKind::kLruApprox;
-  }
-  if (name == "damon") {
-    return ReclaimPolicyKind::kDamon;
-  }
-  return std::nullopt;
-}
-
 std::unique_ptr<ReclaimPolicy> MakeReclaimPolicy(ReclaimPolicyKind kind) {
   switch (kind) {
     case ReclaimPolicyKind::kLruApprox:

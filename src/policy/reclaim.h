@@ -22,9 +22,7 @@
 #define SRC_POLICY_RECLAIM_H_
 
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "base/types.h"
@@ -41,12 +39,8 @@ enum class ReclaimPolicyKind : uint8_t {
   kDamon,
 };
 
-// Stable lowercase name ("lru" / "damon"), used in env vars and bench
-// scenario labels.
+// Stable lowercase name ("lru" / "damon"), used in bench scenario labels.
 const char* ReclaimPolicyName(ReclaimPolicyKind kind);
-
-// Parses a ReclaimPolicyName back; nullopt on unknown input.
-std::optional<ReclaimPolicyKind> ParseReclaimPolicy(std::string_view name);
 
 // One reclaim candidate: an EPT huge-region of one VM, coldest first.
 struct ReclaimVictim {

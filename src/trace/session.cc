@@ -3,10 +3,8 @@
 #include <cctype>
 #include <cstddef>
 #include <cstdio>
-#include <limits>
 #include <memory>
 
-#include "base/env.h"
 #include "metrics/export.h"
 #include "trace/perfetto.h"
 
@@ -15,6 +13,7 @@ namespace trace {
 namespace {
 
 constexpr size_t kRingCapacity = 1 << 18;  // events retained (~9 MiB)
+constexpr base::Cycles kSamplePeriod = 1'000'000;  // simulated cycles
 
 }  // namespace
 
@@ -37,36 +36,20 @@ std::string SanitizeFileStem(const std::string& s) {
   return out.empty() ? "trace" : out;
 }
 
-TraceConfig TraceConfigFromEnv(const std::string& stem) {
-  TraceConfig config;
-  const char* dir = base::EnvValue("GEMINI_TRACE");
-  if (dir == nullptr) {
-    return config;
-  }
-  config.enabled = true;
-  config.dir = dir;
-  config.stem = stem;
-  config.sample_period =
-      base::EnvInt("GEMINI_TRACE_INTERVAL", 1,
-                   std::numeric_limits<base::Cycles>::max())
-          .value_or(config.sample_period);
-  return config;
-}
-
 StackSampler* SetupTracing(osim::Machine& machine, const TraceConfig& config) {
-  if (!config.enabled) {
+  if (config.dir.empty()) {
     return nullptr;
   }
   machine.tracer().Enable(kRingCapacity);
   auto sampler = std::make_unique<StackSampler>(&machine);
   StackSampler* raw = sampler.get();
-  machine.AddTask(std::move(sampler), config.sample_period);
+  machine.AddTask(std::move(sampler), kSamplePeriod);
   return raw;
 }
 
 void WriteTraceFiles(const TraceConfig& config, const osim::Machine& machine,
                      const StackSampler* sampler) {
-  if (!config.enabled) {
+  if (config.dir.empty()) {
     return;
   }
   const std::string base = config.dir + "/" + config.stem;

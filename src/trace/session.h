@@ -1,17 +1,14 @@
 // Trace activation for benches and the harness.
 //
-// A TraceConfig says whether tracing is on and where the artifacts go;
-// TraceConfigFromEnv() builds one from the environment contract
-// (BENCHMARKS.md):
+// A TraceConfig says where a run's trace artifacts go; tracing is on
+// exactly when its dir is set.  The benches build one per cell from
+// GEMINI_TRACE (bench/bench_common.h, BENCHMARKS.md "Trace artifacts").
 //
-//   GEMINI_TRACE=DIR            enable; write per-cell files under DIR
-//   GEMINI_TRACE_INTERVAL=N     sampler period in simulated cycles
-//                               (default 1'000'000)
-//
-// SetupTracing() arms a machine (ring buffer + sampler task);
-// WriteTraceFiles() renders <dir>/<stem>.trace.json (Perfetto) and
-// <dir>/<stem>.series.csv (time series) when the run ends.  Both are
-// no-ops on a disabled config, so the harness calls them unconditionally.
+// SetupTracing() arms a machine (ring buffer + a sampler task firing every
+// million simulated cycles); WriteTraceFiles() renders
+// <dir>/<stem>.trace.json (Perfetto) and <dir>/<stem>.series.csv (time
+// series) when the run ends.  Both are no-ops on a disabled config, so the
+// harness calls them unconditionally.
 #ifndef SRC_TRACE_SESSION_H_
 #define SRC_TRACE_SESSION_H_
 
@@ -23,23 +20,16 @@
 namespace trace {
 
 struct TraceConfig {
-  bool enabled = false;
-  std::string dir;   // output directory (must exist)
+  std::string dir;   // output directory (must exist); empty = tracing off
   std::string stem;  // file stem, e.g. "fig9_cell03_redis_gemini"
-  base::Cycles sample_period = 1'000'000;
 };
 
 // Lowercases `s` and maps every non-[a-z0-9] run to one '_', so sweep
 // labels, workload names and system names compose into safe file stems.
 std::string SanitizeFileStem(const std::string& s);
 
-// Reads GEMINI_TRACE / GEMINI_TRACE_INTERVAL (a positive integer); disabled
-// when GEMINI_TRACE is unset or empty.
-TraceConfig TraceConfigFromEnv(const std::string& stem);
-
-// Enables the machine's tracer and registers a StackSampler firing every
-// config.sample_period cycles.  Returns the sampler (owned by the
-// machine), or null if the config is disabled.
+// Enables the machine's tracer and registers a StackSampler.  Returns the
+// sampler (owned by the machine), or null if the config is disabled.
 StackSampler* SetupTracing(osim::Machine& machine, const TraceConfig& config);
 
 // Writes the two artifacts; no-op when the config is disabled.

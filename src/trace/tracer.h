@@ -18,8 +18,8 @@
 //    pay nothing unless GEMINI_TRACE is set.
 //
 // Rendering to Chrome/Perfetto JSON and time-series CSV lives in
-// trace/perfetto.h and trace/sampler.h; activation from the bench binaries
-// (GEMINI_TRACE / GEMINI_TRACE_INTERVAL) lives in trace/session.h.
+// trace/perfetto.h and trace/sampler.h; activation (GEMINI_TRACE in the
+// bench binaries) lives in trace/session.h.
 #ifndef SRC_TRACE_TRACER_H_
 #define SRC_TRACE_TRACER_H_
 

@@ -146,8 +146,7 @@ uint64_t WorkloadDriver::EventFreeOps() const {
     // happen between batches.
     n = std::min(n, warmup_ops_ - op_);
   }
-  if (spec_.alloc == AllocPattern::kGradual &&
-      vma_ids_.size() < spec_.vma_count) {
+  if (GrowthDue()) {
     return 1;  // the growth target moves with op_; step one op at a time
   }
   if (spec_.gc_sweep_period_ops != 0) {
@@ -170,7 +169,7 @@ uint64_t WorkloadDriver::EventFreeOps() const {
 uint64_t WorkloadDriver::RunOps(uint64_t op_budget) {
   osim::GuestKernel& guest = machine_->vm(vm_id_).guest();
 
-  if (!measuring_ && op_ >= warmup_ops_) {
+  if (MeasurementFlipDue()) {
     begin_snapshot_ = metrics::Snapshot(*machine_, vm_id_);
     request_overhead_base_ = begin_snapshot_.guest_overhead_cycles +
                              begin_snapshot_.host_overhead_cycles;
@@ -180,8 +179,7 @@ uint64_t WorkloadDriver::RunOps(uint64_t op_budget) {
 
   // Gradual growth: reach the full VMA count at 40 % of the run, before
   // the steady-state measurement window opens.
-  if (spec_.alloc == AllocPattern::kGradual &&
-      vma_ids_.size() < spec_.vma_count) {
+  if (GrowthDue()) {
     const double frac = std::min(
         1.0, 2.5 * static_cast<double>(op_) / static_cast<double>(spec_.ops));
     const auto desired = static_cast<size_t>(
@@ -196,8 +194,7 @@ uint64_t WorkloadDriver::RunOps(uint64_t op_budget) {
 
   // GC sweep: a stop-the-world pass over every active page.  Its cycles
   // land on the in-flight request (the pause), like a real collector's.
-  if (spec_.gc_sweep_period_ops != 0 && op_ > 0 &&
-      op_ % spec_.gc_sweep_period_ops == 0) {
+  if (GcSweepDue()) {
     for (size_t v = 0; v < vma_ids_.size(); ++v) {
       TouchRange(vma_starts_[v], pages_per_vma_, TouchKind::kGcSweep,
                  /*charge_request=*/true);
@@ -205,8 +202,7 @@ uint64_t WorkloadDriver::RunOps(uint64_t op_budget) {
   }
 
   // Churn: retire one VMA, allocate a fresh one of the same size.
-  if (spec_.churn_period_ops != 0 && op_ > 0 &&
-      op_ % spec_.churn_period_ops == 0 && vma_ids_.size() > 1) {
+  if (ChurnDue()) {
     const size_t victim =
         static_cast<size_t>(churn_rng_->NextBelow(vma_ids_.size()));
     guest.UnmapVma(vma_ids_[victim]);
@@ -217,16 +213,7 @@ uint64_t WorkloadDriver::RunOps(uint64_t op_budget) {
   }
 
   // The event-free tail: one batch of request accesses.
-  const uint64_t n = std::min({op_budget, EventFreeOps(), kChunk});
-  const uint64_t active_pages = pages_per_vma_ * vma_ids_.size();
-  batch_vpns_.clear();
-  for (uint64_t i = 0; i < n; ++i) {
-    const uint64_t page_index = stream_->Next(active_pages);
-    const size_t vma_index =
-        std::min<size_t>(page_index / pages_per_vma_, vma_ids_.size() - 1);
-    batch_vpns_.push_back(vma_starts_[vma_index] +
-                          (page_index % pages_per_vma_));
-  }
+  const uint64_t n = NextRequestBatch(op_budget);
   machine_->AccessBatch(vm_id_, batch_vpns_,
                         TouchWorkCycles(spec_, TouchKind::kRequest),
                         &batch_results_);
@@ -267,23 +254,41 @@ void WorkloadDriver::MaybeRecordLatency() {
   }
 }
 
+bool WorkloadDriver::MeasurementFlipDue() const {
+  return !measuring_ && op_ >= warmup_ops_;
+}
+
+bool WorkloadDriver::GrowthDue() const {
+  return spec_.alloc == AllocPattern::kGradual &&
+         vma_ids_.size() < spec_.vma_count;
+}
+
+bool WorkloadDriver::GcSweepDue() const {
+  return spec_.gc_sweep_period_ops != 0 && op_ > 0 &&
+         op_ % spec_.gc_sweep_period_ops == 0;
+}
+
+bool WorkloadDriver::ChurnDue() const {
+  return spec_.churn_period_ops != 0 && op_ > 0 &&
+         op_ % spec_.churn_period_ops == 0 && vma_ids_.size() > 1;
+}
+
 bool WorkloadDriver::EventPendingAtOp() const {
-  if (!measuring_ && op_ >= warmup_ops_) {
-    return true;  // measurement flip: re-snapshots the stack
+  return MeasurementFlipDue() || GrowthDue() || GcSweepDue() || ChurnDue();
+}
+
+uint64_t WorkloadDriver::NextRequestBatch(uint64_t op_budget) {
+  const uint64_t n = std::min({op_budget, EventFreeOps(), kChunk});
+  const uint64_t active_pages = pages_per_vma_ * vma_ids_.size();
+  batch_vpns_.clear();
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t page_index = stream_->Next(active_pages);
+    const size_t vma_index =
+        std::min<size_t>(page_index / pages_per_vma_, vma_ids_.size() - 1);
+    batch_vpns_.push_back(vma_starts_[vma_index] +
+                          (page_index % pages_per_vma_));
   }
-  if (spec_.alloc == AllocPattern::kGradual &&
-      vma_ids_.size() < spec_.vma_count) {
-    return true;  // growth target moves with op_; faults to populate
-  }
-  if (spec_.gc_sweep_period_ops != 0 && op_ > 0 &&
-      op_ % spec_.gc_sweep_period_ops == 0) {
-    return true;
-  }
-  if (spec_.churn_period_ops != 0 && op_ > 0 &&
-      op_ % spec_.churn_period_ops == 0 && vma_ids_.size() > 1) {
-    return true;
-  }
-  return false;
+  return n;
 }
 
 uint64_t WorkloadDriver::StepEpoch(uint64_t op_budget, bool* suspended) {
@@ -297,16 +302,7 @@ uint64_t WorkloadDriver::StepEpoch(uint64_t op_budget, bool* suspended) {
     }
     // The same batch the serial path would issue (EventFreeOps guarantees
     // no event, including a latency record boundary, lands inside it).
-    const uint64_t n = std::min({op_budget - ran, EventFreeOps(), kChunk});
-    const uint64_t active_pages = pages_per_vma_ * vma_ids_.size();
-    batch_vpns_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-      const uint64_t page_index = stream_->Next(active_pages);
-      const size_t vma_index =
-          std::min<size_t>(page_index / pages_per_vma_, vma_ids_.size() - 1);
-      batch_vpns_.push_back(vma_starts_[vma_index] +
-                            (page_index % pages_per_vma_));
-    }
+    const uint64_t n = NextRequestBatch(op_budget - ran);
     if (batch_results_.size() < batch_vpns_.size()) {
       batch_results_.resize(batch_vpns_.size());
     }

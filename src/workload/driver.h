@@ -112,9 +112,20 @@ class WorkloadDriver {
   // Number of operations starting at op_ before the next per-op event
   // (warmup flip, growth step, GC sweep, churn, latency record boundary).
   uint64_t EventFreeOps() const;
-  // Whether a per-op driver event fires *at* op_ (the serial phase must run
-  // it before any more request accesses).
+  // The per-op driver events due *at* op_: the measurement flip
+  // (re-snapshots the stack), a gradual-growth step (its target moves with
+  // op_), a GC sweep and a VMA churn.
+  bool MeasurementFlipDue() const;
+  bool GrowthDue() const;
+  bool GcSweepDue() const;
+  bool ChurnDue() const;
+  // Whether any of them is due (the serial phase must run it before any
+  // more request accesses).
   bool EventPendingAtOp() const;
+  // Fills batch_vpns_ with the next request batch, the one RunOps and
+  // StepEpoch both issue: at most min(op_budget, 64) accesses, none past
+  // the next per-op event.  Returns its size.
+  uint64_t NextRequestBatch(uint64_t op_budget);
   // Measured-phase accounting for batch_results_[begin, begin + count).
   void AccountResults(size_t begin, size_t count);
   // Records a latency sample if op_ just landed on a request boundary.

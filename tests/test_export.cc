@@ -1,13 +1,14 @@
 // Tests for the CSV/JSON result export: the exact bytes of both
 // renderings, string escaping, the BENCHMARKS.md schema tables checked
 // against the rendered headers, and its environment table checked against
-// the variables the code reads.
+// the declared knobs (bench::kKnobs).
 #include "metrics/export.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -19,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "os/machine.h"
 #include "trace/sampler.h"
 #include "workload/driver.h"
@@ -350,13 +352,18 @@ TEST(Export, TimeSeriesTableMatchesSamplerHeader) {
             CsvHeader(sampler.ToCsv()));
 }
 
-// The "Environment-variable contract" table lists exactly the variables the
-// code reads: the quoted "GEMINI_..." literals under src/ and bench/.
+// The "Environment-variable contract" table lists exactly the declared
+// knobs, in order, each with its default, and every quoted "GEMINI_..."
+// literal under src/ and bench/ names a declared knob (the bare prefix
+// "GEMINI_" names none).
 TEST(Export, EnvironmentTableMatchesCode) {
-  const std::vector<std::string> names =
-      Names(DocumentedColumns("## Environment-variable contract"));
-  const std::set<std::string> documented(names.begin(), names.end());
-  std::set<std::string> read;
+  std::vector<Column> declared;
+  std::set<std::string> names;
+  for (const bench::Knob& knob : bench::kKnobs) {
+    declared.emplace_back(knob.name, knob.fallback);
+    names.insert(knob.name);
+  }
+  EXPECT_EQ(DocumentedColumns("## Environment-variable contract"), declared);
   for (const char* dir : {"/src", "/bench"}) {
     for (const auto& entry : std::filesystem::recursive_directory_iterator(
              std::string(GEMINI_SOURCE_DIR) + dir)) {
@@ -370,13 +377,15 @@ TEST(Export, EnvironmentTableMatchesCode) {
            at = text.find("\"GEMINI_", at + 1)) {
         const size_t end =
             text.find_first_not_of("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", at + 1);
-        if (end != std::string::npos && text[end] == '"') {
-          read.insert(text.substr(at + 1, end - at - 1));
+        if (end != std::string::npos && text[end] == '"' &&
+            end > at + std::strlen("\"GEMINI_")) {
+          const std::string name = text.substr(at + 1, end - at - 1);
+          EXPECT_EQ(names.count(name), 1u)
+              << entry.path() << " reads " << name << ", not in bench::kKnobs";
         }
       }
     }
   }
-  EXPECT_EQ(documented, read);
 }
 
 }  // namespace

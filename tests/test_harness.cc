@@ -1,4 +1,3 @@
-#include <cstdlib>
 #include <optional>
 #include <set>
 #include <string>
@@ -203,21 +202,6 @@ TEST(Scenario, CollocatedVmsBothMakeProgress) {
   // The default 60 % warm-up is excluded from measured ops.
   EXPECT_EQ(result.vms[0].ops, spec0.ops - spec0.ops * 6 / 10);
   EXPECT_EQ(result.vms[1].ops, spec1.ops - spec1.ops * 6 / 10);
-}
-
-TEST(Scenario, OvercommitRatioParsesWholeValue) {
-  ::setenv("GEMINI_OVERCOMMIT", "1.5", 1);
-  EXPECT_EQ(harness::OvercommitFromEnv(), 1.5);
-  ::unsetenv("GEMINI_OVERCOMMIT");
-  EXPECT_EQ(harness::OvercommitFromEnv(), std::nullopt);
-  for (const char* bad : {"abc", "1.5x"}) {
-    EXPECT_DEATH(
-        {
-          ::setenv("GEMINI_OVERCOMMIT", bad, 1);
-          harness::OvercommitFromEnv();
-        },
-        std::string("GEMINI_OVERCOMMIT='") + bad + "'");
-  }
 }
 
 TEST(Parse, NumbersParseWholeAndInRange) {

@@ -1,20 +1,26 @@
 // Tests for the parallel sweep runner: bit-identical results at any job
 // count and in any sweep around a cell, deterministic index-keyed
-// ordering, the GEMINI_JOBS contract (including the jobs=1 inline
-// fallback), exception safety of the pool, the per-cell GEMINI_TRACE file
-// names of bench::RunSweep, and bench::PrintNormalizedTable's rendering.
+// ordering, the jobs=1 inline fallback, exception safety of the pool, the
+// startup check of the GEMINI_* knobs (bench::CheckEnvironment), the
+// per-cell GEMINI_TRACE file names of bench::RunSweep, and
+// bench::PrintNormalizedTable's rendering.
 #include "harness/sweep_runner.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <list>
 #include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "bench/bench_common.h"
@@ -114,28 +120,85 @@ void ExpectSameResult(const workload::RunResult& a,
       a.counters, b.counters);
 }
 
-TEST(SweepJobs, ParsesPositiveInteger) {
-  ScopedEnv env("GEMINI_JOBS", "6");
-  EXPECT_EQ(harness::SweepJobs(), 6);
+// The workers a bench sweep of `cells` cells runs on under the current
+// GEMINI_JOBS.
+int SweepWorkers(size_t cells) {
+  harness::SweepRunnerOptions options;
+  options.jobs = bench::SweepJobs();
+  return harness::SweepRunner(options).EffectiveJobs(cells);
 }
 
-TEST(SweepJobs, RejectsNonPositiveAndGarbage) {
-  for (const char* bad : {"0", "-3", "abc", "4x"}) {
-    EXPECT_DEATH(
-        {
-          ::setenv("GEMINI_JOBS", bad, 1);
-          harness::SweepJobs();
-        },
-        std::string("GEMINI_JOBS='") + bad + "'");
+TEST(CheckEnvironment, ChecksEveryKnobAndWarnsOnUnknownNames) {
+  // Each case runs the startup check with one variable set and every other
+  // GEMINI_* variable unset.  A malformed value aborts naming the variable;
+  // an accepted one prints nothing but a warning for an unknown name and
+  // reads as `expect` says.
+  std::vector<std::string> set_names;
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    const std::string_view var(*entry);
+    if (var.starts_with("GEMINI_")) {
+      set_names.emplace_back(var.substr(0, var.find('=')));
+    }
   }
-  // Empty means unset: the hardware default.
-  {
-    ScopedEnv env("GEMINI_JOBS", "");
-    EXPECT_GE(harness::SweepJobs(), 1);
+  std::list<ScopedEnv> cleared;
+  for (const std::string& name : set_names) {
+    cleared.emplace_back(name.c_str(), nullptr);
   }
-  {
-    ScopedEnv env("GEMINI_JOBS", nullptr);
-    EXPECT_GE(harness::SweepJobs(), 1);
+  const std::string dir = ::testing::TempDir();
+  const int hardware =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  struct Case {
+    const char* name;
+    const char* value;          // null: unset
+    const char* abort_message;  // null: the value is accepted
+    const char* warning;        // the accepted run's whole stderr
+    std::function<void()> expect;
+  };
+  const std::vector<Case> cases = {
+      {"GEMINI_JOBS", "6", nullptr, "",
+       [] { EXPECT_EQ(bench::SweepJobs(), 6); }},
+      {"GEMINI_JOBS", "1", nullptr, "",
+       [] { EXPECT_EQ(SweepWorkers(8), 1); }},  // runs inline on the caller
+      {"GEMINI_JOBS", "", nullptr, "",
+       [&] { EXPECT_EQ(SweepWorkers(1 << 20), hardware); }},
+      {"GEMINI_JOBS", nullptr, nullptr, "",
+       [&] { EXPECT_EQ(SweepWorkers(1 << 20), hardware); }},
+      {"GEMINI_JOBS", "0", "GEMINI_JOBS='0'", nullptr, nullptr},
+      {"GEMINI_JOBS", "-3", "GEMINI_JOBS='-3'", nullptr, nullptr},
+      {"GEMINI_JOBS", "abc", "GEMINI_JOBS='abc'", nullptr, nullptr},
+      {"GEMINI_JOBS", "4x", "GEMINI_JOBS='4x'", nullptr, nullptr},
+      {"GEMINI_TRACE", dir.c_str(), nullptr, "",
+       [&] {
+         const trace::TraceConfig on = bench::TraceConfigFromEnv("stem");
+         EXPECT_EQ(on.dir, dir);
+         EXPECT_EQ(on.stem, "stem");
+       }},
+      {"GEMINI_TRACE", nullptr, nullptr, "",
+       [] { EXPECT_TRUE(bench::TraceConfigFromEnv("stem").dir.empty()); }},
+      {"GEMINI_TRACE", "/nonexistent", "GEMINI_TRACE='/nonexistent'",
+       nullptr, nullptr},
+      {"GEMINI_EXPORT", "/nonexistent", "GEMINI_EXPORT='/nonexistent'",
+       nullptr, nullptr},
+      {"GEMINI_TLB_MODE", "bogus", "GEMINI_TLB_MODE: unknown mode 'bogus'",
+       nullptr, nullptr},
+      {"GEMINI_VM_THREADS", "0", "GEMINI_VM_THREADS='0'", nullptr, nullptr},
+      {"GEMINI_JOB", "4", nullptr,
+       "warning: GEMINI_JOB is not a knob of these benches (BENCHMARKS.md); "
+       "ignored\n",
+       [&] { EXPECT_EQ(SweepWorkers(1 << 20), hardware); }},
+  };
+  for (const Case& c : cases) {
+    const std::string where =
+        std::string(c.name) + "=" + (c.value != nullptr ? c.value : "(unset)");
+    ScopedEnv env(c.name, c.value);
+    if (c.abort_message != nullptr) {
+      EXPECT_DEATH(bench::CheckEnvironment(), c.abort_message) << where;
+      continue;
+    }
+    ::testing::internal::CaptureStderr();
+    bench::CheckEnvironment();
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), c.warning) << where;
+    c.expect();
   }
 }
 
@@ -150,22 +213,6 @@ TEST(SweepRunner, SingleJobRunsInlineOnCaller) {
   for (const std::thread::id& id : seen) {
     EXPECT_EQ(id, caller);
   }
-}
-
-TEST(SweepRunner, Jobs1EnvFallbackRunsInline) {
-  ScopedEnv env("GEMINI_JOBS", "1");
-  harness::SweepRunnerOptions options;  // jobs = 0 => SweepJobs() => 1
-  options.progress = false;
-  harness::SweepRunner runner(options);
-  EXPECT_EQ(runner.EffectiveJobs(8), 1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int> off_thread{0};
-  runner.Run(8, [&](size_t) {
-    if (std::this_thread::get_id() != caller) {
-      off_thread.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(off_thread.load(), 0);
 }
 
 TEST(SweepRunner, JobsCappedAtCellCount) {

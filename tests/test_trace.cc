@@ -363,39 +363,9 @@ TEST(Session, SanitizeFileStemNormalizes) {
   EXPECT_EQ(trace::SanitizeFileStem("###"), "trace");
 }
 
-TEST(Session, ConfigFromEnvRoundTrips) {
-  ::setenv("GEMINI_TRACE", "/tmp/traces", 1);
-  ::setenv("GEMINI_TRACE_INTERVAL", "5000", 1);
-  const trace::TraceConfig on = trace::TraceConfigFromEnv("stem");
-  EXPECT_TRUE(on.enabled);
-  EXPECT_EQ(on.dir, "/tmp/traces");
-  EXPECT_EQ(on.stem, "stem");
-  EXPECT_EQ(on.sample_period, 5000u);
-  ::unsetenv("GEMINI_TRACE");
-  ::unsetenv("GEMINI_TRACE_INTERVAL");
-  const trace::TraceConfig off = trace::TraceConfigFromEnv("stem");
-  EXPECT_FALSE(off.enabled);
-}
-
-TEST(Session, MalformedTraceIntervalAborts) {
-  for (const char* bad : {"abc", "5000x"}) {
-    EXPECT_DEATH(
-        {
-          ::setenv("GEMINI_TRACE", "/tmp/traces", 1);
-          ::setenv("GEMINI_TRACE_INTERVAL", bad, 1);
-          trace::TraceConfigFromEnv("stem");
-        },
-        std::string("GEMINI_TRACE_INTERVAL='") + bad + "'");
-  }
-}
-
 TEST(Session, WriteTraceFilesProducesParseableArtifacts) {
   osim::Machine machine(SmallConfig());
-  trace::TraceConfig config;
-  config.enabled = true;
-  config.dir = ::testing::TempDir();
-  config.stem = "trace_test_cell";
-  config.sample_period = 25000;
+  const trace::TraceConfig config{::testing::TempDir(), "trace_test_cell"};
   trace::StackSampler* sampler = trace::SetupTracing(machine, config);
   ASSERT_NE(sampler, nullptr);
   auto& vm = gemini::InstallGeminiVm(machine, 32768);
