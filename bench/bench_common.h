@@ -114,7 +114,8 @@ inline trace::TraceConfig TraceConfigFromEnv(const std::string& stem) {
 // a mode name (mmu::TlbShareModeName), a comma-separated list, or "all" for
 // all four.  Unset or empty means {kPrivate} — the historical single-mode
 // output.  Aborts on an unrecognized name (silently measuring the wrong
-// mode would poison comparisons).
+// mode would poison comparisons) and on a name listed twice (its cells
+// would run, print and export twice).
 inline std::vector<mmu::TlbShareMode> TlbModesFromEnv() {
   const std::vector<mmu::TlbShareMode> all = {
       mmu::TlbShareMode::kPrivate, mmu::TlbShareMode::kShared,
@@ -141,6 +142,8 @@ inline std::vector<mmu::TlbShareMode> TlbModesFromEnv() {
         });
     SIM_CHECK_MSG(mode != all.end(), "GEMINI_TLB_MODE: unknown mode '%s'",
                   name.c_str());
+    SIM_CHECK_MSG(std::find(modes.begin(), modes.end(), *mode) == modes.end(),
+                  "GEMINI_TLB_MODE: mode '%s' listed twice", name.c_str());
     modes.push_back(*mode);
     start = comma + 1;
   }

@@ -1,7 +1,8 @@
 // Google-benchmark micro benchmarks for the hot substrate paths: buddy
 // allocation, targeted allocation, TLB lookup/insert and region shootdown,
 // page-table walks and access-count aging, far-tier demotion/refault, EMA
-// descriptor search, CA-paging's run search, and contiguity-list refresh.
+// descriptor search, CA-paging's run search, and the contiguity list's
+// refresh and its two query shapes.
 // These are engineering benchmarks (not paper figures): they bound the
 // simulator's own costs and catch regressions in the data structures
 // Gemini leans on.
@@ -218,6 +219,9 @@ BENCHMARK_CAPTURE(BM_FindContiguousRun, guest_256_hit, 131072, 0.8, 256);
 BENCHMARK_CAPTURE(BM_FindContiguousRun, host_131072_miss, 409600, 0.85,
                   131072);
 
+// Refresh(1) lists every free run: the full-list baseline for the two query
+// shapes below, whose refreshes list only the runs long enough to serve
+// them.
 void BM_ContiguityRefresh(benchmark::State& state) {
   vmem::BuddyAllocator buddy(1 << 18);
   base::Rng rng(4);
@@ -229,10 +233,62 @@ void BM_ContiguityRefresh(benchmark::State& state) {
     // Force a rebuild each iteration by touching the buddy.
     const uint64_t f = buddy.Allocate(0);
     buddy.Free(f, 1);
-    list.Refresh();
+    list.Refresh(1);
     benchmark::DoNotOptimize(list.extent_count());
   }
 }
 BENCHMARK(BM_ContiguityRefresh);
+
+// The first free frame of `buddy`, which the query benchmarks below flip
+// between free and allocated: one mutation per iteration, which forces the
+// next refresh to rebuild.
+uint64_t FirstFreeFrame(const vmem::BuddyAllocator& buddy) {
+  uint64_t frame = 0;
+  while (!buddy.IsFrameFree(frame)) {
+    ++frame;
+  }
+  return frame;
+}
+
+// Gemini's guest placement query: a 256-frame huge-aligned next-fit over
+// a guest of 131,072 frames at FMFI 0.8, the list rebuilt after one
+// mutation per query.
+void BM_ContiguityPlacement(benchmark::State& state) {
+  vmem::BuddyAllocator buddy(131072);
+  vmem::FrameSpace frames(131072);
+  vmem::Fragmenter(&buddy, &frames, 11).FragmentToTarget(0.8);
+  const uint64_t flipped = FirstFreeFrame(buddy);
+  vmem::ContiguityList list(&buddy);
+  uint64_t found = 0;
+  for (auto _ : state) {
+    if (!buddy.AllocateAt(flipped, 1)) {
+      buddy.Free(flipped, 1);
+    }
+    list.Refresh(256);
+    found = list.FindFit(256, /*huge_aligned=*/true);
+    benchmark::DoNotOptimize(found);
+  }
+  state.counters["extents"] = static_cast<double>(list.extent_count());
+}
+BENCHMARK(BM_ContiguityPlacement);
+
+// Gemini's host booking tick: the refresh of its 2 MiB list over a host of
+// 409,600 frames at FMFI 0.85, after one mutation.
+void BM_ContiguityHostTick(benchmark::State& state) {
+  vmem::BuddyAllocator buddy(409600);
+  vmem::FrameSpace frames(409600);
+  vmem::Fragmenter(&buddy, &frames, 11).FragmentToTarget(0.85);
+  const uint64_t flipped = FirstFreeFrame(buddy);
+  vmem::ContiguityList list(&buddy);
+  for (auto _ : state) {
+    if (!buddy.AllocateAt(flipped, 1)) {
+      buddy.Free(flipped, 1);
+    }
+    list.Refresh(kPagesPerHuge);
+    benchmark::DoNotOptimize(list.extent_count());
+  }
+  state.counters["extents"] = static_cast<double>(list.extent_count());
+}
+BENCHMARK(BM_ContiguityHostTick);
 
 }  // namespace

@@ -103,7 +103,7 @@ uint64_t GeminiGuestPolicy::PlacementTarget(KernelOps& kernel,
       options_.enable_ema &&
       kernel.buddy().mutation_epoch() >= placement_retry_epoch_;
   if (frame == kInvalidFrame && search_worthwhile) {
-    contiguity_->Refresh();
+    contiguity_->Refresh(remaining);
     frame = contiguity_->FindFit(remaining, /*huge_aligned=*/true);
     if (frame != kInvalidFrame) {
       span_pages = remaining;
@@ -346,7 +346,7 @@ FaultDecision GeminiHostPolicy::OnFault(KernelOps& kernel,
   const bool anchor_worthy = channel.GuestHugeTarget(region);
   if (anchor == kInvalidFrame && anchor_worthy &&
       kernel.buddy().mutation_epoch() >= placement_retry_epoch_) {
-    contiguity_->Refresh();
+    contiguity_->Refresh(kPagesPerHuge);
     const uint64_t fit =
         contiguity_->FindFit(kPagesPerHuge, /*huge_aligned=*/true);
     if (fit != kInvalidFrame) {
@@ -398,9 +398,12 @@ void GeminiHostPolicy::OnDaemonTick(KernelOps& kernel) {
     booked_for_.clear();
   } else if (options_.enable_ema) {
     // Book host blocks for type-1 misaligned guest huge pages so the next
-    // EPT fault can back them huge, in place.
+    // EPT fault can back them huge, in place.  The list is refreshed once,
+    // before the tick's first fit, so a tick with nothing to book reads
+    // nothing, and every fit of the tick reads the free map as it was
+    // before the tick's bookings (DESIGN.md §3j).
     uint32_t quota = kBookingsPerTick;
-    contiguity_->Refresh();
+    bool refreshed = false;
     for (const auto& [region, status] : channel.guest_huge_misaligned) {
       if (quota == 0) {
         break;
@@ -408,6 +411,10 @@ void GeminiHostPolicy::OnDaemonTick(KernelOps& kernel) {
       kernel.ChargeOverhead(osim::kCosts.daemon_scan_region);
       if (status.type2 || booked_for_.count(region) != 0) {
         continue;
+      }
+      if (!refreshed) {
+        contiguity_->Refresh(kPagesPerHuge);
+        refreshed = true;
       }
       const uint64_t frame =
           contiguity_->FindFit(kPagesPerHuge, /*huge_aligned=*/true);

@@ -6,6 +6,13 @@ namespace policy {
 
 uint64_t FindContiguousRun(const vmem::BuddyAllocator& buddy,
                            uint64_t min_frames, uint64_t cursor) {
+  // A maximal free run of L frames holds at least floor(L/1024) - 1 free
+  // blocks of the top order, because the free map is maximally merged
+  // (DESIGN.md §3j).  Too few of them, and no run is long enough.
+  constexpr int kTopOrder = base::kMaxOrder - 1;
+  if (buddy.FreeBlocksOfOrder(kTopOrder) + 1 < (min_frames >> kTopOrder)) {
+    return vmem::kInvalidFrame;
+  }
   uint64_t best_before_cursor = vmem::kInvalidFrame;
   uint64_t run_start = vmem::kInvalidFrame;
   uint64_t run_end = 0;

@@ -2,23 +2,32 @@
 
 #include <algorithm>
 
+#include "base/check.h"
 #include "base/types.h"
 
 namespace vmem {
 
-void ContiguityList::Refresh() {
-  if (refreshed_epoch_ == buddy_->mutation_epoch()) {
-    return;  // free map unchanged since the last rebuild
+void ContiguityList::Refresh(uint64_t min_frames) {
+  SIM_CHECK(min_frames > 0);
+  if (refreshed_epoch_ == buddy_->mutation_epoch() &&
+      min_frames_ <= min_frames) {
+    return;  // free map unchanged, and every run that can serve is listed
   }
   refreshed_epoch_ = buddy_->mutation_epoch();
+  min_frames_ = min_frames;
   extents_.clear();
-  buddy_->ForEachFreeRun([&](uint64_t frame, uint64_t count) {
+  buddy_->ForEachFreeRunOfAtLeast(min_frames, [&](uint64_t frame,
+                                                  uint64_t count) {
     extents_.push_back(Extent{frame, count});
   });
 }
 
 uint64_t ContiguityList::FindFit(uint64_t count, bool huge_aligned) {
-  if (count == 0 || extents_.empty()) {
+  // A run shorter than `count` holds it from no start, so the runs Refresh
+  // left out could not end this search, and the listed runs come in the
+  // same next-fit order as in the full list (DESIGN.md §3j).
+  SIM_CHECK(count >= min_frames_);
+  if (extents_.empty()) {
     return kInvalidFrame;
   }
   // Locate the first extent at or after the cursor.
@@ -50,11 +59,25 @@ uint64_t ContiguityList::FindFit(uint64_t count, bool huge_aligned) {
 }
 
 ContiguityList::Extent ContiguityList::LargestExtent() const {
+  SIM_CHECK(refreshed_epoch_ == buddy_->mutation_epoch());
   Extent best{0, 0};
-  for (const Extent& e : extents_) {
-    if (e.count > best.count) {
-      best = e;
+  const auto keep_longest = [&best](uint64_t frame, uint64_t count) {
+    if (count > best.count) {
+      best = Extent{frame, count};
     }
+  };
+  // The longest run passes every threshold, so a list holding any run
+  // holds it.  An empty list means every run is shorter than min_frames_:
+  // the runs of 128 frames and up are read from the all-free summary, and
+  // only when there are none is every run visited.
+  for (const Extent& e : extents_) {
+    keep_longest(e.frame, e.count);
+  }
+  if (best.count == 0) {
+    buddy_->ForEachFreeRunOfAtLeast(128, keep_longest);
+  }
+  if (best.count == 0) {
+    buddy_->ForEachFreeRun(keep_longest);
   }
   return best;
 }

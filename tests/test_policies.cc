@@ -278,7 +278,13 @@ TEST(CaPaging, FindContiguousRunMatchesFullScan) {
 // the longest run can serve the largest request.  The visitor must yield
 // ForEachFreeRun's runs of at least `min_frames`, and FindContiguousRun
 // must equal the full scan for cursors at 0, inside the longest run, on
-// the edges of runs and past the last frame.
+// the edges of runs and past the last frame.  A third pass puts each bed
+// at the search's order-10 bound: a run of L = 1024 m + 1022 frames from
+// 1024 k + 1 is the only one holding free order-10 blocks, exactly
+// floor(L/1024) - 1 = m - 1 of them, and requests from L - 1024 to
+// L + 1024 frames put that count just above, at and just below
+// floor(min_frames/1024) - 1; below it the search answers without
+// scanning.
 TEST(CaPaging, RunSearchMatchesFullScanOnFragmentedBeds) {
   using Span = std::pair<uint64_t, uint64_t>;
   struct Bed {
@@ -290,22 +296,34 @@ TEST(CaPaging, RunSearchMatchesFullScanOnFragmentedBeds) {
       {131072, 0.8, 5000}, {409600, 0.85, 140000}, {100003, 0.8, 4500}};
   const uint64_t kMinFrames[] = {1,   63,  64,   127,   128,
                                  129, 256, 4096, 131072};
+  constexpr int kTopOrder = base::kMaxOrder - 1;
   int hits = 0;
   int misses = 0;
+  int rejected = 0;  // requests the order-10 block count rejects
   for (const Bed& bed : kBeds) {
     vmem::BuddyAllocator buddy(bed.frames);
     vmem::FrameSpace frames(bed.frames);
     vmem::Fragmenter fragmenter(&buddy, &frames, 11);
     ASSERT_GE(fragmenter.FragmentToTarget(bed.fmfi), bed.fmfi);
+    const auto free_span = [&](uint64_t lo, uint64_t hi) {
+      for (uint64_t f = lo; f < hi; ++f) {
+        if (!buddy.IsFrameFree(f)) {
+          buddy.Free(f, 1);
+        }
+      }
+    };
+    const auto compare = [&](uint64_t min_frames, uint64_t cursor) {
+      const uint64_t found =
+          policy::FindContiguousRun(buddy, min_frames, cursor);
+      ASSERT_EQ(found, FullScanContiguousRun(buddy, min_frames, cursor))
+          << bed.frames << " frames, min " << min_frames << ", cursor "
+          << cursor;
+      ++(found == vmem::kInvalidFrame ? misses : hits);
+      rejected += buddy.FreeBlocksOfOrder(kTopOrder) + 1 <
+                  (min_frames >> kTopOrder);
+    };
     for (const bool widened : {false, true}) {
       if (widened) {
-        const auto free_span = [&](uint64_t lo, uint64_t hi) {
-          for (uint64_t f = lo; f < hi; ++f) {
-            if (!buddy.IsFrameFree(f)) {
-              buddy.Free(f, 1);
-            }
-          }
-        };
         free_span(0, 300);
         free_span(bed.frames - 300, bed.frames);
         free_span(bed.frames / 4, bed.frames / 4 + bed.window);
@@ -345,18 +363,46 @@ TEST(CaPaging, RunSearchMatchesFullScanOnFragmentedBeds) {
         ASSERT_EQ(got, want) << bed.frames << " frames, widened " << widened
                              << ", min " << min_frames;
         for (const uint64_t cursor : cursors) {
-          const uint64_t found =
-              policy::FindContiguousRun(buddy, min_frames, cursor);
-          ASSERT_EQ(found, FullScanContiguousRun(buddy, min_frames, cursor))
-              << bed.frames << " frames, widened " << widened << ", min "
-              << min_frames << ", cursor " << cursor;
-          ++(found == vmem::kInvalidFrame ? misses : hits);
+          compare(min_frames, cursor);
+          ASSERT_FALSE(HasFailure()) << "widened " << widened;
         }
+      }
+    }
+    // The bound pass: pin the middle of every free order-10 block, then
+    // free the run [lo, lo + L) and pin the frame on either side of it.
+    std::vector<uint64_t> top_blocks;
+    buddy.ForEachFreeBlock([&](uint64_t head, int order) {
+      if (order == kTopOrder) {
+        top_blocks.push_back(head);
+      }
+    });
+    for (const uint64_t head : top_blocks) {
+      ASSERT_TRUE(buddy.AllocateAt(head + 512, 1));
+    }
+    const uint64_t m = 4;
+    const uint64_t len = 1024 * m + 1022;
+    const uint64_t lo = ((bed.frames / 2) & ~uint64_t{1023}) + 1;
+    free_span(lo, lo + len);
+    for (const uint64_t edge : {lo - 1, lo + len}) {
+      if (buddy.IsFrameFree(edge)) {
+        ASSERT_TRUE(buddy.AllocateAt(edge, 1));
+      }
+    }
+    ASSERT_EQ(buddy.FreeBlocksOfOrder(kTopOrder), m - 1);
+    // At the bound, the run of exactly L frames is found.
+    ASSERT_EQ(policy::FindContiguousRun(buddy, len, 0), lo);
+    for (const uint64_t min_frames :
+         {len - 1024, len - 1, len, len + 1, len + 2, len + 1024}) {
+      for (const uint64_t cursor : {uint64_t{0}, lo, lo + 1, lo + len,
+                                    lo + len + 1, bed.frames}) {
+        compare(min_frames, cursor);
+        ASSERT_FALSE(HasFailure()) << "bound pass";
       }
     }
   }
   EXPECT_GT(hits, 0);
   EXPECT_GT(misses, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Ranger, MigratesSparseRegionsUnconditionally) {

@@ -181,6 +181,17 @@ TEST(CheckEnvironment, ChecksEveryKnobAndWarnsOnUnknownNames) {
        nullptr, nullptr},
       {"GEMINI_TLB_MODE", "bogus", "GEMINI_TLB_MODE: unknown mode 'bogus'",
        nullptr, nullptr},
+      {"GEMINI_TLB_MODE", "shared,shared",
+       "GEMINI_TLB_MODE: mode 'shared' listed twice", nullptr, nullptr},
+      {"GEMINI_TLB_MODE", "shared,partitioned,shared",
+       "GEMINI_TLB_MODE: mode 'shared' listed twice", nullptr, nullptr},
+      {"GEMINI_TLB_MODE", "shared,partitioned", nullptr, "",
+       [] {
+         EXPECT_EQ(bench::TlbModesFromEnv(),
+                   (std::vector<mmu::TlbShareMode>{
+                       mmu::TlbShareMode::kShared,
+                       mmu::TlbShareMode::kPartitioned}));
+       }},
       {"GEMINI_VM_THREADS", "0", "GEMINI_VM_THREADS='0'", nullptr, nullptr},
       {"GEMINI_JOB", "4", nullptr,
        "warning: GEMINI_JOB is not a knob of these benches (BENCHMARKS.md); "
