@@ -12,14 +12,13 @@ int main() {
 
   struct Variant {
     const char* label;
-    base::Cycles initial;
-    base::Cycles period;  // huge period => controller effectively frozen
+    base::Cycles fixed_timeout;  // 0 = Algorithm 1
   };
   const std::vector<Variant> variants = {
-      {"fixed 2M cycles", 2'000'000, 1ull << 60},
-      {"fixed 40M cycles", 40'000'000, 1ull << 60},
-      {"fixed 800M cycles", 800'000'000, 1ull << 60},
-      {"adaptive (Algorithm 1)", 40'000'000, 20'000'000},
+      {"fixed 2M cycles", 2'000'000},
+      {"fixed 40M cycles", 40'000'000},
+      {"fixed 800M cycles", 800'000'000},
+      {"adaptive (Algorithm 1)", 0},
   };
 
   const auto cells = bench::RunCells(
@@ -27,8 +26,7 @@ int main() {
       [&](size_t i) { return std::string(variants[i].label); },
       [&](size_t i, const harness::BedOptions& cell_bed) {
         gemini::GeminiOptions options;
-        options.initial_booking_timeout = variants[i].initial;
-        options.controller_period = variants[i].period;
+        options.fixed_booking_timeout = variants[i].fixed_timeout;
         return harness::RunGeminiAblation(spec, cell_bed, options);
       });
 

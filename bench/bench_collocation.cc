@@ -43,7 +43,6 @@
 // BENCHMARKS.md.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -72,22 +71,14 @@ struct Row {
   uint64_t digest = 0;
 };
 
-void Mix(uint64_t* digest, uint64_t value) {
-  *digest = (*digest ^ value) * 1099511628211ull;
-}
-
-void MixDouble(uint64_t* digest, double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  Mix(digest, bits);
-}
+using bench::Mix;
+using bench::MixDouble;
 
 // FNV digest over every deterministic field the run produces: per-VM
 // results plus the NxN interference rows.  Bit-identical digests across
 // thread counts are the determinism witness this bench enforces.
 uint64_t Digest(const harness::CollocatedManyResult& r) {
-  uint64_t d = 1469598103934665603ull;
+  uint64_t d = bench::kFnvOffsetBasis;
   Mix(&d, r.epochs);
   Mix(&d, r.parallel_ops);
   Mix(&d, r.serial_ops);
@@ -132,12 +123,6 @@ Row MakeRow(const std::string& scenario, uint32_t threads,
   return row;
 }
 
-double Mops(const Row& r) {
-  return r.wall_ms > 0.0
-             ? static_cast<double>(r.ops) / (r.wall_ms * 1000.0)
-             : 0.0;
-}
-
 double ParallelFrac(const Row& r) {
   const uint64_t total = r.parallel_ops + r.serial_ops;
   return total > 0 ? static_cast<double>(r.parallel_ops) /
@@ -152,7 +137,8 @@ void PrintRow(const Row& r) {
       r.scenario.c_str(), r.threads, static_cast<unsigned long long>(r.vms),
       static_cast<unsigned long long>(r.ops),
       static_cast<unsigned long long>(r.epochs), 100.0 * ParallelFrac(r),
-      r.wall_ms, Mops(r), static_cast<unsigned long long>(r.digest));
+      r.wall_ms, bench::Mops(r.ops, r.wall_ms),
+      static_cast<unsigned long long>(r.digest));
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +249,7 @@ constexpr auto RowColumns = [](const Row& r, auto& sink) {
   sink("threads", r.threads);
   sink("ops", r.ops);
   sink("wall_ms", r.wall_ms);
-  sink("mops_per_s", Mops(r));
+  sink("mops_per_s", bench::Mops(r.ops, r.wall_ms));
   sink("epochs", r.epochs);
   sink("parallel_ops", r.parallel_ops);
   sink("serial_ops", r.serial_ops);

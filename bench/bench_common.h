@@ -20,7 +20,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <iterator>
@@ -74,6 +76,31 @@ struct Timed {
   Result result;
   double wall_ms = 0.0;  // host wall-clock; NOT deterministic
 };
+
+// --- Digests and rates of the engineering benches -------------------------
+// bench_collocation and bench_overcommit fold each cell's deterministic
+// fields into a 64-bit FNV-1a digest, word by word, starting from
+// kFnvOffsetBasis; each bench keeps its own field list.
+
+inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+
+inline void Mix(uint64_t* digest, uint64_t value) {
+  *digest = (*digest ^ value) * 1099511628211ull;
+}
+
+// Mixes the bit pattern, so equal digests mean bit-identical doubles.
+inline void MixDouble(uint64_t* digest, double value) {
+  uint64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(value));
+  std::memcpy(&bits, &value, sizeof(bits));
+  Mix(digest, bits);
+}
+
+// Simulated operations per second of host wall time, in millions; 0 for
+// a run too short to time.
+inline double Mops(uint64_t ops, double wall_ms) {
+  return wall_ms > 0.0 ? static_cast<double>(ops) / (wall_ms * 1000.0) : 0.0;
+}
 
 // --- The GEMINI_* environment knobs ---------------------------------------
 // The bench layer is the only reader of the environment; the simulator

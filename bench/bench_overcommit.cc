@@ -38,7 +38,6 @@
 // documented in BENCHMARKS.md.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -75,21 +74,13 @@ struct Row {
   uint64_t digest = 0;
 };
 
-void Mix(uint64_t* digest, uint64_t value) {
-  *digest = (*digest ^ value) * 1099511628211ull;
-}
-
-void MixDouble(uint64_t* digest, double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  Mix(digest, bits);
-}
+using bench::Mix;
+using bench::MixDouble;
 
 // FNV digest over every deterministic field the cell produces: the
 // thread-unobservability witness the CI thread-diff checks via stdout.
 uint64_t Digest(const harness::CollocatedManyResult& r) {
-  uint64_t d = 1469598103934665603ull;
+  uint64_t d = bench::kFnvOffsetBasis;
   Mix(&d, r.epochs);
   Mix(&d, r.parallel_ops);
   Mix(&d, r.serial_ops);
@@ -246,12 +237,6 @@ void PrintRow(const Row& r) {
       static_cast<unsigned long long>(r.digest));
 }
 
-double Mops(const Row& r) {
-  return r.wall_ms > 0.0
-             ? static_cast<double>(r.ops) / (r.wall_ms * 1000.0)
-             : 0.0;
-}
-
 // The BENCH_overcommit.json columns of one cell.
 constexpr auto RowColumns = [](const Row& r, auto& sink) {
   sink("scenario", r.scenario);
@@ -262,7 +247,7 @@ constexpr auto RowColumns = [](const Row& r, auto& sink) {
   sink("host_frames", r.host_frames);
   sink("ops", r.ops);
   sink("wall_ms", r.wall_ms);
-  sink("mops_per_s", Mops(r));
+  sink("mops_per_s", bench::Mops(r.ops, r.wall_ms));
   sink("tlb_misses", r.tlb_misses);
   sink("tlb_miss_rate", r.tlb_miss_rate);
   sink("host_coverage", r.host_coverage);

@@ -189,11 +189,6 @@ ScenarioResult RunScenario(const std::string& name, uint64_t regions,
   return res;
 }
 
-double Mops(const ScenarioResult& r) {
-  return r.wall_ms > 0.0 ? static_cast<double>(r.ops) / (r.wall_ms * 1000.0)
-                         : 0.0;
-}
-
 uint64_t Sum(const std::array<uint64_t, 4>& a) {
   return a[0] + a[1] + a[2] + a[3];
 }
@@ -203,7 +198,7 @@ constexpr auto ScenarioColumns = [](const ScenarioResult& r, auto& sink) {
   sink("scenario", r.scenario);
   sink("ops", r.ops);
   sink("wall_ms", r.wall_ms);
-  sink("mops_per_s", Mops(r));
+  sink("mops_per_s", bench::Mops(r.ops, r.wall_ms));
   sink("tlb_hits", r.tlb_hits);
   sink("tlb_misses", r.tlb_misses);
   sink("stale_hits", r.stale_hits);
@@ -269,7 +264,8 @@ int main() {
         "%-18s %10llu ops  %9.1f ms  %7.2f Mops/s  hits %llu  misses %llu  "
         "stale %llu  checksum %llu\n",
         r.scenario.c_str(), static_cast<unsigned long long>(r.ops), r.wall_ms,
-        Mops(r), static_cast<unsigned long long>(r.tlb_hits),
+        bench::Mops(r.ops, r.wall_ms),
+        static_cast<unsigned long long>(r.tlb_hits),
         static_cast<unsigned long long>(r.tlb_misses),
         static_cast<unsigned long long>(r.stale_hits),
         static_cast<unsigned long long>(r.checksum));

@@ -24,7 +24,8 @@ class Rng {
   // Uniform in [0, bound).  bound must be > 0.
   uint64_t NextBelow(uint64_t bound);
 
-  // Uniform in [lo, hi).  hi must be > lo.
+  // Uniform in [lo, hi).  hi must be > lo.  Only tests draw from it
+  // (test_tlb's range-shootdown fuzz); it stays as their draw.
   uint64_t NextRange(uint64_t lo, uint64_t hi);
 
   // Uniform double in [0, 1).
@@ -33,7 +34,8 @@ class Rng {
   // Bernoulli trial with probability p.
   bool NextBool(double p);
 
-  // Fisher-Yates shuffle.
+  // Fisher-Yates shuffle.  Only tests shuffle (test_buddy_allocator's
+  // free order); it stays as their shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& v) {
     for (size_t i = v.size(); i > 1; --i) {

@@ -21,6 +21,16 @@ namespace {
 constexpr base::Cycles kBucketRetention = 2'000'000'000;
 // Bookings initiated per daemon tick (scan batching).
 constexpr uint32_t kBookingsPerTick = 64;
+// Algorithm 1's starting booking timeout (its period P is the
+// controller's, in huge_booking.cc).
+constexpr base::Cycles kInitialBookingTimeout = 40'000'000;
+// How often the runtime's MHPS scan runs.
+constexpr base::Cycles kScanPeriod = 1'000'000;
+
+base::Cycles StartingTimeout(const GeminiOptions& options) {
+  return options.fixed_booking_timeout != 0 ? options.fixed_booking_timeout
+                                            : kInitialBookingTimeout;
+}
 
 }  // namespace
 
@@ -30,7 +40,7 @@ GeminiGuestPolicy::GeminiGuestPolicy(GeminiRuntime* runtime,
                                      const GeminiOptions& options)
     : runtime_(runtime),
       options_(options),
-      controller_(options.initial_booking_timeout) {
+      controller_(StartingTimeout(options)) {
   SIM_CHECK(runtime_ != nullptr);
 }
 
@@ -173,8 +183,11 @@ void GeminiGuestPolicy::OnDaemonTick(KernelOps& kernel) {
   const base::Cycles now = kernel.Now();
   GeminiChannel& channel = runtime_->channel();
 
-  // Algorithm 1: when a measurement period ends, adjust the booking timeout.
-  controller_.OnDaemonTick(kernel, options_.controller_period);
+  // Algorithm 1: when a measurement period ends, adjust the booking
+  // timeout.  A fixed timeout never ticks the controller.
+  if (options_.fixed_booking_timeout == 0) {
+    controller_.OnDaemonTick(kernel);
+  }
 
   booking_->ExpireTimeouts(now);
 
@@ -295,7 +308,7 @@ GeminiHostPolicy::GeminiHostPolicy(GeminiRuntime* runtime,
                                    const GeminiOptions& options)
     : runtime_(runtime),
       options_(options),
-      controller_(options.initial_booking_timeout) {
+      controller_(StartingTimeout(options)) {
   SIM_CHECK(runtime_ != nullptr);
 }
 
@@ -382,7 +395,9 @@ void GeminiHostPolicy::OnDaemonTick(KernelOps& kernel) {
   const base::Cycles now = kernel.Now();
   GeminiChannel& channel = runtime_->channel();
 
-  controller_.OnDaemonTick(kernel, options_.controller_period);
+  if (options_.fixed_booking_timeout == 0) {
+    controller_.OnDaemonTick(kernel);
+  }
 
   booking_->ExpireTimeouts(now);
   for (auto it = booked_for_.begin(); it != booked_for_.end();) {
@@ -462,8 +477,7 @@ void GeminiRuntime::Run(base::Cycles now) {
 
 osim::VirtualMachine& InstallGeminiVm(osim::Machine& machine,
                                       uint64_t gfn_count,
-                                      const GeminiOptions& options,
-                                      base::Cycles scan_period) {
+                                      const GeminiOptions& options) {
   auto runtime = std::make_unique<GeminiRuntime>();
   GeminiRuntime* rt = runtime.get();
   osim::VirtualMachine& vm = machine.AddVm(
@@ -471,7 +485,7 @@ osim::VirtualMachine& InstallGeminiVm(osim::Machine& machine,
       std::make_unique<GeminiHostPolicy>(rt, options));
   rt->Attach(&vm.guest().table(), &vm.host_slice().table(),
              &vm.guest().buddy());
-  machine.AddTask(std::move(runtime), scan_period);
+  machine.AddTask(std::move(runtime), kScanPeriod);
   return vm;
 }
 

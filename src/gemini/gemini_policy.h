@@ -36,10 +36,10 @@
 namespace gemini {
 
 struct GeminiOptions {
-  // Booking timeout start value and the measurement period P of
-  // Algorithm 1.
-  base::Cycles initial_booking_timeout = 40'000'000;
-  base::Cycles controller_period = 20'000'000;
+  // 0 runs Algorithm 1, which adapts the booking timeout online; any other
+  // value fixes the timeout at that many cycles and never ticks the
+  // controller (the booking-timeout ablation's fixed rows).
+  base::Cycles fixed_booking_timeout = 0;
   // Ablation switches (Figure 16 breakdown).
   bool enable_ema = true;     // EMA placement + booking ("EMA/HB")
   bool enable_bucket = true;  // huge bucket
@@ -150,11 +150,10 @@ class GeminiRuntime final : public osim::PeriodicTask {
 
 // Creates a VM under Gemini: builds the runtime + both policies, adds the
 // VM to the machine, attaches the scanner, and registers it to run every
-// `scan_period` cycles.  Returns the VM.
+// 1M cycles (the MHPS scan period).  Returns the VM.
 osim::VirtualMachine& InstallGeminiVm(osim::Machine& machine,
                                       uint64_t gfn_count,
-                                      const GeminiOptions& options = {},
-                                      base::Cycles scan_period = 1'000'000);
+                                      const GeminiOptions& options = {});
 
 }  // namespace gemini
 

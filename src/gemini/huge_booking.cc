@@ -7,6 +7,13 @@ namespace gemini {
 
 using base::kPagesPerHuge;
 
+namespace {
+
+// Algorithm 1's measurement period P.
+constexpr base::Cycles kControllerPeriod = 20'000'000;
+
+}  // namespace
+
 base::Cycles BookingTimeoutController::OnPeriod(uint64_t tlb_misses,
                                                 double fmfi) {
   switch (phase_) {
@@ -46,15 +53,14 @@ base::Cycles BookingTimeoutController::OnPeriod(uint64_t tlb_misses,
   return effective_;
 }
 
-void BookingTimeoutController::OnDaemonTick(policy::KernelOps& kernel,
-                                            base::Cycles period) {
+void BookingTimeoutController::OnDaemonTick(policy::KernelOps& kernel) {
   const base::Cycles now = kernel.Now();
   if (now < next_period_) {
     return;
   }
   const base::Cycles before = effective_;
   const base::Cycles after = OnPeriod(kernel.DrainTlbMisses(), kernel.Fmfi());
-  next_period_ = now + period;
+  next_period_ = now + kControllerPeriod;
   if (after != before && kernel.tracer() != nullptr) {
     kernel.tracer()->Emit(trace::EventKind::kTimeoutChange, kernel.layer(),
                           kernel.vm_id(), after, before);

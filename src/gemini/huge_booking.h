@@ -45,11 +45,11 @@ class BookingTimeoutController {
   // the FMFI at its end.  Returns the effective timeout to use next.
   base::Cycles OnPeriod(uint64_t tlb_misses, double fmfi);
 
-  // The period clock, run on each daemon tick of a Gemini policy: once
-  // `period` cycles have passed since the last period ended (the first
-  // tick ends one at once), feeds the kernel's TLB misses and FMFI to
-  // OnPeriod and traces a change of the effective timeout.
-  void OnDaemonTick(policy::KernelOps& kernel, base::Cycles period);
+  // The period clock, run on each daemon tick of an adaptive Gemini
+  // policy: once a period P (20M cycles) has passed since the last period
+  // ended (the first tick ends one at once), feeds the kernel's TLB misses
+  // and FMFI to OnPeriod and traces a change of the effective timeout.
+  void OnDaemonTick(policy::KernelOps& kernel);
 
   base::Cycles effective_timeout() const { return effective_; }
   double desired_timeout() const { return desired_; }

@@ -57,7 +57,6 @@ StackSnapshot Snapshot(osim::Machine& machine, int32_t vm_id) {
   s.tlb_conflict_evictions_huge = tlb.conflict_evictions_huge();
   s.tlb_capacity_evictions_base = tlb.capacity_evictions_base();
   s.tlb_capacity_evictions_huge = tlb.capacity_evictions_huge();
-  s.tlb_flushes = tlb.flushes();
   s.tlb_displaced_by_self = tlb.displaced_by_self();
   s.tlb_displaced_by_other = tlb.displaced_by_other();
   if (const mmu::TlbUtilityMonitor* mon =

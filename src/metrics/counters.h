@@ -23,8 +23,8 @@ struct StackSnapshot {
   uint64_t tlb_stale_hits = 0;
   uint64_t tlb_shootdowns = 0;
   // TLB sharing-domain counters (zero under a private TLB arrangement).
-  // Entries of this VM dropped by tagged selective invalidation — counted
-  // per entry, unlike tlb_flushes which counts whole-array wipes.
+  // Entries of this VM dropped by tagged selective invalidation, counted
+  // per entry.
   uint64_t tlb_vm_invalidated = 0;
   // This VM's entries evicted by another VM's fills on a shared array.
   uint64_t tlb_cross_vm_evictions = 0;
@@ -35,8 +35,9 @@ struct StackSnapshot {
   uint64_t tlb_conflict_evictions_huge = 0;
   uint64_t tlb_capacity_evictions_base = 0;
   uint64_t tlb_capacity_evictions_huge = 0;
-  // Whole-array flushes of the physical TLB this VM translates through
-  // (kept separate from tlb_vm_invalidated so private-mode goldens hold).
+  // Always 0: the simulator has no whole-array TLB flush.  The word stays
+  // only because perfbench/digest.cc hashes it and the benchmark's files
+  // are frozen; the benchmark change that stops hashing it deletes it.
   uint64_t tlb_flushes = 0;
   // Utility-monitor attribution of this VM's misses (zero under a private
   // arrangement, where no monitor is attached): misses proven caused by a

@@ -75,9 +75,9 @@ std::string RenderMissBreakdown(const std::vector<MissSourceRow>& rows) {
 base::Cycles WalkLevelCycles(const WalkLevelRow& row, size_t level) {
   const mmu::WalkLevelStats& w = row.walk;
   return (w.guest_mem[level] + w.host_mem[level]) *
-             row.cycles_per_memory_ref +
+             mmu::NestedWalker::kCyclesPerMemoryRef +
          (w.guest_cached[level] + w.host_cached[level]) *
-             row.cycles_per_cached_ref;
+             mmu::NestedWalker::kCyclesPerCachedRef;
 }
 
 std::string RenderWalkLevelBreakdown(const std::vector<WalkLevelRow>& rows) {

@@ -70,21 +70,20 @@ CapacitySplit SplitCapacityMisses(const MissSourceRow& row);
 std::string RenderMissBreakdown(const std::vector<MissSourceRow>& rows);
 
 // One workload's per-level walk accounting for RenderWalkLevelBreakdown:
-// the walk counters over the measured phase plus the walker's cost knobs,
-// so the table can attribute miss cycles to levels exactly the way the
-// walker charged them.
+// the walk counters over the measured phase.
 struct WalkLevelRow {
   std::string label;
   mmu::WalkLevelStats walk;
-  base::Cycles cycles_per_memory_ref = 50;
-  base::Cycles cycles_per_cached_ref = 2;
 };
 
-// Miss cycles charged by one walk level across both dimensions:
-// (guest_mem + host_mem) * cycles_per_memory_ref +
-// (guest_cached + host_cached) * cycles_per_cached_ref.  Level indices are
-// WalkLevelStats's (0 = L4 .. 3 = L1).  Nested-cache hits are free by the
-// cost model, so they appear in the table only as reference counts.
+// Miss cycles charged by one walk level across both dimensions, priced
+// with the walker's own constants, so the table attributes miss cycles to
+// levels exactly the way the walker charged them:
+// (guest_mem + host_mem) * NestedWalker::kCyclesPerMemoryRef +
+// (guest_cached + host_cached) * NestedWalker::kCyclesPerCachedRef.  Level
+// indices are WalkLevelStats's (0 = L4 .. 3 = L1).  Nested-cache hits are
+// free by the cost model, so they appear in the table only as reference
+// counts.
 base::Cycles WalkLevelCycles(const WalkLevelRow& row, size_t level);
 
 // Renders the per-walk-level companion table: one row per (workload,

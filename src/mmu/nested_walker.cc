@@ -54,22 +54,6 @@ PrefixCache& NestedWalker::MemoCache(uint32_t i) {
   }
 }
 
-WalkResult NestedWalker::NativeWalk(uint64_t vpn, base::PageSize leaf_size) {
-  WalkResult result;
-  const WalkCost cost = guest_pwc_.Walk(vpn, leaf_size);
-  result.memory_refs += cost.memory_refs;
-  result.cached_refs += cost.cached_refs;
-  ++(cost.l4_cached ? stats_.guest_cached : stats_.guest_mem)[0];
-  ++(cost.l3_cached ? stats_.guest_cached : stats_.guest_mem)[1];
-  ++stats_.guest_mem[2];
-  if (leaf_size == base::PageSize::kBase) {
-    ++stats_.guest_mem[3];
-  }
-  result.cycles = result.memory_refs * config_.cycles_per_memory_ref +
-                  result.cached_refs * config_.cycles_per_cached_ref;
-  return result;
-}
-
 void NestedWalker::ChargeHostWalk(uint64_t key, base::PageSize leaf,
                                   WalkResult& out) {
   const WalkCost cost = host_pwc_.Walk(key, leaf);
@@ -155,15 +139,15 @@ WalkResult NestedWalker::NestedWalk(uint64_t vpn, base::PageSize guest_leaf,
         // The data page's host walk is never memoized: its key (gfn)
         // varies per page within the region.
         ChargeHostWalk(gfn, host_leaf, result);
-        result.cycles = result.memory_refs * config_.cycles_per_memory_ref +
-                        result.cached_refs * config_.cycles_per_cached_ref;
+        result.cycles = result.memory_refs * kCyclesPerMemoryRef +
+                        result.cached_refs * kCyclesPerCachedRef;
         return result;
       }
     }
   }
 
-  // Live walk.  Guest-dimension directory/PTE reads: identical structure to
-  // a native walk (the guest PWC covers the upper levels).
+  // Live walk.  Guest-dimension directory/PTE reads: a one-dimensional
+  // walk of the guest table (the guest PWC covers the upper levels).
   const WalkCost guest = guest_pwc_.Walk(vpn, guest_leaf);
   result.memory_refs += guest.memory_refs;
   result.cached_refs += guest.cached_refs;
@@ -202,8 +186,8 @@ WalkResult NestedWalker::NestedWalk(uint64_t vpn, base::PageSize guest_leaf,
   }
   // Final host-dimension walk for the data page itself.
   ChargeHostWalk(gfn, host_leaf, result);
-  result.cycles = result.memory_refs * config_.cycles_per_memory_ref +
-                  result.cached_refs * config_.cycles_per_cached_ref;
+  result.cycles = result.memory_refs * kCyclesPerMemoryRef +
+                  result.cached_refs * kCyclesPerCachedRef;
   return result;
 }
 

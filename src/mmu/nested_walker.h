@@ -1,4 +1,4 @@
-// Page-walk cost model for native (1D) and nested (2D) translation.
+// Page-walk cost model for nested (2D) translation.
 //
 // On a TLB miss in a virtualized system the hardware performs a
 // two-dimensional walk (paper §2.1): it walks the guest page table (up to 4
@@ -58,8 +58,6 @@
 namespace mmu {
 
 struct WalkerConfig {
-  base::Cycles cycles_per_memory_ref = 50;
-  base::Cycles cycles_per_cached_ref = 2;
   // Direct-mapped walk-memo size cap in regions (power of two); 0
   // disables memoization.  Purely a simulator-speed knob: results are
   // identical with any value (tests/test_walker.cc pins the differential).
@@ -74,9 +72,9 @@ struct WalkResult {
 
 // Per-level walk accounting, indexed by page-table level: 0 = L4 (PML4),
 // 1 = L3 (PDPT), 2 = L2 (PD), 3 = L1 (PT).  "guest" counts directory/PTE
-// reads of the table being walked (the guest dimension of a nested walk,
-// or the only dimension of a native walk); "host" counts host-dimension
-// reads (translations of guest table pages and of the data page).
+// reads of the table being walked (the guest dimension of the nested
+// walk); "host" counts host-dimension reads (translations of guest table
+// pages and of the data page).
 // "nested" counts per-level probes of the nested translation caches.
 struct WalkLevelStats {
   std::array<uint64_t, 4> guest_mem{};     // guest-dim reads from memory
@@ -91,18 +89,27 @@ struct WalkLevelStats {
 
 class NestedWalker {
  public:
+  // Cycles charged per page-table reference served from memory and per
+  // reference served by a page-walk cache.  metrics::WalkLevelCycles
+  // prices the per-level table with the same two constants.
+  static constexpr base::Cycles kCyclesPerMemoryRef = 50;
+  static constexpr base::Cycles kCyclesPerCachedRef = 2;
+
   explicit NestedWalker(const WalkerConfig& config);
 
-  // 1D walk (native mode): walks one table for `vpn` with the given leaf
-  // size.
-  WalkResult NativeWalk(uint64_t vpn, base::PageSize leaf_size);
-
-  // 2D walk (virtualized): walks the guest table for `vpn` (guest leaf
-  // size `guest_leaf`), translating table pages and the final data page
+  // 2D walk: walks the guest table for `vpn` (guest leaf size
+  // `guest_leaf`), translating table pages and the final data page
   // (`gfn`, host leaf size `host_leaf`) through the host dimension.
   WalkResult NestedWalk(uint64_t vpn, base::PageSize guest_leaf, uint64_t gfn,
                         base::PageSize host_leaf);
 
+  // Empties every walk cache; armed memos self-invalidate.  No simulated
+  // path flushes the walker: its caches only price walks and never supply
+  // a translation, so a remap needs no walk-cache invalidation.  It stays
+  // because tests/test_walker.cc's MemoOnOffDifferential needs it to build
+  // its presized-memo reference: a walker whose memo has grown to the cap
+  // but whose caches are cold, as a fresh walker's are.  No walk can
+  // return the caches to cold.
   void Flush();
 
   // Advisory warm-up of the memo line a NestedWalk of this region would
@@ -113,16 +120,12 @@ class NestedWalker {
     }
   }
 
-  // Per-level walk accounting.  Replayed (memoized) walks touch a *fixed*
-  // set of levels per (leaf size, replay kind), so the hot path only bumps
-  // one replay counter and the per-level attribution is reconstructed
-  // here; the result is identical to incrementing the arrays live.
+  // Per-level walk accounting since construction.  Replayed (memoized)
+  // walks touch a *fixed* set of levels per (leaf size, replay kind), so
+  // the hot path only bumps one replay counter and the per-level
+  // attribution is reconstructed here; the result is identical to
+  // incrementing the arrays live.
   WalkLevelStats stats() const;
-  void ResetStats() {
-    stats_ = WalkLevelStats{};
-    memo_hits_huge_ = 0;
-    memo_hits_base_ = 0;
-  }
 
  private:
   // Number of cache references a walk memo records: guest PWC PML4/PDPT

@@ -88,6 +88,8 @@ class PrefixCache {
 
   size_t size() const { return keys_.size(); }
 
+  // Empties the cache (one mutation).  Only NestedWalker::Flush calls it,
+  // and that only for tests; it stays for the same reason (see there).
   void Flush();
 
  private:
@@ -161,6 +163,7 @@ class PageWalkCache {
   // directory was walked recently.
   WalkCost Walk(uint64_t vpn, base::PageSize leaf_size);
 
+  // Empties both levels; a test seam like NestedWalker::Flush.
   void Flush();
 
   // Per-level caches, exposed for the nested walker's memo (mutation

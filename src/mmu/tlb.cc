@@ -346,23 +346,6 @@ void Tlb::AddSlot(size_t i) {
   }
 }
 
-void Tlb::Flush() {
-  for (uint64_t& t : tags_) {
-    t = 0;
-  }
-  for (uint32_t& s : set_valid_) {
-    s = 0;
-  }
-  for (VmState& vm : vms_) {
-    vm.window_valid = 0;
-  }
-  valid_total_ = 0;
-  ++flushes_;
-  if (monitor_ != nullptr) {
-    monitor_->OnFlush();
-  }
-}
-
 uint32_t Tlb::InvalidateVm(uint16_t vmid) {
   uint32_t dropped = 0;
   for (size_t i = 0; i < tags_.size(); ++i) {
@@ -429,19 +412,6 @@ uint32_t Tlb::entry_count(uint16_t vmid) const {
 uint32_t Tlb::set_occupancy(uint32_t set) const {
   SIM_CHECK(set < config_.sets);
   return set_valid_[set];
-}
-
-void Tlb::ResetCounters() {
-  for (VmState& vm : vms_) {
-    vm.counters = VmTlbCounters{};
-  }
-  flushes_ = 0;
-}
-
-void Tlb::ResetVmCounters(uint16_t vmid) {
-  if (vmid < vms_.size()) {
-    vms_[vmid].counters = VmTlbCounters{};
-  }
 }
 
 }  // namespace mmu

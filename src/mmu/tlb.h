@@ -23,20 +23,23 @@
 // pair.  The translation engine compares the stamp against the live
 // tables' generation counters on every hit — an O(1) integer compare that
 // models precise invalidation (INVLPG / single-context INVEPT with a
-// tagged TLB) without the wholesale flushes that would distort short
-// simulations.  Entries whose regions mutated are re-derived once and
+// tagged TLB).  Entries whose regions mutated are re-derived once and
 // either restamped (still-correct translation, e.g. after an in-place
-// promotion) or dropped as stale.
+// promotion) or dropped as stale.  There is no whole-array flush: the
+// widest invalidation is InvalidateVm, one VM's entries, which host-layer
+// remaps use.
 //
 // Counters are kept per VMID (hits, misses, shootdowns, stale drops,
 // selective invalidations, cross-VM evictions, and the conflict/capacity
 // eviction split), so a shared array still reports each VM's interference
 // individually.  The no-argument accessors sum over every registered VM,
-// which for a single-VM instance is the classic counter set.
+// which for a single-VM instance is the classic counter set.  Nothing
+// resets the counters; a caller measures a phase by the difference of two
+// reads (metrics::StackSnapshot::Delta).
 //
-// In virtualized mode the engine only inserts a 2 MiB entry for
-// well-aligned huge pages (guest huge AND host huge); that rule lives in
-// translation_engine.cc, not here.  The TLB itself is layer-agnostic.
+// The engine only inserts a 2 MiB entry for well-aligned huge pages (guest
+// huge AND host huge); that rule lives in translation_engine.cc, not here.
+// The TLB itself is layer-agnostic.
 #ifndef SRC_MMU_TLB_H_
 #define SRC_MMU_TLB_H_
 
@@ -58,8 +61,7 @@ struct TlbConfig {
 class Tlb {
  public:
   // Validity stamp recorded when an entry is filled (or revalidated): the
-  // page-table generations the translation was derived under.  The host
-  // fields are unused (zero) in native mode.
+  // page-table generations the translation was derived under.
   struct Stamp {
     uint64_t guest_gen = 0;    // guest table generation of the VPN's region
     uint64_t host_region = 0;  // host region (GFN >> 9) backing the entry
@@ -169,8 +171,9 @@ class Tlb {
 
   // Inserts a translation for `vpn` at the given granularity, evicting the
   // LRU way of the target set (within the inserting VM's way window).  The
-  // overload without a stamp inserts with a default (all-zero) stamp —
-  // fine for unit tests and standalone use.
+  // epoch stage's barrier replay calls it; the engine fills through
+  // InsertMiss.  The overload without a stamp inserts a default (all-zero)
+  // stamp for vmid 0; only tests and the substrate microbenchmark use it.
   void Insert(uint64_t vpn, base::PageSize size, uint64_t frame,
               const Stamp& stamp, uint16_t vmid = 0);
   void Insert(uint64_t vpn, base::PageSize size, uint64_t frame);
@@ -199,13 +202,11 @@ class Tlb {
   // access will be retried and counted then).
   void UncountFaultMiss(uint16_t vmid = 0);
 
-  // Invalidates every entry of every VM (full flush; e.g. context switch).
-  void Flush();
-
   // Invalidates every entry tagged `vmid`, leaving other VMs' entries in
-  // place — the tagged selective invalidation a shared domain substitutes
-  // for a full flush.  Dropped entries are counted into the VM's
-  // vm_invalidated counter.  Returns the number of entries dropped.
+  // place — the tagged selective invalidation (single-context INVEPT)
+  // that a host-layer remap triggers.  Dropped entries are counted into
+  // the VM's vm_invalidated counter.  Returns the number of entries
+  // dropped.
   uint32_t InvalidateVm(uint16_t vmid);
 
   // Invalidates any entry of `vmid` covering `vpn` (TLB shootdown of one
@@ -231,24 +232,20 @@ class Tlb {
   // splits out how many misses were precise invalidations rather than
   // capacity/cold misses.
   uint64_t stale_hits() const { return Sum(&VmTlbCounters::stale_drops); }
-  uint64_t flushes() const { return flushes_; }  // full Flush() calls
 
   // Per-VM counter set (zeroes for a vmid never registered or used).
   const VmTlbCounters& vm_counters(uint16_t vmid) const;
 
-  uint32_t entry_count() const;  // currently valid entries, all VMs
-  uint32_t entry_count(uint16_t vmid) const;  // valid entries of one VM
+  // Valid entries of all VMs / of one VM.  Residency probes for tests and
+  // the substrate microbenchmark, like Probe; no simulated path reads them.
+  uint32_t entry_count() const;
+  uint32_t entry_count(uint16_t vmid) const;
 
   // Per-set residency telemetry: valid entries currently in `set`.  The
   // conflict/capacity eviction classification is derived from the same
   // bookkeeping (an eviction with free ways elsewhere in the inserting
   // VM's window is a conflict, not a capacity, eviction).
   uint32_t set_occupancy(uint32_t set) const;
-
-  void ResetCounters();
-  // Zeroes one VM's counter slot only (a shared view resetting itself must
-  // not clobber the other tenants' counters).
-  void ResetVmCounters(uint16_t vmid);
 
   // Attaches (or detaches, with null) a utility/interference monitor.  The
   // monitor observes hits, fills, evictions, and invalidations, and is
@@ -326,7 +323,6 @@ class Tlb {
   uint32_t valid_total_ = 0;
   int64_t last_hit_ = -1;  // entry the most recent Lookup hit, or -1
   uint64_t clock_ = 0;
-  uint64_t flushes_ = 0;
   TlbUtilityMonitor* monitor_ = nullptr;  // not owned; null in private mode
 };
 

@@ -43,7 +43,7 @@ TlbView TlbDomain::AddVm(uint16_t vmid) {
     SIM_CHECK(private_tlbs_[vmid] == nullptr);
     private_tlbs_[vmid] = std::make_unique<Tlb>(config_.tlb);
     private_tlbs_[vmid]->RegisterVm(vmid);
-    return TlbView(private_tlbs_[vmid].get(), vmid, /*exclusive=*/true);
+    return TlbView(private_tlbs_[vmid].get(), vmid);
   }
   if (shared_ == nullptr) {
     shared_ = std::make_unique<Tlb>(config_.tlb);
@@ -91,7 +91,7 @@ TlbView TlbDomain::AddVm(uint16_t vmid) {
       begin += w;
     }
   }
-  return TlbView(shared_.get(), vmid, /*exclusive=*/false);
+  return TlbView(shared_.get(), vmid);
 }
 
 void TlbDomain::RepartitionTick() {

@@ -15,9 +15,9 @@
 //     never hits another VM's translation, but all VMs compete for the
 //     same sets and the LRU clock interleaves across VMIDs: one VM's
 //     fills evict another's entries, which is exactly the cross-VM TLB
-//     interference channel private arrays hide.  A VM-wide flush becomes
-//     a tagged selective invalidation (single-context INVEPT analogue)
-//     that leaves other VMs' entries in place.
+//     interference channel private arrays hide.  A VM-wide invalidation
+//     (InvalidateVm, the single-context INVEPT analogue) drops only that
+//     VM's entries and leaves the other VMs' in place.
 //   * kPartitioned — one physical array, statically way-partitioned: VM i
 //     may only fill ways [i*k, (i+1)*k) of every set.  Probes still scan
 //     the whole set (tags keep correctness), but a VM's fills can only
@@ -74,15 +74,13 @@ struct TlbDomainConfig {
 };
 
 // A per-VM handle onto a physical Tlb: every operation is forwarded with
-// the view's VMID, and counter accessors report the view's VM only.  For
-// an exclusive view (private mode / a standalone engine-owned array)
-// Flush() and ResetCounters() act on the whole array; for a shared view
-// they act selectively on the VM's entries and counter slot.
+// the view's VMID, and counter accessors report the view's VM only.  A
+// private array holds only its one VM's entries, so the same per-VM
+// forwarding serves private and shared views alike.
 class TlbView {
  public:
   TlbView() = default;
-  TlbView(Tlb* physical, uint16_t vmid, bool exclusive)
-      : physical_(physical), vmid_(vmid), exclusive_(exclusive) {}
+  TlbView(Tlb* physical, uint16_t vmid) : physical_(physical), vmid_(vmid) {}
 
   // While an epoch-parallel phase is open (os/machine.h BeginEpoch), a
   // shared/partitioned view routes every operation through a per-VM
@@ -146,10 +144,10 @@ class TlbView {
     }
     return physical_->ShootdownPage(vpn, vmid_);
   }
-  // Residency probes, range shootdowns, VM-wide flushes, and counter
-  // resets are kernel-path or test operations; the epoch-parallel model
-  // confines those to the serial phase, so they must never see an attached
-  // stage.
+  // Residency probes and range shootdowns are test or kernel-path
+  // operations; the epoch-parallel model confines those to the serial
+  // phase, so they must never see an attached stage.  Probe, Insert and
+  // entry_count serve tests only (the engine fills through InsertMiss).
   bool Probe(uint64_t vpn) const {
     SIM_CHECK(stage_ == nullptr);
     return physical_->Probe(vpn, vmid_);
@@ -157,16 +155,6 @@ class TlbView {
   uint32_t ShootdownRange(uint64_t vpn, uint64_t pages) {
     SIM_CHECK(stage_ == nullptr);
     return physical_->ShootdownRange(vpn, pages, vmid_);
-  }
-  // Exclusive view: full flush.  Shared view: tagged selective
-  // invalidation of this VM's entries only.
-  void Flush() {
-    SIM_CHECK(stage_ == nullptr);
-    if (exclusive_) {
-      physical_->Flush();
-    } else {
-      physical_->InvalidateVm(vmid_);
-    }
   }
 
   // --- this VM's counters ---
@@ -211,26 +199,13 @@ class TlbView {
     return counters().repartition_evictions;
   }
   // Ways this VM may currently fill: its way window's size (the full
-  // associativity for an exclusive/private view, whose window spans the
-  // array).  A level, not a counter — under kDynamic it moves with each
-  // repartition.
+  // associativity for a private view, whose window spans the array).  A
+  // level, not a counter — under kDynamic it moves with each repartition.
   uint32_t ways_assigned() const { return physical_->vm_way_count(vmid_); }
-  uint64_t flushes() const { return physical_->flushes(); }
-  uint32_t entry_count() const {
-    return exclusive_ ? physical_->entry_count()
-                      : physical_->entry_count(vmid_);
-  }
-  void ResetCounters() {
-    if (exclusive_) {
-      physical_->ResetCounters();
-    } else {
-      physical_->ResetVmCounters(vmid_);
-    }
-  }
+  uint32_t entry_count() const { return physical_->entry_count(vmid_); }
 
   const TlbConfig& config() const { return physical_->config(); }
   uint16_t vmid() const { return vmid_; }
-  bool exclusive() const { return exclusive_; }
   Tlb& physical() { return *physical_; }
   const Tlb& physical() const { return *physical_; }
 
@@ -249,7 +224,6 @@ class TlbView {
 
   Tlb* physical_ = nullptr;
   uint16_t vmid_ = 0;
-  bool exclusive_ = true;
   TlbEpochStage* stage_ = nullptr;
 };
 

@@ -34,7 +34,7 @@
 // entry was evicted by an earlier replayed insert still counts as a hit
 // (the LRU touch is skipped; the next epoch misses and refills).
 //
-// Kernel-side invalidation (ShootdownRange, InvalidateVm, Flush) never
+// Kernel-side invalidation (ShootdownRange, InvalidateVm) never
 // goes through a stage: faults, daemons, and teardown are barrier-
 // confined by the execution model, and TlbView checks that invariant.
 #ifndef SRC_MMU_TLB_EPOCH_STAGE_H_

@@ -195,17 +195,6 @@ void TlbUtilityMonitor::OnInvalidateVm(uint16_t vmid) {
   }
 }
 
-void TlbUtilityMonitor::OnFlush() {
-  for (DisplacedRecord& slot : records_) {
-    slot.tag = 0;
-  }
-  for (VmShadow& vm : vms_) {
-    for (std::vector<uint64_t>& stack : vm.stacks) {
-      stack.clear();
-    }
-  }
-}
-
 const TlbUtilityMonitor::VmUtility& TlbUtilityMonitor::utility(
     uint16_t vmid) const {
   static const VmUtility kZero{};
@@ -222,38 +211,6 @@ uint64_t TlbUtilityMonitor::displaced(uint16_t victim_vmid,
   }
   return matrix_[static_cast<size_t>(victim_vmid) * vms_.size() +
                  evictor_vmid];
-}
-
-double TlbUtilityMonitor::HitFractionWithWays(uint16_t vmid,
-                                              uint32_t ways) const {
-  const VmUtility& u = utility(vmid);
-  const uint64_t sampled = u.sampled_accesses();
-  if (sampled == 0) {
-    return 0.0;
-  }
-  uint64_t hits = 0;
-  for (uint32_t d = 0; d < ways && d < u.way_hits.size(); ++d) {
-    hits += u.way_hits[d];
-  }
-  return static_cast<double>(hits) / static_cast<double>(sampled);
-}
-
-uint32_t TlbUtilityMonitor::MinWaysForHitFraction(uint16_t vmid,
-                                                  double fraction) const {
-  const VmUtility& u = utility(vmid);
-  const uint64_t total = u.shadow_hits();
-  if (total == 0) {
-    return 0;
-  }
-  const double want = fraction * static_cast<double>(total);
-  uint64_t cum = 0;
-  for (size_t d = 0; d < u.way_hits.size(); ++d) {
-    cum += u.way_hits[d];
-    if (static_cast<double>(cum) >= want) {
-      return static_cast<uint32_t>(d + 1);
-    }
-  }
-  return static_cast<uint32_t>(u.way_hits.size());
 }
 
 }  // namespace mmu

@@ -34,7 +34,7 @@
 //     Full-tag matching means attribution has no false positives; a
 //     record lost to table aliasing only degrades to "unattributed", so
 //     the matrix is a lower bound on interference.  Records are cleared
-//     when their key is shot down, selectively invalidated, flushed, or
+//     when their key is shot down, selectively invalidated, or
 //     re-inserted — a dropped *mapping* must not masquerade as
 //     displacement later.
 //
@@ -104,9 +104,10 @@ class TlbUtilityMonitor {
   void OnShootdown(uint64_t vpn, uint16_t vmid);
   void OnShootdownRange(uint64_t vpn, uint64_t pages, uint16_t vmid);
   void OnInvalidateVm(uint16_t vmid);
-  void OnFlush();
 
   // --- results ----------------------------------------------------------
+  // The raw curve; metrics::UtilMinWays90 and metrics::RenderUtilityCurves
+  // read the hit fractions off it for the exports.
   struct VmUtility {
     // way_hits[d]: sampled accesses that hit the shadow stack at depth d
     // (the VM would hit with d+1 ways).  Size = physical ways.
@@ -130,11 +131,6 @@ class TlbUtilityMonitor {
   uint64_t displaced(uint16_t victim_vmid, uint16_t evictor_vmid) const;
   // Matrix dimension: one past the highest vmid seen.
   uint16_t vm_slots() const { return static_cast<uint16_t>(vms_.size()); }
-  // Fraction of sampled accesses that would hit with `ways` ways, 0..1.
-  double HitFractionWithWays(uint16_t vmid, uint32_t ways) const;
-  // Smallest way count reaching `fraction` of the VM's full-associativity
-  // shadow hits; 0 when the VM has no shadow hits.
-  uint32_t MinWaysForHitFraction(uint16_t vmid, double fraction) const;
 
   const Config& config() const { return config_; }
 

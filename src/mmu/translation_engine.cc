@@ -20,9 +20,9 @@ TranslationEngine::TranslationEngine(const Config& config,
     : guest_table_(guest_table),
       host_table_(host_table),
       owned_tlb_(std::make_unique<Tlb>(config.tlb)),
-      tlb_(owned_tlb_.get(), /*vmid=*/0, /*exclusive=*/true),
+      tlb_(owned_tlb_.get(), /*vmid=*/0),
       walker_(config.walker) {
-  SIM_CHECK(guest_table_ != nullptr);
+  SIM_CHECK(guest_table_ != nullptr && host_table_ != nullptr);
 }
 
 TranslationEngine::TranslationEngine(const Config& config,
@@ -32,7 +32,7 @@ TranslationEngine::TranslationEngine(const Config& config,
       host_table_(host_table),
       tlb_(tlb_view),
       walker_(config.walker) {
-  SIM_CHECK(guest_table_ != nullptr);
+  SIM_CHECK(guest_table_ != nullptr && host_table_ != nullptr);
 }
 
 TranslateResult TranslationEngine::Translate(uint64_t vpn) {
@@ -55,9 +55,8 @@ TranslateResult TranslationEngine::Translate(uint64_t vpn) {
     // entry behaves exactly like a precisely invalidated (INVLPG / tagged
     // INVEPT) TLB entry and the hit is O(1), with no table walks.
     if (cached.stamp.guest_gen == guest_table_->generation(region) &&
-        (host_table_ == nullptr ||
-         cached.stamp.host_gen ==
-             host_table_->generation(cached.stamp.host_region))) {
+        cached.stamp.host_gen ==
+            host_table_->generation(cached.stamp.host_region)) {
       result.tlb_hit = true;
       result.cycles = kTlbHitCycles;
       Charge(result.cycles);
@@ -78,16 +77,7 @@ TranslateResult TranslationEngine::Translate(uint64_t vpn) {
     uint64_t frame = 0;
     bool aligned = false;
     Tlb::Stamp stamp;
-    if (valid && host_table_ == nullptr) {
-      frame = guest->frame;
-      aligned = guest->size == base::PageSize::kHuge;
-      if (cached.size == base::PageSize::kHuge) {
-        valid = aligned && (frame & ~(kPagesPerHuge - 1)) == cached.frame;
-      } else {
-        valid = frame == cached.frame;
-      }
-      stamp.guest_gen = guest_table_->generation(region);
-    } else if (valid) {
+    if (valid) {
       host = host_table_->Lookup(guest->frame);
       host_fetched = true;
       valid = host.has_value();
@@ -138,26 +128,8 @@ TranslateResult TranslationEngine::Translate(uint64_t vpn) {
   // before the guest-side bookkeeping: the host lookup is the next
   // dependent far load, and the access bump is independent work that can
   // execute under it.
-  if (host_table_ != nullptr) {
-    host_table_->PrefetchPage(guest->frame);
-  }
+  host_table_->PrefetchPage(guest->frame);
   guest_table_->BumpAccess(region);
-
-  if (host_table_ == nullptr) {
-    const WalkResult walk = walker_.NativeWalk(vpn, guest->size);
-    result.frame = guest->frame;
-    result.cycles = walk.cycles;
-    Charge(result.cycles);
-    const bool huge = guest->size == base::PageSize::kHuge;
-    result.well_aligned_huge = huge;
-    Tlb::Stamp stamp;
-    stamp.guest_gen = guest_table_->generation(region);
-    stamp.well_aligned = huge;
-    tlb_.InsertMiss(vpn, guest->size,
-                huge ? (guest->frame & ~(kPagesPerHuge - 1)) : guest->frame,
-                stamp);
-    return result;
-  }
 
   if (!host_fetched) {
     host = host_table_->Lookup(guest->frame);
@@ -196,14 +168,6 @@ TranslateResult TranslationEngine::Translate(uint64_t vpn) {
     tlb_.InsertMiss(vpn, base::PageSize::kBase, host->frame, stamp);
   }
   return result;
-}
-
-void TranslationEngine::ResetCounters() {
-  translations_ = 0;
-  translation_cycles_ = 0;
-  tlb_.ResetCounters();
-  walker_.ResetStats();
-  latency_hist_ = base::Log2Histogram{};
 }
 
 }  // namespace mmu

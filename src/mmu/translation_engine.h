@@ -9,8 +9,8 @@
 //   granularity, so huge pages that are misaligned across the layers do not
 //   increase TLB coverage — they only shorten the page walk.
 //
-// In native mode (no host table) the engine degenerates to a classic
-// TLB + 1D walk.
+// Translation is always two-dimensional: both constructors require a host
+// table, as every simulated VM has one.
 //
 // Hot path: a TLB hit is validated by comparing the entry's generation
 // stamp against the guest/host page tables' per-region generation counters
@@ -42,7 +42,7 @@ enum class TranslateStatus : uint8_t {
 
 struct TranslateResult {
   TranslateStatus status = TranslateStatus::kOk;
-  uint64_t frame = 0;          // host frame (virtualized) or frame (native)
+  uint64_t frame = 0;          // host frame
   uint64_t fault_page = 0;     // faulting VPN (guest) or GFN (host)
   base::Cycles cycles = 0;     // translation cost charged to this access
   bool tlb_hit = false;
@@ -56,9 +56,8 @@ class TranslationEngine {
     WalkerConfig walker;
   };
 
-  // `host_table` may be null for a native (non-virtualized) engine.  This
-  // form owns a private physical Tlb built from config.tlb (the status-quo
-  // arrangement; equivalent to an exclusive view from a kPrivate domain).
+  // Neither table may be null.  This form owns a private physical Tlb
+  // built from config.tlb (equivalent to a view from a kPrivate domain).
   TranslationEngine(const Config& config, PageTable* guest_table,
                     PageTable* host_table);
 
@@ -93,12 +92,10 @@ class TranslationEngine {
   const base::Log2Histogram& latency_histogram() const {
     return latency_hist_;
   }
-  // Per-level page-walk accounting since the last ResetCounters (replayed
-  // walks folded in; see NestedWalker::stats).
+  // Per-level page-walk accounting since construction (replayed walks
+  // folded in; see NestedWalker::stats).  Nothing resets it or any other
+  // counter here; a phase is measured by the difference of two reads.
   WalkLevelStats walk_stats() const { return walker_.stats(); }
-  void ResetCounters();
-
-  bool virtualized() const { return host_table_ != nullptr; }
 
  private:
   // Accounts the cycles of a successful translation.

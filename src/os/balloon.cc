@@ -1,7 +1,5 @@
 #include "os/balloon.h"
 
-#include <algorithm>
-
 #include "base/check.h"
 #include "base/types.h"
 #include "os/cost_model.h"
@@ -37,7 +35,7 @@ void BalloonDriver::ReleaseHostBacking(uint64_t gfn) {
     machine_->host().buddy().Free(frame, 1);
     ++stats_.host_frames_released;
   }
-  machine_->FlushVmTranslations(vm_id_);
+  machine_->InvalidateVmTranslations(vm_id_);
   host.ChargeOverhead(kCosts.tlb_shootdown);
 }
 
@@ -62,7 +60,6 @@ uint64_t BalloonDriver::Inflate(uint64_t frames) {
            f < first + kPagesPerHuge && inflated < frames; ++f) {
         if (buddy.AllocateAt(f, 1)) {
           guest.gpa_frames().SetUse(f, 1, vm_id_, vmem::FrameUse::kPinned);
-          held_.push_back(f);
           ReleaseHostBacking(f);
           ++inflated;
         }
@@ -77,25 +74,11 @@ uint64_t BalloonDriver::Inflate(uint64_t frames) {
       break;
     }
     guest.gpa_frames().SetUse(f, 1, vm_id_, vmem::FrameUse::kPinned);
-    held_.push_back(f);
     ReleaseHostBacking(f);
     ++inflated;
   }
   stats_.inflated_frames += inflated;
   return inflated;
-}
-
-uint64_t BalloonDriver::Deflate(uint64_t frames) {
-  GuestKernel& guest = machine_->vm(vm_id_).guest();
-  const uint64_t count = std::min<uint64_t>(frames, held_.size());
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t f = held_.back();
-    held_.pop_back();
-    guest.gpa_frames().ClearUse(f, 1);
-    guest.buddy().Free(f, 1);
-  }
-  stats_.inflated_frames -= count;
-  return count;
 }
 
 }  // namespace osim

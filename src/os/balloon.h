@@ -3,7 +3,7 @@
 // A balloon driver lets the host reclaim memory from a cooperative guest:
 // inflating the balloon makes the guest allocate (and pin) guest-physical
 // frames it promises not to use; the host then unmaps their EPT backing and
-// frees the host frames.  Deflating returns the frames to the guest.
+// frees the host frames.  The simulated balloon only inflates.
 //
 // The interplay the paper cares about: which guest frames the balloon
 // grabs decides how much huge-page alignment survives.  A naive balloon
@@ -14,7 +14,6 @@
 #define SRC_OS_BALLOON_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "os/machine.h"
 
@@ -38,10 +37,6 @@ class BalloonDriver {
   // host.
   uint64_t Inflate(uint64_t frames);
 
-  // Deflates by up to `frames`, returning guest frames to the guest buddy
-  // (their next use EPT-faults and gets fresh host backing).
-  uint64_t Deflate(uint64_t frames);
-
   const BalloonStats& stats() const { return stats_; }
 
  private:
@@ -51,7 +46,6 @@ class BalloonDriver {
   Machine* machine_;
   int32_t vm_id_;
   bool alignment_aware_;
-  std::vector<uint64_t> held_;  // ballooned guest frames
   BalloonStats stats_;
 };
 

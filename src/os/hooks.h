@@ -23,7 +23,7 @@ class MachineHooks {
 
   // Invalidates all combined translations of one VM (host-layer remap:
   // models INVEPT single-context).
-  virtual void FlushVmTranslations(int32_t vm_id) = 0;
+  virtual void InvalidateVmTranslations(int32_t vm_id) = 0;
 
   // Cumulative TLB misses of the VM's translation engine.  Callers that
   // need deltas (Gemini Algorithm 1) keep their own cursor.

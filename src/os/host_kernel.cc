@@ -37,8 +37,8 @@ base::Cycles HostVmKernel::HandleFault(uint64_t gfn) {
 void HostVmKernel::ShootdownRegion(uint64_t region) {
   // A host-layer remap invalidates combined translations whose guest
   // virtual addresses the host cannot enumerate; KVM issues a
-  // single-context INVEPT, i.e. flushes the VM's translations.
-  hooks_->FlushVmTranslations(vm_id_);
+  // single-context INVEPT, i.e. invalidates the VM's translations.
+  hooks_->InvalidateVmTranslations(vm_id_);
   if (tracer_ != nullptr) {
     tracer_->Emit(trace::EventKind::kShootdown, layer_, vm_id_,
                   region << kHugeOrder, kPagesPerHuge);

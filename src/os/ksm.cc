@@ -90,7 +90,7 @@ void KsmScanner::Run(base::Cycles now) {
     }
     // Breaking mappings invalidates combined translations; expected CoW
     // faults for later writes are charged now (as HawkEye's model does).
-    machine_->FlushVmTranslations(vm_id_);
+    machine_->InvalidateVmTranslations(vm_id_);
     host.ChargeOverhead(
         kCosts.tlb_shootdown +
         static_cast<base::Cycles>(kCowWriteFraction *

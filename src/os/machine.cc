@@ -263,7 +263,7 @@ base::Cycles Machine::EnsureHostBacking(int32_t vm_id, uint64_t gfn,
   return cycles;
 }
 
-void Machine::FlushVmTranslations(int32_t vm_id) {
+void Machine::InvalidateVmTranslations(int32_t vm_id) {
   SIM_CHECK(!in_epoch_);
   // Private arrays: stale combined entries are detected and dropped by the
   // translation engine's hit validation (modeling a tagged, precisely-

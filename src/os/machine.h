@@ -147,7 +147,7 @@ class Machine final : public MachineHooks {
                            uint64_t pages) override;
   base::Cycles EnsureHostBacking(int32_t vm_id, uint64_t gfn,
                                  uint64_t count) override;
-  void FlushVmTranslations(int32_t vm_id) override;
+  void InvalidateVmTranslations(int32_t vm_id) override;
   uint64_t VmTlbMisses(int32_t vm_id) const override;
   // Logical time: equal to the raw clock between accesses, but pinned to
   // the period boundary while a daemon or periodic task runs.  A clock step

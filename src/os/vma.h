@@ -51,7 +51,9 @@ class AddressSpace {
   Vma* Find(uint64_t vpn);
   Vma* FindById(int32_t vma_id);
 
-  // All live VMAs in address order.
+  // All live VMAs in address order.  No simulated path lists them; it
+  // stays as the tests' view of the address space (test_machine,
+  // test_workload, test_vma).
   std::vector<Vma*> Vmas();
   size_t vma_count() const { return vmas_.size(); }
 

@@ -56,7 +56,9 @@ class FrameSpace {
     SetUse(frame, count, kNoOwner, FrameUse::kFree);
   }
 
-  // Number of frames currently tagged with `use`.
+  // Number of frames currently tagged with `use`.  A full scan that no
+  // simulated path runs; it stays as the tests' frame-accounting probe
+  // (test_booking, test_bucket, test_kernels, test_fragmenter).
   uint64_t CountUse(FrameUse use) const {
     uint64_t n = 0;
     for (const auto& f : frames_) {

@@ -202,4 +202,29 @@ TEST(GeminiPolicy, InstallWiresScannerTask) {
   EXPECT_TRUE(vm.host_slice().table().IsHugeMapped(3));
 }
 
+// A fixed booking timeout never ticks Algorithm 1's controller, so both
+// layers keep exactly the configured value through many daemon periods
+// and several controller periods.  The default VM runs Algorithm 1, whose
+// first tick ends a period at once and probes up to 1.1x.
+TEST(GeminiPolicy, FixedBookingTimeoutStaysFixed) {
+  osim::Machine adaptive_machine(SmallConfig());
+  auto& adaptive = gemini::InstallGeminiVm(adaptive_machine, 32768);
+  adaptive_machine.AdvanceTime(4 * adaptive_machine.config().daemon_period);
+  EXPECT_EQ(adaptive.guest().policy().Telemetry().booking_timeout,
+            44'000'000u);
+  EXPECT_EQ(adaptive.host_slice().policy().Telemetry().booking_timeout,
+            44'000'000u);
+
+  osim::Machine machine(SmallConfig());
+  gemini::GeminiOptions options;
+  options.fixed_booking_timeout = 2'000'000;
+  auto& vm = gemini::InstallGeminiVm(machine, 32768, options);
+  osim::Vma& vma = vm.guest().aspace().MapAnonymous(4 * kPagesPerHuge);
+  TouchRange(machine, 0, vma.start_page, vma.pages);
+  // 1,000 daemon periods of 50k cycles: two and a half controller periods.
+  machine.AdvanceTime(1000 * machine.config().daemon_period);
+  EXPECT_EQ(vm.guest().policy().Telemetry().booking_timeout, 2'000'000u);
+  EXPECT_EQ(vm.host_slice().policy().Telemetry().booking_timeout, 2'000'000u);
+}
+
 }  // namespace

@@ -81,17 +81,6 @@ TEST(Tlb, ReinsertUpdatesFrame) {
   EXPECT_EQ(tlb.entry_count(), 1u);  // no duplicate entries
 }
 
-TEST(Tlb, FlushDropsEverything) {
-  Tlb tlb(Small(8, 4));
-  for (uint64_t i = 0; i < 16; ++i) {
-    tlb.Insert(i, PageSize::kBase, i);
-  }
-  EXPECT_GT(tlb.entry_count(), 0u);
-  tlb.Flush();
-  EXPECT_EQ(tlb.entry_count(), 0u);
-  EXPECT_FALSE(tlb.Lookup(3).hit);
-}
-
 TEST(Tlb, ShootdownPageDropsBaseAndCoveringHuge) {
   Tlb tlb(Small(8, 4));
   const uint64_t vpn = 5ull << kHugeOrder;
@@ -159,23 +148,16 @@ TEST(Tlb, HugeCoverageBeatsBaseCoverage) {
   for (uint64_t r = 0; r < kPages / kPagesPerHuge; ++r) {
     huge_tlb.Insert(r << kHugeOrder, PageSize::kHuge, r * kPagesPerHuge);
   }
-  base_tlb.ResetCounters();
-  huge_tlb.ResetCounters();
+  // Nothing resets the counters: measure the lookup phase by deltas.
+  const uint64_t base_hits = base_tlb.hits();
+  const uint64_t base_misses = base_tlb.misses();
+  const uint64_t huge_misses = huge_tlb.misses();
   for (uint64_t p = 0; p < kPages; p += 7) {
     base_tlb.Lookup(p);
     huge_tlb.Lookup(p);
   }
-  EXPECT_EQ(huge_tlb.misses(), 0u);
-  EXPECT_GT(base_tlb.misses(), base_tlb.hits());
-}
-
-TEST(Tlb, ResetCountersKeepsEntries) {
-  Tlb tlb(Small(4, 2));
-  tlb.Insert(9, PageSize::kBase, 9);
-  tlb.Lookup(9);
-  tlb.ResetCounters();
-  EXPECT_EQ(tlb.hits(), 0u);
-  EXPECT_TRUE(tlb.Lookup(9).hit);  // entry survived
+  EXPECT_EQ(huge_tlb.misses() - huge_misses, 0u);
+  EXPECT_GT(base_tlb.misses() - base_misses, base_tlb.hits() - base_hits);
 }
 
 // An eviction is a conflict eviction iff the inserting VM's way window,
@@ -252,10 +234,8 @@ TEST_P(TlbEvictionClassTest, SplitMatchesWindowResidency) {
       capacities += capacity_delta;
     } else if (roll < 995) {
       tlb.ShootdownPage(vpn, actor);
-    } else if (roll < 999) {
-      tlb.InvalidateVm(vmid);
     } else {
-      tlb.Flush();
+      tlb.InvalidateVm(vmid);
     }
   }
   EXPECT_GT(conflicts, 0u);

@@ -4,7 +4,7 @@
 // Four layers of coverage:
 //
 //  * Domain unit tests: tag isolation on a shared array, selective
-//    invalidation vs full flush, way windows confining evictions.
+//    invalidation of one VM's entries, way windows confining evictions.
 //  * A private-vs-HEAD differential at the engine level: an engine that
 //    *owns* its Tlb (the pre-domain construction, still the default) and
 //    an engine borrowing a private-mode domain view must be bit-for-bit
@@ -61,27 +61,30 @@ TEST(TlbDomain, PrivateModeBuildsSeparateArrays) {
   mmu::TlbDomain domain(SmallDomain(TlbShareMode::kPrivate, 16, 4));
   mmu::TlbView v0 = domain.AddVm(0);
   mmu::TlbView v1 = domain.AddVm(1);
-  EXPECT_TRUE(v0.exclusive());
   EXPECT_NE(&v0.physical(), &v1.physical());
   EXPECT_EQ(domain.shared_tlb(), nullptr);
 
   v0.Insert(100, PageSize::kBase, 5);
-  EXPECT_TRUE(v0.Probe(100));
-  EXPECT_FALSE(v1.Probe(100));
+  v1.Insert(100, PageSize::kBase, 9);
+  EXPECT_EQ(v0.Lookup(100).frame, 5u);
+  EXPECT_EQ(v1.Lookup(100).frame, 9u);
 
-  // An exclusive view's Flush is the historical whole-array flush.
-  v0.Flush();
+  // Invalidating one VM empties its own array and leaves the other's.
+  EXPECT_EQ(domain.InvalidateVm(0), 1u);
   EXPECT_FALSE(v0.Probe(100));
-  EXPECT_EQ(v0.flushes(), 1u);
-  EXPECT_EQ(v0.vm_invalidated(), 0u);
+  EXPECT_TRUE(v1.Probe(100));
+  EXPECT_EQ(v0.vm_invalidated(), 1u);
+  EXPECT_EQ(v1.vm_invalidated(), 0u);
+  EXPECT_EQ(v0.entry_count(), 0u);
+  EXPECT_EQ(v1.entry_count(), 1u);
 }
 
 TEST(TlbDomain, SharedArrayIsolatesHitsByVmid) {
   mmu::TlbDomain domain(SmallDomain(TlbShareMode::kShared, 16, 4));
   mmu::TlbView v0 = domain.AddVm(0);
   mmu::TlbView v1 = domain.AddVm(1);
-  EXPECT_FALSE(v0.exclusive());
   EXPECT_EQ(&v0.physical(), &v1.physical());
+  EXPECT_EQ(&v0.physical(), domain.shared_tlb());
 
   // The same VPN translates differently in each VM; tags keep them apart.
   v0.Insert(100, PageSize::kBase, 5);
@@ -92,14 +95,13 @@ TEST(TlbDomain, SharedArrayIsolatesHitsByVmid) {
   EXPECT_EQ(v0.hits(), 1u);
   EXPECT_EQ(v1.hits(), 1u);
 
-  // A shared view's Flush is a tagged selective invalidation: only this
-  // VM's entries drop, and no whole-array flush is recorded.
-  v0.Flush();
+  // Invalidating one VM is a tagged selective invalidation: only its
+  // entries leave the shared array.
+  EXPECT_EQ(domain.InvalidateVm(0), 1u);
   EXPECT_FALSE(v0.Probe(100));
   EXPECT_TRUE(v1.Probe(100));
   EXPECT_EQ(v0.vm_invalidated(), 1u);
   EXPECT_EQ(v1.vm_invalidated(), 0u);
-  EXPECT_EQ(domain.shared_tlb()->flushes(), 0u);
   EXPECT_EQ(domain.shared_tlb()->entry_count(), 1u);
 }
 
@@ -149,7 +151,7 @@ TEST(TlbDomain, InvalidateVmCountsEntriesNotFlushes) {
   v1.Insert(3, PageSize::kBase, 99);
   EXPECT_EQ(domain.InvalidateVm(0), 8u);
   EXPECT_EQ(v0.vm_invalidated(), 8u);
-  EXPECT_EQ(domain.shared_tlb()->flushes(), 0u);
+  EXPECT_EQ(domain.shared_tlb()->entry_count(), 1u);
   EXPECT_TRUE(v1.Probe(3));
 }
 

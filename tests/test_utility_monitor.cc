@@ -4,10 +4,10 @@
 //  * Unit tests of the shadow-tag sampler (the stack-depth histogram IS
 //    the marginal-utility curve) and of displaced-record attribution,
 //    including every record-invalidation path (reinsert, shootdown,
-//    range shootdown, selective invalidation, flush).
+//    range shootdown, selective invalidation).
 //  * A differential against a brute-force full-LRU reference: a real Tlb
 //    with an attached monitor is driven by fuzzed lookup / insert /
-//    shootdown / invalidate / flush streams while the reference replays
+//    shootdown / invalidate streams while the reference replays
 //    the same stream with no packing or sampling cleverness; the utility
 //    curves must match exactly.  Runs over shared and way-partitioned
 //    arrangements and over sampling strides, and checks on the way that
@@ -33,6 +33,7 @@
 #include "base/rng.h"
 #include "base/types.h"
 #include "harness/systems.h"
+#include "metrics/counters.h"
 #include "metrics/interference_matrix.h"
 #include "mmu/tlb.h"
 #include "mmu/tlb_domain.h"
@@ -80,18 +81,22 @@ TEST(UtilityMonitor, ShadowStackBuildsUtilityCurve) {
   EXPECT_EQ(u.shadow_hits(), 3u);
   EXPECT_EQ(u.sampled_accesses(), 6u);
 
-  // Curve readouts: with 1 way nothing reuses, with 2 ways only the A@1
-  // hit lands, full depth recovers half the stream.
-  EXPECT_DOUBLE_EQ(mon.HitFractionWithWays(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(mon.HitFractionWithWays(0, 2), 1.0 / 6.0);
-  EXPECT_DOUBLE_EQ(mon.HitFractionWithWays(0, 4), 0.5);
-  EXPECT_EQ(mon.MinWaysForHitFraction(0, 1.0), 3u);
-  EXPECT_EQ(mon.MinWaysForHitFraction(0, 0.3), 2u);
+  // The export's curve readout: 90% of the three shadow hits needs all
+  // three, so the smallest covering way count is 3; a snapshot without
+  // shadow hits reads 0.
+  metrics::StackSnapshot snapshot;
+  std::copy(u.way_hits.begin(), u.way_hits.end(),
+            snapshot.util_way_hits.begin());
+  EXPECT_EQ(metrics::UtilMinWays90(snapshot), 3u);
+  EXPECT_EQ(metrics::UtilMinWays90(metrics::StackSnapshot{}), 0u);
+  // 19 of 20 hits at depth 0 already pass 90%: one way suffices.
+  metrics::StackSnapshot skewed;
+  skewed.util_way_hits[0] = 19;
+  skewed.util_way_hits[1] = 1;
+  EXPECT_EQ(metrics::UtilMinWays90(skewed), 1u);
 
   // A vmid never seen reads as all-zero, not UB.
   EXPECT_EQ(mon.utility(9).sampled_accesses(), 0u);
-  EXPECT_EQ(mon.HitFractionWithWays(9, 4), 0.0);
-  EXPECT_EQ(mon.MinWaysForHitFraction(9, 0.9), 0u);
 }
 
 TEST(UtilityMonitor, StrideSkipsUnsampledSets) {
@@ -208,20 +213,6 @@ TEST(UtilityMonitor, InvalidateVmClearsOnlyThatVmsRecords) {
   EXPECT_EQ(mon.AttributeMiss(4, 1), 0);   // VM 1's record survives
 }
 
-TEST(UtilityMonitor, FlushClearsRecordsButKeepsHistograms) {
-  TlbUtilityMonitor mon(SmallMonitor());
-  mon.OnInsert(0, PageSize::kBase, 0);
-  mon.OnAccess(0, PageSize::kBase, 0);
-  mon.OnEviction(3, PageSize::kBase, 0, 1);
-  mon.OnFlush();
-  EXPECT_EQ(mon.AttributeMiss(3, 0), -1);
-  // Histograms are cumulative counters and survive the flush; the stack
-  // is empty, so the key re-misses.
-  EXPECT_EQ(mon.utility(0).way_hits[0], 1u);
-  mon.OnAccess(0, PageSize::kBase, 0);
-  EXPECT_EQ(mon.utility(0).shadow_misses, 2u);
-}
-
 // --- Differential vs brute-force full-LRU reference ------------------------
 
 // The specification of the sampler, written with none of the monitor's
@@ -263,12 +254,6 @@ class ShadowReference {
   }
 
   void InvalidateVm(uint16_t vmid) { Slot(vmid).stacks.clear(); }
-
-  void Flush() {
-    for (auto& [vmid, vm] : vms_) {
-      vm.stacks.clear();
-    }
-  }
 
   void ExpectMatches(const TlbUtilityMonitor& mon, uint16_t vmid,
                      const std::string& context) {
@@ -355,7 +340,7 @@ TEST_P(UtilityMonitorDifferentialTest, MatchesBruteForceFullLruReference) {
   for (int i = 0; i < 4000; ++i) {
     const uint16_t vmid = static_cast<uint16_t>(rng.NextBelow(2));
     // Half the keys come from a hot window four times the array's size,
-    // and whole-VM invalidations and flushes are rare, so the array fills,
+    // and whole-VM invalidations are rare, so the array fills,
     // evicted translations come back and displaced records get consumed.
     const uint64_t vpn =
         rng.NextBelow(rng.NextBool(0.5) ? 4 * tc.sets * tc.ways : vpn_space);
@@ -409,12 +394,9 @@ TEST_P(UtilityMonitorDifferentialTest, MatchesBruteForceFullLruReference) {
             result.size == PageSize::kHuge ? vpn >> kHugeOrder : vpn;
         ref.Access(key, result.size, vmid);
       }
-    } else if (r < 0.999) {
+    } else {
       tlb.InvalidateVm(vmid);
       ref.InvalidateVm(vmid);
-    } else {
-      tlb.Flush();
-      ref.Flush();
     }
 
     {

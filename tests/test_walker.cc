@@ -1,4 +1,4 @@
-// Tests for the page-walk cache and the 1D/2D walk cost model.
+// Tests for the page-walk cache and the 2D walk cost model.
 #include "mmu/nested_walker.h"
 #include "mmu/page_walk_cache.h"
 
@@ -75,25 +75,8 @@ TEST(PageWalkCache, DistantAddressMissesUpperLevels) {
   EXPECT_EQ(cost.memory_refs, 4u);
 }
 
-WalkerConfig Config() {
-  WalkerConfig c;
-  c.cycles_per_memory_ref = 50;
-  c.cycles_per_cached_ref = 2;
-  return c;
-}
-
-TEST(NestedWalker, NativeWalkCosts) {
-  NestedWalker walker(Config());
-  const WalkResult cold = walker.NativeWalk(0, PageSize::kBase);
-  EXPECT_EQ(cold.memory_refs, 4u);
-  EXPECT_EQ(cold.cycles, 200u);
-  const WalkResult warm = walker.NativeWalk(1, PageSize::kBase);
-  EXPECT_EQ(warm.memory_refs, 2u);
-  EXPECT_EQ(warm.cycles, 2u * 50 + 2u * 2);
-}
-
 TEST(NestedWalker, ColdNestedWalkApproaches24Refs) {
-  NestedWalker walker(Config());
+  NestedWalker walker(WalkerConfig{});
   // Cold caches: 4 guest levels each needing a host walk for its table
   // page (4 refs) plus the entry read, plus the final host walk.
   const WalkResult cold = walker.NestedWalk(0, PageSize::kBase, 0,
@@ -106,7 +89,7 @@ TEST(NestedWalker, ColdNestedWalkApproaches24Refs) {
 }
 
 TEST(NestedWalker, WarmNestedWalkIsMuchCheaper) {
-  NestedWalker walker(Config());
+  NestedWalker walker(WalkerConfig{});
   walker.NestedWalk(0, PageSize::kBase, 0, PageSize::kBase);
   const WalkResult warm =
       walker.NestedWalk(1, PageSize::kBase, 1, PageSize::kBase);
@@ -114,8 +97,8 @@ TEST(NestedWalker, WarmNestedWalkIsMuchCheaper) {
 }
 
 TEST(NestedWalker, HugeGuestLeafSkipsPtDimension) {
-  NestedWalker a(Config());
-  NestedWalker b(Config());
+  NestedWalker a(WalkerConfig{});
+  NestedWalker b(WalkerConfig{});
   // Warm both identically, then compare a base-leaf and huge-leaf walk for
   // a *new* 2 MiB region (the PT-page translation is the difference).
   a.NestedWalk(0, PageSize::kBase, 0, PageSize::kBase);
@@ -128,8 +111,8 @@ TEST(NestedWalker, HugeGuestLeafSkipsPtDimension) {
 }
 
 TEST(NestedWalker, HugeHostLeafShortensFinalWalk) {
-  NestedWalker a(Config());
-  NestedWalker b(Config());
+  NestedWalker a(WalkerConfig{});
+  NestedWalker b(WalkerConfig{});
   const WalkResult host_base =
       a.NestedWalk(0, PageSize::kBase, 0, PageSize::kBase);
   const WalkResult host_huge =
@@ -138,12 +121,16 @@ TEST(NestedWalker, HugeHostLeafShortensFinalWalk) {
 }
 
 TEST(NestedWalker, NestedCostExceedsNativeCost) {
-  NestedWalker native(Config());
-  NestedWalker nested(Config());
+  // A native walk is one dimension: a page-walk cache walk of the one
+  // table, priced at the walker's per-reference costs.
+  PageWalkCache native;
+  NestedWalker nested(WalkerConfig{});
   base::Cycles native_total = 0;
   base::Cycles nested_total = 0;
   for (uint64_t vpn = 0; vpn < 4096; vpn += 97) {
-    native_total += native.NativeWalk(vpn, PageSize::kBase).cycles;
+    const auto cost = native.Walk(vpn, PageSize::kBase);
+    native_total += cost.memory_refs * NestedWalker::kCyclesPerMemoryRef +
+                    cost.cached_refs * NestedWalker::kCyclesPerCachedRef;
     nested_total +=
         nested.NestedWalk(vpn, PageSize::kBase, vpn, PageSize::kBase).cycles;
   }
@@ -153,7 +140,7 @@ TEST(NestedWalker, NestedCostExceedsNativeCost) {
 }
 
 TEST(NestedWalker, FlushRestoresColdCosts) {
-  NestedWalker walker(Config());
+  NestedWalker walker(WalkerConfig{});
   walker.NestedWalk(0, PageSize::kBase, 0, PageSize::kBase);
   const WalkResult warm =
       walker.NestedWalk(1, PageSize::kBase, 1, PageSize::kBase);
@@ -239,8 +226,8 @@ TEST(PrefixCache, DifferentialAgainstScanLruModel) {
 // must not change a single charged cost or per-level stat.
 
 TEST(NestedWalker, MemoOnOffDifferential) {
-  WalkerConfig with = Config();
-  WalkerConfig without = Config();
+  WalkerConfig with;
+  WalkerConfig without;
   without.walk_memo_slots = 0;
   NestedWalker memoized(with);
   NestedWalker plain(without);
@@ -248,7 +235,8 @@ TEST(NestedWalker, MemoOnOffDifferential) {
   // with its memo at the cap: two walks whose span exceeds it, then a
   // flush that empties every cache and invalidates both entries.  Growth
   // re-places entries rather than dropping them, so the lazily sized memo
-  // must replay exactly as often as the presized one.
+  // must replay exactly as often as the presized one.  Its stats are
+  // compared net of the two set-up walks, read right after the flush.
   constexpr uint64_t kFirst = (1ull << 20) >> base::kHugeOrder;  // guest VA
   const uint64_t cap = with.walk_memo_slots;
   NestedWalker presized(with);
@@ -257,7 +245,7 @@ TEST(NestedWalker, MemoOnOffDifferential) {
   presized.NestedWalk((kFirst + 2 * cap) << base::kHugeOrder,
                       PageSize::kHuge, 0, PageSize::kHuge);
   presized.Flush();
-  presized.ResetStats();
+  const mmu::WalkLevelStats setup = presized.stats();
   constexpr int kPhaseSteps = 2000;
   constexpr int kWidestPhase = 10;  // 1024 regions, a quarter of the cap
   uint64_t x = 0x13198A2E03707344ull;
@@ -289,7 +277,8 @@ TEST(NestedWalker, MemoOnOffDifferential) {
     ASSERT_EQ(a.cycles, b.cycles) << "step " << i;
     ASSERT_EQ(a.cycles, c.cycles) << "step " << i;
     if (i % kPhaseSteps == kPhaseSteps - 1) {
-      ASSERT_EQ(memoized.stats().memo_hits, presized.stats().memo_hits)
+      ASSERT_EQ(memoized.stats().memo_hits,
+                presized.stats().memo_hits - setup.memo_hits)
           << "step " << i;
     }
   }
@@ -306,12 +295,13 @@ TEST(NestedWalker, MemoOnOffDifferential) {
     EXPECT_EQ(sa.host_cached[l], sb.host_cached[l]) << "level " << l;
     EXPECT_EQ(sa.nested_hit[l], sb.nested_hit[l]) << "level " << l;
     EXPECT_EQ(sa.nested_walk[l], sb.nested_walk[l]) << "level " << l;
-    EXPECT_EQ(sa.nested_walk[l], sc.nested_walk[l]) << "level " << l;
+    EXPECT_EQ(sa.nested_walk[l], sc.nested_walk[l] - setup.nested_walk[l])
+        << "level " << l;
   }
   EXPECT_GT(sa.memo_hits, 0u);  // the memo actually engaged
   EXPECT_GT(sa.memo_upper_hits, 0u);
-  EXPECT_EQ(sa.memo_hits, sc.memo_hits);
-  EXPECT_EQ(sa.memo_upper_hits, sc.memo_upper_hits);
+  EXPECT_EQ(sa.memo_hits, sc.memo_hits - setup.memo_hits);
+  EXPECT_EQ(sa.memo_upper_hits, sc.memo_upper_hits - setup.memo_upper_hits);
   EXPECT_EQ(sb.memo_hits, 0u);
   EXPECT_EQ(sb.memo_upper_hits, 0u);
 }
