@@ -1,12 +1,14 @@
 // Google-benchmark micro benchmarks for the hot substrate paths: buddy
-// allocation, targeted allocation, TLB lookup/insert and region shootdown,
-// page-table walks and access-count aging, far-tier demotion/refault, EMA
-// descriptor search, CA-paging's run search, and the contiguity list's
-// refresh and its two query shapes.
+// allocation, targeted allocation and batch frees, TLB lookup/insert and
+// region shootdown, page-table walks and access-count aging, far-tier
+// demotion/refault, EMA descriptor search, CA-paging's run search, and the
+// contiguity list's refresh and its two query shapes.
 // These are engineering benchmarks (not paper figures): they bound the
 // simulator's own costs and catch regressions in the data structures
 // Gemini leans on.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "base/rng.h"
 #include "base/types.h"
@@ -56,6 +58,45 @@ void BM_BuddyAllocateAt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuddyAllocateAt);
+
+// One region's 512 frames freed back to a free 2^18-frame buddy, by
+// Free(f, 1) per frame or by one FreeFrames: clustered, 16 runs of 32
+// consecutive frames (what reclaim swaps out), or scattered, 512 lone
+// frames (a guest's unmap).  Re-allocating them is not timed.
+void BM_BuddyFreeFrames(benchmark::State& state, bool batch, bool clustered) {
+  constexpr uint64_t kFrames = 1 << 18;
+  const uint64_t run = clustered ? 32 : 1;
+  const uint64_t stride = kFrames / (kPagesPerHuge / run);
+  base::Rng rng(7);
+  std::vector<uint64_t> frames;
+  for (uint64_t lo = 0; lo < kFrames; lo += stride) {
+    const uint64_t head = lo + rng.NextBelow(stride - run);
+    for (uint64_t f = head; f < head + run; ++f) {
+      frames.push_back(f);
+    }
+  }
+  vmem::BuddyAllocator buddy(kFrames);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (size_t i = 0; i < frames.size(); i += run) {
+      buddy.AllocateAt(frames[i], run);
+    }
+    state.ResumeTiming();
+    if (batch) {
+      buddy.FreeFrames(frames);
+    } else {
+      for (uint64_t f : frames) {
+        buddy.Free(f, 1);
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(frames.size()));
+}
+BENCHMARK_CAPTURE(BM_BuddyFreeFrames, per_frame_clustered, false, true);
+BENCHMARK_CAPTURE(BM_BuddyFreeFrames, batch_clustered, true, true);
+BENCHMARK_CAPTURE(BM_BuddyFreeFrames, per_frame_scattered, false, false);
+BENCHMARK_CAPTURE(BM_BuddyFreeFrames, batch_scattered, true, false);
 
 void BM_BuddyFmfi(benchmark::State& state) {
   vmem::BuddyAllocator buddy(1 << 18);

@@ -85,6 +85,7 @@ ZipfSampler::ZipfSampler(uint64_t n, double theta) : n_(n), theta_(theta) {
   alpha_ = 1.0 / (1.0 - theta);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
          (1.0 - zeta2_ / zetan_);
+  rank1_bound_ = 1.0 + std::pow(0.5, theta);
 }
 
 uint64_t ZipfSampler::Sample(Rng& rng) const {
@@ -96,7 +97,7 @@ uint64_t ZipfSampler::Sample(Rng& rng) const {
   if (uz < 1.0) {
     return 0;
   }
-  if (uz < 1.0 + std::pow(0.5, theta_)) {
+  if (uz < rank1_bound_) {
     return 1;
   }
   const double raw =

@@ -68,6 +68,8 @@ class ZipfSampler {
   double zetan_;
   double eta_;
   double zeta2_;
+  // 1 + 0.5^theta: Sample draws rank 1 when u * zetan_ is in [1, this).
+  double rank1_bound_;
 };
 
 }  // namespace base

@@ -74,11 +74,13 @@ void GuestKernel::UnmapVma(int32_t vma_id) {
         policy_->OnFreeRegion(*this, region, first_frame, /*contiguous=*/true)) {
       // Policy retained the whole block.
     } else {
+      std::vector<uint64_t>& freed = FreeBatch();
       for (const auto& [slot, frame] : mapped) {
         (void)slot;
         gpa_frames_.ClearUse(frame, 1);
-        gpa_buddy_.Free(frame, 1);
+        freed.push_back(frame);
       }
+      gpa_buddy_.FreeFrames(freed);
     }
     hooks_->ShootdownGuestRange(vm_id_, region << kHugeOrder, kPagesPerHuge);
   }

@@ -151,14 +151,16 @@ bool KernelBase::PromoteWithMigration(uint64_t region, uint64_t target_frame) {
                    AfterFramesWritten(frame, kPagesPerHuge));
   } else {
     const auto old_pages = table_.PromoteWithMigration(region, frame);
+    std::vector<uint64_t>& freed = FreeBatch();
     for (const auto& [slot, old_frame] : old_pages) {
       (void)slot;
       if (frames_->info(old_frame).use == vmem::FrameUse::kPinned) {
         continue;  // shared (deduplicated) frame: not ours to free
       }
       frames_->ClearUse(old_frame, 1);
-      buddy_->Free(old_frame, 1);
+      freed.push_back(old_frame);
     }
+    buddy_->FreeFrames(freed);
     stats_.pages_copied += old_pages.size();
     copied = old_pages.size();
     ChargeOverhead(kCosts.copy_page * old_pages.size() +
@@ -195,6 +197,7 @@ uint64_t KernelBase::SwapOutRegion(uint64_t region, uint64_t limit) {
     }
   });
   uint64_t demoted = 0;
+  std::vector<uint64_t>& freed = FreeBatch();
   for (const auto& [slot, frame] : pages) {
     const uint64_t page = (region << kHugeOrder) + slot;
     if (!tier_->Demote(vm_id_, page)) {
@@ -203,12 +206,13 @@ uint64_t KernelBase::SwapOutRegion(uint64_t region, uint64_t limit) {
     table_.UnmapBase(page);
     if (frames_->info(frame).use != vmem::FrameUse::kPinned) {
       frames_->ClearUse(frame, 1);
-      buddy_->Free(frame, 1);
+      freed.push_back(frame);
     }
     ChargeOverhead(tier_->demote_cost());
     ++stats_.pages_swapped_out;
     ++demoted;
   }
+  buddy_->FreeFrames(freed);
   if (demoted > 0) {
     ShootdownRegion(region);
     if (tracer_ != nullptr) {
@@ -217,6 +221,12 @@ uint64_t KernelBase::SwapOutRegion(uint64_t region, uint64_t limit) {
     }
   }
   return demoted;
+}
+
+std::vector<uint64_t>& KernelBase::FreeBatch() {
+  thread_local std::vector<uint64_t> batch;
+  batch.clear();
+  return batch;
 }
 
 void KernelBase::ForgetSwapped(uint64_t page, uint64_t count) {

@@ -79,15 +79,17 @@ void KsmScanner::Run(base::Cycles now) {
         pages.emplace_back(slot, frame);
       }
     });
+    std::vector<uint64_t> merged;
     for (const auto& [slot, frame] : pages) {
       const uint64_t gfn = (region << kHugeOrder) + slot;
       ept.UnmapBase(gfn);
       ept.MapBase(gfn, shared_frame_);
       machine_->host().frames().ClearUse(frame, 1);
-      machine_->host().buddy().Free(frame, 1);
+      merged.push_back(frame);
       ++stats_.pages_merged;
       ++stats_.frames_reclaimed;
     }
+    machine_->host().buddy().FreeFrames(merged);
     // Breaking mappings invalidates combined translations; expected CoW
     // faults for later writes are charged now (as HawkEye's model does).
     machine_->InvalidateVmTranslations(vm_id_);

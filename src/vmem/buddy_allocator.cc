@@ -16,7 +16,9 @@ bool TestBit(const std::vector<uint64_t>& words, uint64_t i) {
   return (words[i >> 6] >> (i & 63)) & 1;
 }
 
-void AssignBit(std::vector<uint64_t>& words, uint64_t i, bool value) {
+// Forced inline: -O2 otherwise emits it out of line, a call per bit.
+[[gnu::always_inline]] inline void AssignBit(std::vector<uint64_t>& words,
+                                             uint64_t i, bool value) {
   const uint64_t bit = 1ull << (i & 63);
   words[i >> 6] = value ? (words[i >> 6] | bit) : (words[i >> 6] & ~bit);
 }
@@ -112,12 +114,14 @@ void BuddyAllocator::FreeBlock(uint64_t head, int order) {
   }
 }
 
-void BuddyAllocator::InsertFreeRange(uint64_t lo, uint64_t hi) {
-  while (lo < hi) {
+uint64_t BuddyAllocator::InsertFreeRange(uint64_t lo, uint64_t hi) {
+  uint64_t blocks = 0;
+  for (; lo < hi; ++blocks) {
     const int order = LargestBlockOrder(lo, hi);
     FreeBlock(lo, order);
     lo += 1ull << order;
   }
+  return blocks;
 }
 
 uint64_t BuddyAllocator::KthHead(int order, uint64_t k) {
@@ -127,20 +131,18 @@ uint64_t BuddyAllocator::KthHead(int order, uint64_t k) {
     ++s;
   }
   heads.low_summary = s;
+  // Walks set bits, k + 1 of them at most: k < 16, and without -mpopcnt a
+  // popcount per word is a libgcc call.
   for (;; ++s) {
     for (uint64_t bits = heads.summary[s]; bits != 0; bits &= bits - 1) {
       const uint64_t w =
           (s << 6) | static_cast<uint64_t>(__builtin_ctzll(bits));
-      uint64_t word = heads.words[w];
-      const auto in_word = static_cast<uint64_t>(__builtin_popcountll(word));
-      if (k < in_word) {
-        for (; k > 0; --k) {
-          word &= word - 1;
+      for (uint64_t word = heads.words[w]; word != 0; word &= word - 1) {
+        if (k-- == 0) {
+          return ((w << 6) | static_cast<uint64_t>(__builtin_ctzll(word)))
+                 << order;
         }
-        return ((w << 6) | static_cast<uint64_t>(__builtin_ctzll(word)))
-               << order;
       }
-      k -= in_word;
     }
   }
 }
@@ -234,13 +236,34 @@ bool BuddyAllocator::AllocateAt(uint64_t frame, uint64_t count) {
 }
 
 void BuddyAllocator::Free(uint64_t frame, uint64_t count) {
-  SIM_CHECK(frame + count <= frame_count_);
-  SIM_CHECK_MSG(FindBit<true>(frames_.words, frames_.summary, frame,
-                              frame + count) == frame + count,
+  FreeRange(frame, frame + count);
+}
+
+uint64_t BuddyAllocator::FreeRange(uint64_t lo, uint64_t hi) {
+  SIM_CHECK(lo <= hi && hi <= frame_count_);
+  SIM_CHECK_MSG(FindBit<true>(frames_.words, frames_.summary, lo, hi) == hi,
                 "double free of frame %llu",
-                static_cast<unsigned long long>(frame));
-  MarkFrames(frame, frame + count, /*free=*/true);
-  InsertFreeRange(frame, frame + count);
+                static_cast<unsigned long long>(lo));
+  MarkFrames(lo, hi, /*free=*/true);
+  return InsertFreeRange(lo, hi);
+}
+
+void BuddyAllocator::FreeFrames(std::span<const uint64_t> frames) {
+  // Each single-frame free inserts one block after m merges: m + 1 epoch
+  // bumps, and the free-block count moves by 1 - m.  So n frames freed one
+  // by one bump the epoch 2n - dB times, and the ranges below, inserting c
+  // blocks in all, 2c - dB times.  dB is the same both ways, since the free
+  // map ends maximally merged either way (DESIGN.md §3j).
+  uint64_t blocks = 0;
+  for (size_t i = 0; i < frames.size();) {
+    const uint64_t lo = frames[i];
+    uint64_t hi = lo + 1;
+    while (++i < frames.size() && frames[i] == hi) {
+      ++hi;
+    }
+    blocks += FreeRange(lo, hi);
+  }
+  mutation_epoch_ += 2 * (frames.size() - blocks);
 }
 
 uint64_t BuddyAllocator::FreeBlocksOfOrder(int order) const {

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -63,6 +64,13 @@ class BuddyAllocator {
   // Frees the range [frame, frame + count), merging buddies.  The range
   // must be entirely allocated.
   void Free(uint64_t frame, uint64_t count);
+
+  // Frees a batch of single allocated frames, leaving the free map and
+  // mutation_epoch() exactly where Free(frame, 1) per frame would leave
+  // them.  Frames that follow each other in the batch in ascending address
+  // order are freed as one range.  A frame that is already free, or
+  // appears twice, aborts.
+  void FreeFrames(std::span<const uint64_t> frames);
 
   bool IsFrameFree(uint64_t frame) const;
 
@@ -263,8 +271,12 @@ class BuddyAllocator {
   void RemoveFreeBlock(uint64_t head, int order);
   // Frees one naturally aligned block and merges with its buddy chain.
   void FreeBlock(uint64_t head, int order);
-  // Re-inserts the free range [lo, hi) as maximal aligned blocks.
-  void InsertFreeRange(uint64_t lo, uint64_t hi);
+  // Re-inserts the free range [lo, hi) as maximal aligned blocks; returns
+  // how many blocks it freed.
+  uint64_t InsertFreeRange(uint64_t lo, uint64_t hi);
+  // Free's body for the allocated range [lo, hi); returns
+  // InsertFreeRange's block count.
+  uint64_t FreeRange(uint64_t lo, uint64_t hi);
 
   uint64_t frame_count_;
   uint64_t free_frames_ = 0;

@@ -53,8 +53,8 @@ double Fragmenter::FragmentToTarget(double target_fmfi, double max_fraction) {
 void Fragmenter::ReleaseAll() {
   for (uint64_t frame : pinned_) {
     frames_->ClearUse(frame, 1);
-    buddy_->Free(frame, 1);
   }
+  buddy_->FreeFrames(pinned_);
   pinned_.clear();
 }
 

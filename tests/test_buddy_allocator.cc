@@ -1,6 +1,7 @@
 // Tests for the buddy allocator: invariants, targeted allocation, FMFI,
-// randomized property sweeps against a frame-ownership reference, and an
-// op-for-op differential against the map/set reference allocator.
+// batch frees, randomized property sweeps against a frame-ownership
+// reference, and an op-for-op differential against the map/set reference
+// allocator.
 #include "vmem/buddy_allocator.h"
 
 #include <gtest/gtest.h>
@@ -164,6 +165,60 @@ TEST(Buddy, MutationEpochAdvances) {
   const uint64_t e1 = buddy.mutation_epoch();
   buddy.Free(f, 1);
   EXPECT_GT(buddy.mutation_epoch(), e1);
+}
+
+// One batch of single frames: runs that merge up to order 10 and across
+// it, a lone frame, and a run next to a free neighbour, in an order that
+// breaks some runs.  Free map and epoch must end where per-frame frees
+// leave them.
+TEST(Buddy, FreeFramesMatchesPerFrameFrees) {
+  BuddyAllocator batch(4096);
+  BuddyAllocator single(4096);
+  std::vector<uint64_t> frames;
+  for (uint64_t f = 1000; f < 2100; ++f) {
+    frames.push_back(f);
+  }
+  frames.push_back(3000);
+  for (uint64_t f = 4000; f < 4096; ++f) {
+    frames.push_back(f);
+  }
+  std::swap(frames[10], frames[500]);
+  for (BuddyAllocator* buddy : {&batch, &single}) {
+    ASSERT_TRUE(buddy->AllocateAt(900, 2000));
+    ASSERT_TRUE(buddy->AllocateAt(3000, 1));
+    ASSERT_TRUE(buddy->AllocateAt(4000, 96));
+  }
+  batch.FreeFrames(frames);
+  for (uint64_t f : frames) {
+    single.Free(f, 1);
+  }
+  batch.CheckInvariants();
+  EXPECT_EQ(batch.free_frames(), single.free_frames());
+  EXPECT_EQ(batch.mutation_epoch(), single.mutation_epoch());
+  for (int o = 0; o < kMaxOrder; ++o) {
+    EXPECT_EQ(batch.FreeBlocksOfOrder(o), single.FreeBlocksOfOrder(o)) << o;
+  }
+  EXPECT_EQ(batch.FreeBlocksOfOrder(10), 2u);  // [1024, 2048), [3072, 4096)
+  const uint64_t epoch = batch.mutation_epoch();
+  batch.FreeFrames({});
+  EXPECT_EQ(batch.mutation_epoch(), epoch);
+}
+
+TEST(BuddyDeathTest, FreeFramesRepeatedFrameAborts) {
+  BuddyAllocator buddy(1024);
+  ASSERT_TRUE(buddy.AllocateAt(100, 8));
+  const std::vector<uint64_t> consecutive = {101, 101};
+  const std::vector<uint64_t> apart = {100, 101, 102, 105, 101};
+  EXPECT_DEATH(buddy.FreeFrames(consecutive), "double free of frame 101");
+  EXPECT_DEATH(buddy.FreeFrames(apart), "double free of frame 101");
+}
+
+TEST(BuddyDeathTest, FreeFramesFreeFrameAborts) {
+  BuddyAllocator buddy(1024);
+  ASSERT_TRUE(buddy.AllocateAt(100, 8));
+  // 108 is free: the run [106, 109) fails its check.
+  const std::vector<uint64_t> frames = {100, 106, 107, 108};
+  EXPECT_DEATH(buddy.FreeFrames(frames), "double free of frame 106");
 }
 
 TEST(Buddy, RandomizedSelectionStaysCorrect) {
@@ -393,6 +448,54 @@ class BuddyDifferentialTest
     ref_->CheckInvariants();
   }
 
+  // Frees single frames of up to three live allocations as one batch:
+  // FreeFrames on the bitmap side, Free(f, 1) per frame on the reference.
+  // Each allocation is cut into alternating freed and kept runs, lone
+  // frames among them, at unaligned offsets; its edges may abut free
+  // frames.  The batch lists the freed runs in shuffled order, each run
+  // ascending so it frees as one range (runs of two allocations that abut
+  // can join); the reference frees the same frames in an order shuffled
+  // frame by frame.  Then both pick the next allocation.
+  void FreeBatch() {
+    std::vector<Span> runs;
+    for (int taken = 0; taken < 3 && !live_.empty(); ++taken) {
+      const auto [first, count] = TakeLive();
+      bool freed = rng_.NextBelow(2) == 0;
+      for (uint64_t lo = first; lo < first + count; freed = !freed) {
+        const uint64_t len =
+            rng_.NextBelow(4) == 0
+                ? 1
+                : 1 + rng_.NextBelow(rng_.NextBelow(2) == 0 ? 8 : 600);
+        const Span run(lo, std::min(len, first + count - lo));
+        (freed ? runs : live_).push_back(run);
+        lo += run.second;
+      }
+    }
+    rng_.Shuffle(runs);
+    std::vector<uint64_t> batch;
+    for (const auto& [lo, count] : runs) {
+      for (uint64_t f = lo; f < lo + count; ++f) {
+        batch.push_back(f);
+      }
+    }
+    buddy_->FreeFrames(batch);
+    rng_.Shuffle(batch);
+    for (uint64_t f : batch) {
+      ref_->Free(f, 1);
+    }
+    // The merge events differ by construction: the bitmap side's describe
+    // range frees.  Everything else must agree.
+    Drain(tracer_);
+    Drain(ref_tracer_);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameState());
+    const int order = static_cast<int>(rng_.NextBelow(kMaxOrder));
+    const uint64_t got = buddy_->Allocate(order);
+    ASSERT_EQ(got, ref_->Allocate(order)) << "order " << order;
+    if (got != kInvalidFrame) {
+      live_.emplace_back(got, 1ull << order);
+    }
+  }
+
   // A random live allocation, removed from the live list.
   Span TakeLive() {
     const size_t i = static_cast<size_t>(rng_.NextBelow(live_.size()));
@@ -420,12 +523,15 @@ TEST_P(BuddyDifferentialTest, MatchesReferenceOpForOp) {
     const bool filling = (step / 400) % 2 == 0;
     const uint64_t free_pct = filling ? 2 : 30;
     const uint64_t shuffled_pct = filling ? 2 : 8;
+    const uint64_t batch_pct = filling ? 2 : 8;
     const uint64_t dice = rng_.NextBelow(100);
-    if (!live_.empty() && dice < free_pct) {
+    if (!live_.empty() && dice < batch_pct) {
+      ASSERT_NO_FATAL_FAILURE(FreeBatch());
+    } else if (!live_.empty() && dice < batch_pct + free_pct) {
       const Span span = TakeLive();
       buddy_->Free(span.first, span.second);
       ref_->Free(span.first, span.second);
-    } else if (!live_.empty() && dice < free_pct + shuffled_pct) {
+    } else if (!live_.empty() && dice < batch_pct + free_pct + shuffled_pct) {
       // Free up to 64 frames of one allocation one at a time in shuffled
       // order, then the rest as one range.
       const Span span = TakeLive();
@@ -444,7 +550,7 @@ TEST_P(BuddyDifferentialTest, MatchesReferenceOpForOp) {
         buddy_->Free(span.first + singles, span.second - singles);
         ref_->Free(span.first + singles, span.second - singles);
       }
-    } else if (dice < free_pct + shuffled_pct + 30) {
+    } else if (dice < batch_pct + free_pct + shuffled_pct + 30) {
       const int order = rng_.NextBelow(2) == 0
                             ? 0
                             : static_cast<int>(rng_.NextBelow(kMaxOrder));
@@ -453,7 +559,7 @@ TEST_P(BuddyDifferentialTest, MatchesReferenceOpForOp) {
       if (got != kInvalidFrame) {
         live_.emplace_back(got, 1ull << order);
       }
-    } else if (dice < free_pct + shuffled_pct + 55) {
+    } else if (dice < batch_pct + free_pct + shuffled_pct + 55) {
       uint64_t frame;
       uint64_t count;
       const uint64_t kind = rng_.NextBelow(3);
