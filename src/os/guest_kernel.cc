@@ -1,5 +1,7 @@
 #include "os/guest_kernel.h"
 
+#include <vector>
+
 #include "base/check.h"
 
 namespace osim {
@@ -74,7 +76,8 @@ void GuestKernel::UnmapVma(int32_t vma_id) {
         policy_->OnFreeRegion(*this, region, first_frame, /*contiguous=*/true)) {
       // Policy retained the whole block.
     } else {
-      std::vector<uint64_t>& freed = FreeBatch();
+      std::vector<uint64_t> freed;
+      freed.reserve(mapped.size());
       for (const auto& [slot, frame] : mapped) {
         (void)slot;
         gpa_frames_.ClearUse(frame, 1);

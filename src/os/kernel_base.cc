@@ -151,7 +151,8 @@ bool KernelBase::PromoteWithMigration(uint64_t region, uint64_t target_frame) {
                    AfterFramesWritten(frame, kPagesPerHuge));
   } else {
     const auto old_pages = table_.PromoteWithMigration(region, frame);
-    std::vector<uint64_t>& freed = FreeBatch();
+    std::vector<uint64_t> freed;
+    freed.reserve(old_pages.size());
     for (const auto& [slot, old_frame] : old_pages) {
       (void)slot;
       if (frames_->info(old_frame).use == vmem::FrameUse::kPinned) {
@@ -197,7 +198,8 @@ uint64_t KernelBase::SwapOutRegion(uint64_t region, uint64_t limit) {
     }
   });
   uint64_t demoted = 0;
-  std::vector<uint64_t>& freed = FreeBatch();
+  std::vector<uint64_t> freed;
+  freed.reserve(pages.size());
   for (const auto& [slot, frame] : pages) {
     const uint64_t page = (region << kHugeOrder) + slot;
     if (!tier_->Demote(vm_id_, page)) {
@@ -221,12 +223,6 @@ uint64_t KernelBase::SwapOutRegion(uint64_t region, uint64_t limit) {
     }
   }
   return demoted;
-}
-
-std::vector<uint64_t>& KernelBase::FreeBatch() {
-  thread_local std::vector<uint64_t> batch;
-  batch.clear();
-  return batch;
 }
 
 void KernelBase::ForgetSwapped(uint64_t page, uint64_t count) {

@@ -12,7 +12,6 @@
 #define SRC_OS_KERNEL_BASE_H_
 
 #include <memory>
-#include <vector>
 
 #include "base/types.h"
 #include "mmu/page_table.h"
@@ -124,13 +123,6 @@ class KernelBase : public policy::KernelOps {
 
   // Drops swap records for a page range (VMA teardown).
   void ForgetSwapped(uint64_t page, uint64_t count);
-
-  // An empty vector to gather one region's frames in for
-  // BuddyAllocator::FreeFrames.  One per thread, reused by every kernel:
-  // one per kernel would pin a batch's capacity in each of a 64-VM
-  // machine's 128 kernels.  Nothing may take it again before the frames
-  // are freed.
-  static std::vector<uint64_t>& FreeBatch();
 
   // Called after the kernel writes freshly mapped frames (zeroing a huge
   // page, migration copies).  The guest kernel uses this to fault in EPT

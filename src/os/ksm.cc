@@ -80,6 +80,7 @@ void KsmScanner::Run(base::Cycles now) {
       }
     });
     std::vector<uint64_t> merged;
+    merged.reserve(pages.size());
     for (const auto& [slot, frame] : pages) {
       const uint64_t gfn = (region << kHugeOrder) + slot;
       ept.UnmapBase(gfn);

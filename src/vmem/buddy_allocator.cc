@@ -235,17 +235,14 @@ bool BuddyAllocator::AllocateAt(uint64_t frame, uint64_t count) {
   return true;
 }
 
-void BuddyAllocator::Free(uint64_t frame, uint64_t count) {
-  FreeRange(frame, frame + count);
-}
-
-uint64_t BuddyAllocator::FreeRange(uint64_t lo, uint64_t hi) {
-  SIM_CHECK(lo <= hi && hi <= frame_count_);
-  SIM_CHECK_MSG(FindBit<true>(frames_.words, frames_.summary, lo, hi) == hi,
-                "double free of frame %llu",
-                static_cast<unsigned long long>(lo));
-  MarkFrames(lo, hi, /*free=*/true);
-  return InsertFreeRange(lo, hi);
+uint64_t BuddyAllocator::Free(uint64_t frame, uint64_t count) {
+  SIM_CHECK(frame + count <= frame_count_);
+  const uint64_t free_frame =
+      FindBit<true>(frames_.words, frames_.summary, frame, frame + count);
+  SIM_CHECK_MSG(free_frame == frame + count, "double free of frame %llu",
+                static_cast<unsigned long long>(free_frame));
+  MarkFrames(frame, frame + count, /*free=*/true);
+  return InsertFreeRange(frame, frame + count);
 }
 
 void BuddyAllocator::FreeFrames(std::span<const uint64_t> frames) {
@@ -261,7 +258,7 @@ void BuddyAllocator::FreeFrames(std::span<const uint64_t> frames) {
     while (++i < frames.size() && frames[i] == hi) {
       ++hi;
     }
-    blocks += FreeRange(lo, hi);
+    blocks += Free(lo, hi - lo);
   }
   mutation_epoch_ += 2 * (frames.size() - blocks);
 }

@@ -62,8 +62,9 @@ class BuddyAllocator {
   bool IsRangeFree(uint64_t frame, uint64_t count) const;
 
   // Frees the range [frame, frame + count), merging buddies.  The range
-  // must be entirely allocated.
-  void Free(uint64_t frame, uint64_t count);
+  // must be entirely allocated.  Returns how many blocks it inserted
+  // before merging.
+  uint64_t Free(uint64_t frame, uint64_t count);
 
   // Frees a batch of single allocated frames, leaving the free map and
   // mutation_epoch() exactly where Free(frame, 1) per frame would leave
@@ -274,9 +275,6 @@ class BuddyAllocator {
   // Re-inserts the free range [lo, hi) as maximal aligned blocks; returns
   // how many blocks it freed.
   uint64_t InsertFreeRange(uint64_t lo, uint64_t hi);
-  // Free's body for the allocated range [lo, hi); returns
-  // InsertFreeRange's block count.
-  uint64_t FreeRange(uint64_t lo, uint64_t hi);
 
   uint64_t frame_count_;
   uint64_t free_frames_ = 0;
