@@ -22,10 +22,8 @@
 //                   lifecycle churn — boot arrival waves, VMA
 //                   churn/GC-sweep workload flavors, diurnal load phase
 //                   shifts, teardown on completion — for each TLB sharing
-//                   mode in GEMINI_TLB_MODE.  Partitioned and dynamic
-//                   modes are capped at N=8 (12 ways, >=1 way per VM;
-//                   dynamic's repartitioner inherits the same floor).
-//                   Shared-mode cells
+//                   mode in GEMINI_TLB_MODE.  Partitioned mode is capped
+//                   at N=8 (12 ways, >=1 way per VM).  Shared-mode cells
 //                   exercise the interference-attribution matrix at NxN;
 //                   the rendered matrices are written to
 //                   INTERFERENCE_scale.txt.
@@ -284,7 +282,7 @@ int main() {
       speedup, 100.0 * frac, amdahl);
 
   // Part 2: rack-density sweep.  Modes from GEMINI_TLB_MODE; partitioned
-  // and dynamic need >=1 of the 12 ways per VM, so they stop at N=8.
+  // needs >=1 of the 12 ways per VM, so it stops at N=8.
   // Only shared mode climbs to 128 VMs: that is where the sparse top-k
   // interference render takes over (metrics/interference_matrix.h), and
   // private mode at 128 would only re-measure the backend, more slowly.
@@ -292,9 +290,7 @@ int main() {
   std::string interference_text;
   for (const mmu::TlbShareMode mode : bench::TlbModesFromEnv()) {
     for (const uint64_t n : counts) {
-      if ((mode == mmu::TlbShareMode::kPartitioned ||
-           mode == mmu::TlbShareMode::kDynamic) &&
-          n > 8) {
+      if (mode == mmu::TlbShareMode::kPartitioned && n > 8) {
         continue;
       }
       if (mode != mmu::TlbShareMode::kShared && n > 64) {

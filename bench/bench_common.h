@@ -139,14 +139,14 @@ inline trace::TraceConfig TraceConfigFromEnv(const std::string& stem) {
 
 // The sharing modes a collocated bench should sweep, from GEMINI_TLB_MODE:
 // a mode name (mmu::TlbShareModeName), a comma-separated list, or "all" for
-// all four.  Unset or empty means {kPrivate} — the historical single-mode
+// all three.  Unset or empty means {kPrivate} — the historical single-mode
 // output.  Aborts on an unrecognized name (silently measuring the wrong
 // mode would poison comparisons) and on a name listed twice (its cells
 // would run, print and export twice).
 inline std::vector<mmu::TlbShareMode> TlbModesFromEnv() {
   const std::vector<mmu::TlbShareMode> all = {
       mmu::TlbShareMode::kPrivate, mmu::TlbShareMode::kShared,
-      mmu::TlbShareMode::kPartitioned, mmu::TlbShareMode::kDynamic};
+      mmu::TlbShareMode::kPartitioned};
   const char* env = base::EnvValue("GEMINI_TLB_MODE");
   if (env == nullptr) {
     return {mmu::TlbShareMode::kPrivate};
@@ -479,15 +479,6 @@ struct VmPair {
 // Host memory of the collocated pair figures: room for two VMs.
 inline constexpr uint64_t kPairHostFrames = 640 * 1024;
 
-// What RunPairFigure swept: the GEMINI_TLB_MODE modes, the cells
-// (mode-major, then pair, then system) and their export rows, which point
-// into `cells`.
-struct PairSweep {
-  std::vector<mmu::TlbShareMode> modes;
-  std::vector<Timed<harness::CollocatedManyResult>> cells;
-  std::vector<metrics::ResultRow> rows;
-};
-
 // The collocated pair figures (17, 18): one two-VM RunCollocatedMany cell
 // per mode x pair x system.  Prints, per mode, a table with two rows per
 // pair (each VM's `metric`, normalized to Host-B-VM-B) and the mode's
@@ -496,15 +487,13 @@ struct PairSweep {
 // mode alone annotates the tables and trace names with the mode.  The
 // sections are persisted as INTERFERENCE_matrix.txt, in GEMINI_EXPORT when
 // set, else the working directory; a private-only run writes no file.  The
-// caller exports the rows under `label`.
-inline PairSweep RunPairFigure(const std::string& figure,
-                               const std::string& label,
-                               const std::vector<VmPair>& pairs,
-                               const std::string& title,
-                               double (*metric)(const workload::RunResult&)) {
-  PairSweep sweep;
-  sweep.modes = TlbModesFromEnv();
-  const std::vector<mmu::TlbShareMode>& modes = sweep.modes;
+// cells run mode-major, then pair, then system, and their rows are
+// exported under `label` in that order.
+inline void RunPairFigure(const std::string& figure, const std::string& label,
+                          const std::vector<VmPair>& pairs,
+                          const std::string& title,
+                          double (*metric)(const workload::RunResult&)) {
+  const std::vector<mmu::TlbShareMode> modes = TlbModesFromEnv();
   const bool annotate_mode =
       modes.size() > 1 || modes[0] != mmu::TlbShareMode::kPrivate;
   const auto systems = harness::AllSystems();
@@ -513,7 +502,7 @@ inline PairSweep RunPairFigure(const std::string& figure,
   bed.host_frames = kPairHostFrames;
   // The pair figures never modelled VM boot.
   bed.boot_noise_fraction = 0;
-  sweep.cells = RunCells(
+  const std::vector<Timed<harness::CollocatedManyResult>> cells = RunCells(
       label, modes.size() * per_mode, bed,
       [&](size_t i) {
         const VmPair& pair = pairs[(i % per_mode) / systems.size()];
@@ -536,6 +525,8 @@ inline PairSweep RunPairFigure(const std::string& figure,
       });
 
   const size_t base = SystemColumn(systems, harness::SystemKind::kHostBVmB);
+  // Each row points into `cells`.
+  std::vector<metrics::ResultRow> rows;
   std::string interference_text;
   for (size_t m = 0; m < modes.size(); ++m) {
     const char* mode_name = mmu::TlbShareModeName(modes[m]);
@@ -546,7 +537,7 @@ inline PairSweep RunPairFigure(const std::string& figure,
         interference_cells;
     for (size_t p = 0; p < pairs.size(); ++p) {
       const std::string tag = std::string(pairs[p].vm0) + "+" + pairs[p].vm1;
-      const auto* row_cells = &sweep.cells[m * per_mode + p * systems.size()];
+      const auto* row_cells = &cells[m * per_mode + p * systems.size()];
       std::vector<std::string> vm_rows[2] = {
           {std::string("vm0 ") + pairs[p].vm0},
           {std::string("vm1 ") + pairs[p].vm1}};
@@ -557,7 +548,7 @@ inline PairSweep RunPairFigure(const std::string& figure,
           vm_rows[v].push_back(metrics::TextTable::Fmt(
               metrics::Normalize(metric(cell.result.vms[v]),
                                  metric(row_cells[base].result.vms[v]))));
-          sweep.rows.push_back(metrics::ResultRow{
+          rows.push_back(metrics::ResultRow{
               tag + "/vm" + std::to_string(v), system, &cell.result.vms[v],
               cell.wall_ms, bed.seed, mode_name});
         }
@@ -578,7 +569,7 @@ inline PairSweep RunPairFigure(const std::string& figure,
     metrics::WriteFile(path, interference_text);
     std::fprintf(stderr, "[interference] wrote %s\n", path.c_str());
   }
-  return sweep;
+  ExportRows(label, rows);
 }
 
 }  // namespace bench

@@ -9,7 +9,7 @@
 
 int main() {
   bench::CheckEnvironment();
-  const bench::PairSweep sweep = bench::RunPairFigure(
+  bench::RunPairFigure(
       "Figure 18", "fig18_collocated",
       {
           {"Redis", "Memcached"},  // sensitive + sensitive
@@ -18,6 +18,5 @@ int main() {
       "Figure 18: collocated-VM mean latency (normalized to Host-B-VM-B; "
       "lower is better)",
       bench::MeanLatency);
-  bench::ExportRows("fig18_collocated", sweep.rows);
   return 0;
 }

@@ -76,11 +76,6 @@ Bed BuildBed(SystemKind kind, const BedOptions& options, size_t vm_count,
   config.seed = options.seed;
   config.reclaim = options.reclaim;
   config.tlb_mode = options.tlb_mode;
-  config.tlb_partition_ways = options.tlb_partition_ways;
-  // A zero repartitioner knob keeps the machine's own default
-  // (daemon-period interval, 1-way floor).
-  config.tlb_repart_interval = options.tlb_repart_interval;
-  config.tlb_repart_min_ways = std::max(options.tlb_repart_min_ways, 1u);
   if (scale != nullptr) {
     config.tlb_expected_vms = static_cast<uint32_t>(vm_count);
     if (scale->daemon_period != 0) {

@@ -39,15 +39,13 @@ struct BedOptions {
   trace::TraceConfig trace;
   // TLB sharing arrangement for the machine's VMs (mmu/tlb_domain.h).
   // kPrivate reproduces the historical per-engine TLB exactly; kShared /
-  // kPartitioned make collocated VMs contend for one physical array;
-  // kDynamic adds the periodic way repartitioner on top of kPartitioned's
-  // boot-time split.
+  // kPartitioned make collocated VMs contend for one physical array,
+  // kPartitioned splitting its ways evenly over them.
   mmu::TlbShareMode tlb_mode = mmu::TlbShareMode::kPrivate;
-  // kPartitioned / kDynamic: boot ways per VM (0 = even split over the
-  // collocated VMs).
+  // Read by nothing: perfbench/cells.cc copies these three into
+  // osim::MachineConfig and the benchmark's files are frozen; the
+  // benchmark change that stops copying them deletes them.
   uint32_t tlb_partition_ways = 0;
-  // kDynamic repartitioner knobs; 0 means the machine defaults (daemon
-  // period / 1 way).
   uint64_t tlb_repart_interval = 0;
   uint32_t tlb_repart_min_ways = 0;
   // Tiered-memory overcommit (DESIGN.md §3i): copied verbatim into

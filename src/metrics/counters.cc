@@ -73,8 +73,6 @@ StackSnapshot Snapshot(osim::Machine& machine, int32_t vm_id) {
     s.util_shadow_misses = u.shadow_misses;
   }
   s.tlb_ways_assigned = tlb.ways_assigned();
-  s.tlb_repartitions = machine.tlb_domain().repartition_count();
-  s.tlb_repartition_evictions = tlb.repartition_evictions();
   s.lat_hist = vm.engine().latency_histogram().buckets();
   s.translation_cycles = vm.engine().translation_cycles();
   const osim::KernelStats& g = vm.guest().stats();

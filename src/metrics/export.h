@@ -154,7 +154,7 @@ inline constexpr auto ResultColumns = [](const ResultRow& row, auto& sink) {
        c.tlb_capacity_evictions_base + c.tlb_capacity_evictions_huge);
   UtilityColumns(c, sink);
   sink("util_min_ways_90", UtilMinWays90(c));
-  RepartitionColumns(c, sink);
+  WaysAssignedColumn(c, sink);
   LatencyColumns(c, sink);
   // Walk-level families, L4 first; the page-walk caches cover L4/L3 only.
   static constexpr const char* kLevel[] = {"l4", "l3", "l2", "l1"};

@@ -91,52 +91,6 @@ void Tlb::SetVmWays(uint16_t vmid, uint32_t way_begin, uint32_t way_count) {
   }
 }
 
-uint32_t Tlb::RepartitionVmWays(uint16_t vmid, uint32_t way_begin,
-                                uint32_t way_count) {
-  SIM_CHECK(vmid < tlb_tag::kMaxVms);
-  SIM_CHECK(way_count > 0 && way_begin + way_count <= config_.ways);
-  if (const VmState* vm = VmOrNull(vmid);
-      vm != nullptr && vm->way_begin == way_begin &&
-      vm->way_count == way_count) {
-    return 0;
-  }
-  SetVmWays(vmid, way_begin, way_count);
-  // Drop this VM's entries stranded outside the new window.  DropSlot keeps
-  // every covering window's residency count correct, including windows of
-  // VMs whose own repartition has not happened yet this tick.
-  uint32_t dropped = 0;
-  const uint32_t way_end = way_begin + way_count;
-  for (size_t i = 0; i < tags_.size(); ++i) {
-    if (!tlb_tag::Owned(tags_[i], vmid)) {
-      continue;
-    }
-    const uint32_t way = static_cast<uint32_t>(i % config_.ways);
-    if (way < way_begin || way >= way_end) {
-      DropSlot(i);
-      ++dropped;
-    }
-  }
-  Counters(vmid).repartition_evictions += dropped;
-  return dropped;
-}
-
-uint32_t Tlb::entry_count_outside_window(uint16_t vmid) const {
-  const VmState* vm = VmOrNull(vmid);
-  if (vm == nullptr || vm->way_count == 0) {
-    return entry_count(vmid);
-  }
-  uint32_t n = 0;
-  for (size_t i = 0; i < tags_.size(); ++i) {
-    if (!tlb_tag::Owned(tags_[i], vmid)) {
-      continue;
-    }
-    const uint32_t way = static_cast<uint32_t>(i % config_.ways);
-    n += static_cast<uint32_t>(way < vm->way_begin ||
-                               way >= vm->way_begin + vm->way_count);
-  }
-  return n;
-}
-
 Tlb::VmState& Tlb::Vm(uint16_t vmid) {
   if (vmid >= vms_.size() || vms_[vmid].way_count == 0) {
     RegisterVm(vmid);

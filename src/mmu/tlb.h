@@ -110,10 +110,6 @@ class Tlb {
     // <= misses; the remainder is cold/unattributed.
     uint64_t displaced_by_self = 0;
     uint64_t displaced_by_other = 0;
-    // This VM's entries dropped because a dynamic repartition moved its way
-    // window and the entries sat outside the new window (RepartitionVmWays;
-    // the cost side of adapting the partition).
-    uint64_t repartition_evictions = 0;
 
     bool operator==(const VmTlbCounters&) const = default;
   };
@@ -129,31 +125,12 @@ class Tlb {
   // either identical or disjoint; the domain enforces that.
   void SetVmWays(uint16_t vmid, uint32_t way_begin, uint32_t way_count);
 
-  // Moves `vmid`'s way window at runtime (dynamic repartitioning): sets the
-  // new window like SetVmWays, then drops every entry of this VM left in a
-  // way outside it — a stale cross-window entry would otherwise keep
-  // hitting from ways the VM no longer owns.  Dropped entries are charged
-  // to the VM's repartition_evictions counter.  Returns entries dropped
-  // (zero, without any scan, when the window is unchanged).
-  uint32_t RepartitionVmWays(uint16_t vmid, uint32_t way_begin,
-                             uint32_t way_count);
-
-  // Current way window of `vmid` (zeroes if never registered).  Exposed for
-  // the repartitioner's hysteresis compare, the ways_assigned export
-  // column, and window-invariant assertions in tests.
-  uint32_t vm_way_begin(uint16_t vmid) const {
-    const VmState* vm = VmOrNull(vmid);
-    return vm != nullptr ? vm->way_begin : 0;
-  }
+  // Way-window size of `vmid` (zero if never registered): the
+  // ways_assigned export column.
   uint32_t vm_way_count(uint16_t vmid) const {
     const VmState* vm = VmOrNull(vmid);
     return vm != nullptr ? vm->way_count : 0;
   }
-
-  // Integrity probe (O(sets * ways) scan): valid entries of `vmid` sitting
-  // at ways outside its current window.  Always zero after a repartition —
-  // the property suite in tests/test_repartitioner.cc asserts it.
-  uint32_t entry_count_outside_window(uint16_t vmid) const;
 
   // Probes for a translation of `vpn` under `vmid`.  Checks both a 4 KiB
   // entry for the page and a 2 MiB entry for its huge region.  Updates LRU

@@ -14,23 +14,17 @@ const char* TlbShareModeName(TlbShareMode mode) {
       return "shared";
     case TlbShareMode::kPartitioned:
       return "partitioned";
-    case TlbShareMode::kDynamic:
-      return "dynamic";
   }
   return "?";
 }
 
 TlbDomain::TlbDomain(const TlbDomainConfig& config) : config_(config) {
-  if (config_.mode == TlbShareMode::kPartitioned ||
-      config_.mode == TlbShareMode::kDynamic) {
+  if (config_.mode == TlbShareMode::kPartitioned) {
     SIM_CHECK(PartitionWays() > 0);
   }
 }
 
 uint32_t TlbDomain::PartitionWays() const {
-  if (config_.partition_ways != 0) {
-    return config_.partition_ways;
-  }
   SIM_CHECK(config_.expected_vms > 0);
   return config_.tlb.ways / config_.expected_vms;
 }
@@ -63,42 +57,7 @@ TlbView TlbDomain::AddVm(uint16_t vmid) {
     SIM_CHECK(begin + k <= config_.tlb.ways);
     shared_->SetVmWays(vmid, begin, k);
   }
-  if (config_.mode == TlbShareMode::kDynamic) {
-    if (repartitioner_ == nullptr) {
-      TlbRepartitioner::Config rc;
-      rc.min_ways = config_.repart_min_ways;
-      repartitioner_ =
-          std::make_unique<TlbRepartitioner>(shared_.get(), monitor_.get(), rc);
-    }
-    const auto it = std::lower_bound(vm_ids_.begin(), vm_ids_.end(), vmid);
-    if (it == vm_ids_.end() || *it != vmid) {
-      vm_ids_.insert(it, vmid);  // re-registering a vmid keeps one slot
-    }
-    // Boot split: re-tile the even layout over the *current* tenant set,
-    // so late arrivals fit regardless of expected_vms (the repartitioner
-    // owns the boundaries from the next tick on).  The first ways%n VMs
-    // absorb the remainder — the allocator's lower-id tie-break.  An
-    // earlier VM's entries stranded outside its shrunken window stay
-    // probe-visible; the next applied repartition drops them.
-    const uint32_t n = static_cast<uint32_t>(vm_ids_.size());
-    SIM_CHECK(n <= config_.tlb.ways);
-    const uint32_t k = config_.tlb.ways / n;
-    const uint32_t extra = config_.tlb.ways % n;
-    uint32_t begin = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint32_t w = k + (i < extra ? 1 : 0);
-      shared_->SetVmWays(vm_ids_[i], begin, w);
-      begin += w;
-    }
-  }
   return TlbView(shared_.get(), vmid);
-}
-
-void TlbDomain::RepartitionTick() {
-  SIM_CHECK(config_.mode == TlbShareMode::kDynamic);
-  if (repartitioner_ != nullptr) {
-    repartitioner_->Tick(vm_ids_);
-  }
 }
 
 TlbEpochStage* TlbDomain::EpochStage(uint16_t vmid) {

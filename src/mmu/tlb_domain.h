@@ -24,12 +24,6 @@
 //     evict entries inside its own window, so a noisy neighbor cannot
 //     displace a victim's working set — the isolation/utilization
 //     trade-off way-partitioned QoS hardware makes.
-//   * kDynamic — kPartitioned's layout, but the windows move: the domain
-//     owns a TlbRepartitioner that os::Machine ticks at daemon intervals,
-//     reassigning the way windows from the utility monitor's per-VM
-//     marginal-utility curves (see tlb_repartitioner.h).  VMs boot into
-//     the same even split as kPartitioned and drift from there as phases
-//     change.
 //
 // The domain hands out `TlbView`s: a thin (pointer, vmid) handle with the
 // same operation surface as `Tlb` minus the vmid parameters, which
@@ -46,7 +40,6 @@
 #include "base/check.h"
 #include "mmu/tlb.h"
 #include "mmu/tlb_epoch_stage.h"
-#include "mmu/tlb_repartitioner.h"
 
 namespace mmu {
 
@@ -54,7 +47,6 @@ enum class TlbShareMode : uint8_t {
   kPrivate,      // per-VM physical arrays (status quo)
   kShared,       // one array, all VMs compete, VMID tags isolate hits
   kPartitioned,  // one array, static per-VM way windows
-  kDynamic,      // one array, way windows repartitioned at daemon ticks
 };
 
 // Lower-case stable name, as used by GEMINI_TLB_MODE and export columns.
@@ -63,14 +55,8 @@ const char* TlbShareModeName(TlbShareMode mode);
 struct TlbDomainConfig {
   TlbConfig tlb;  // geometry of each physical array the domain builds
   TlbShareMode mode = TlbShareMode::kPrivate;
-  // kPartitioned / kDynamic: ways each VM owns at boot; 0 = split evenly
-  // over expected_vms.
-  uint32_t partition_ways = 0;
+  // kPartitioned: the ways split evenly over this many VMs.
   uint32_t expected_vms = 2;
-  // kDynamic: the repartitioner's way floor (see TlbRepartitioner::Config;
-  // the tick *interval* is the machine's scheduling concern, not the
-  // domain's).
-  uint32_t repart_min_ways = 1;
 };
 
 // A per-VM handle onto a physical Tlb: every operation is forwarded with
@@ -193,14 +179,8 @@ class TlbView {
   // the remainder is cold / unattributed.
   uint64_t displaced_by_self() const { return counters().displaced_by_self; }
   uint64_t displaced_by_other() const { return counters().displaced_by_other; }
-  // Entries dropped because a dynamic repartition moved this VM's way
-  // window (zero outside kDynamic — nothing else moves windows).
-  uint64_t repartition_evictions() const {
-    return counters().repartition_evictions;
-  }
-  // Ways this VM may currently fill: its way window's size (the full
-  // associativity for a private view, whose window spans the array).  A
-  // level, not a counter — under kDynamic it moves with each repartition.
+  // Ways this VM may fill: its way window's size (the full associativity
+  // for a private or shared view, whose window spans the array).
   uint32_t ways_assigned() const { return physical_->vm_way_count(vmid_); }
   uint32_t entry_count() const { return physical_->entry_count(vmid_); }
 
@@ -233,10 +213,7 @@ class TlbDomain {
 
   // Registers VM `vmid` (the Machine's VM id) and returns its view.  In
   // kPartitioned mode the VM's way window is [vmid * k, (vmid + 1) * k)
-  // with k = partition_ways (or ways / expected_vms when 0); the window
-  // must fit, so vmid < ways / k.  In kDynamic mode the even split is
-  // re-tiled over the VMs registered so far (late arrivals fit as long
-  // as vm_count <= ways); the repartitioner moves the windows from there.
+  // with k = ways / expected_vms; the window must fit, so vmid < ways / k.
   TlbView AddVm(uint16_t vmid);
 
   // Selectively invalidates every entry of `vmid` (in its private array or
@@ -248,11 +225,6 @@ class TlbDomain {
   // already owns its array), and os::Machine skips the call there.
   TlbEpochStage* EpochStage(uint16_t vmid);
 
-  // One repartitioner policy tick over every registered VM (kDynamic mode
-  // only; no-op before the first VM registers).  os::Machine calls this
-  // from a PeriodicTask, i.e. only ever outside epoch-parallel phases.
-  void RepartitionTick();
-
   TlbShareMode mode() const { return config_.mode; }
   const TlbDomainConfig& config() const { return config_; }
   // The shared physical array, or null in kPrivate mode.
@@ -261,14 +233,6 @@ class TlbDomain {
   // kPrivate mode (monitoring is a shared-resource question; private
   // arrays keep the historical fast path untouched).
   const TlbUtilityMonitor* utility_monitor() const { return monitor_.get(); }
-  // The way repartitioner, or null outside kDynamic mode (also null in
-  // kDynamic before the first AddVm builds the shared array).
-  const TlbRepartitioner* repartitioner() const { return repartitioner_.get(); }
-  // Applied repartitions so far (0 outside kDynamic) — the domain-wide
-  // value behind the `repartitions` export column.
-  uint64_t repartition_count() const {
-    return repartitioner_ != nullptr ? repartitioner_->repartitions() : 0;
-  }
 
  private:
   uint32_t PartitionWays() const;
@@ -283,10 +247,6 @@ class TlbDomain {
   std::unique_ptr<TlbUtilityMonitor> monitor_;
   // Per-VM epoch stages for `shared_` (indexed by vmid; sparse allowed).
   std::vector<std::unique_ptr<TlbEpochStage>> stages_;
-  // kDynamic only: the way repartitioner and the canonical (VM-ID-sorted)
-  // list of registered VMs its ticks iterate.
-  std::unique_ptr<TlbRepartitioner> repartitioner_;
-  std::vector<uint16_t> vm_ids_;
 };
 
 }  // namespace mmu

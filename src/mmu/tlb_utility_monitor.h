@@ -5,7 +5,8 @@
 //
 //   1. *Utility*: how many ways does VM v actually need?  ("Would v hit
 //      more with w ways?" — the marginal-utility curve a UCP-style
-//      repartitioner allocates from.)
+//      way partitioner would allocate from; the export reports it as
+//      util_min_ways_90.)
 //   2. *Attribution*: when v misses, whose fault is it?  A miss on a key
 //      whose entry was evicted by VM e's insert is interference caused by
 //      e; a miss on a key v itself evicted is v's own capacity pressure.

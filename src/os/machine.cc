@@ -8,33 +8,13 @@
 
 namespace osim {
 
-namespace {
-
-// kDynamic mode's control loop: forward the periodic tick to the domain's
-// repartitioner.  Being a PeriodicTask, it only ever fires from
-// RunDueDaemons — outside epoch-parallel phases, at a logical_now_ pinned
-// to the period boundary — so window moves are deterministic at any
-// GEMINI_VM_THREADS.
-class RepartitionTask final : public PeriodicTask {
- public:
-  explicit RepartitionTask(mmu::TlbDomain* domain) : domain_(domain) {}
-  void Run(base::Cycles) override { domain_->RepartitionTick(); }
-
- private:
-  mmu::TlbDomain* domain_;
-};
-
-}  // namespace
-
 Machine::Machine(const MachineConfig& config)
     : config_(config),
       host_(config.host_frames, this, config.seed * 2 + 1),
       tlb_domain_(mmu::TlbDomainConfig{
           .tlb = mmu::TlbConfig{},
           .mode = config.tlb_mode,
-          .partition_ways = config.tlb_partition_ways,
-          .expected_vms = config.tlb_expected_vms,
-          .repart_min_ways = config.tlb_repart_min_ways}),
+          .expected_vms = config.tlb_expected_vms}),
       next_daemon_(config.daemon_period),
       next_event_(config.daemon_period) {
   host_fragmenter_ = std::make_unique<vmem::Fragmenter>(
@@ -42,12 +22,6 @@ Machine::Machine(const MachineConfig& config)
   tracer_.SetClock(&logical_now_);
   // The host buddy is shared by every VM; its events carry vm_id -1.
   host_.buddy().SetTracer(&tracer_, base::Layer::kHost, -1);
-  if (config_.tlb_mode == mmu::TlbShareMode::kDynamic) {
-    const base::Cycles interval = config_.tlb_repart_interval != 0
-                                      ? config_.tlb_repart_interval
-                                      : config_.daemon_period;
-    AddTask(std::make_unique<RepartitionTask>(&tlb_domain_), interval);
-  }
   if (config_.reclaim.enabled) {
     host_tier_ = std::make_unique<vmem::TierSpace>(
         config_.reclaim.far_capacity_pages, kCosts.far_demote_page,

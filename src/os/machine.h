@@ -35,15 +35,14 @@ struct MachineConfig {
   // How the VMs' L2 TLB arrays are arranged (see mmu/tlb_domain.h):
   // kPrivate gives each VM its own full array (the status quo), kShared
   // makes all VMs compete for one VMID-tagged array, kPartitioned statically
-  // way-partitions one array.  Geometry is mmu::TlbConfig's.
+  // way-partitions one array, evenly over tlb_expected_vms.  Geometry is
+  // mmu::TlbConfig's.
   mmu::TlbShareMode tlb_mode = mmu::TlbShareMode::kPrivate;
-  // kPartitioned / kDynamic: ways per VM at boot; 0 = even split over
-  // tlb_expected_vms.
-  uint32_t tlb_partition_ways = 0;
   uint32_t tlb_expected_vms = 2;
-  // kDynamic: repartitioner tick interval (0 = daemon_period) and way
-  // floor (see mmu/tlb_repartitioner.h).  The tick runs as a PeriodicTask,
-  // so it only ever fires outside epoch-parallel phases.
+  // Read by nothing: perfbench/cells.cc assigns these three and the
+  // benchmark's files are frozen; the benchmark change that stops
+  // assigning them deletes them.
+  uint32_t tlb_partition_ways = 0;
   base::Cycles tlb_repart_interval = 0;
   uint32_t tlb_repart_min_ways = 1;
   // Tiered-memory overcommit (DESIGN.md §3i): when enabled, the machine

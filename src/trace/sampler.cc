@@ -37,7 +37,7 @@ constexpr auto SampleColumns = [](const SamplePoint& p, auto& sink) {
   metrics::StaleHitColumn(p.snapshot, sink);
   metrics::SharingColumns(p.snapshot, sink);
   metrics::UtilityColumns(p.snapshot, sink);
-  metrics::RepartitionColumns(p.snapshot, sink);
+  metrics::WaysAssignedColumn(p.snapshot, sink);
   metrics::LatencyColumns(p.snapshot, sink);
   metrics::TierColumns(p.snapshot, sink);
   for (int o = 0; o < kMaxOrder; ++o) {

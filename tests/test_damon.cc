@@ -1,9 +1,9 @@
 // Fuzzed differential test for the DAMON-style region monitor (same idiom
-// as test_utility_monitor.cc / test_repartitioner.cc): drive the monitor
-// with a randomly mutating brute-force per-page counter array and verify
-// every observable output against a full reference replica — without ever
-// replicating the monitor's internal RNG stream.  The monitor exports
-// exactly enough evidence to make that possible:
+// as test_utility_monitor.cc): drive the monitor with a randomly mutating
+// brute-force per-page counter array and verify every observable output
+// against a full reference replica — without ever replicating the
+// monitor's internal RNG stream.  The monitor exports exactly enough
+// evidence to make that possible:
 //
 //  * last_samples() — every check's (page, armed, checked, accessed), so
 //    the two-phase protocol is validated against the raw counters: the

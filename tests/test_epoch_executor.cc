@@ -7,9 +7,7 @@
 //
 //  * full rack-density scenarios (arrival waves, diurnal load, churn, GC,
 //    latency requests, teardown) digested at 1/2/4/8 worker threads must
-//    be bit-identical, in all four TLB sharing modes (dynamic included:
-//    repartition ticks fire only at epoch barriers, so the adapted way
-//    windows and their eviction counts are part of the contract);
+//    be bit-identical, in all three TLB sharing modes;
 //  * the machine-level epoch primitives on pre-faulted (clean) private-
 //    mode streams must match Machine::AccessBatch access-for-access,
 //    including the clock;
@@ -133,7 +131,7 @@ std::string RunScenario(TlbShareMode mode, uint32_t threads) {
 TEST(EpochExecutor, ThreadCountUnobservableAllModes) {
   for (const TlbShareMode mode :
        {TlbShareMode::kPrivate, TlbShareMode::kShared,
-        TlbShareMode::kPartitioned, TlbShareMode::kDynamic}) {
+        TlbShareMode::kPartitioned}) {
     const std::string serial = RunScenario(mode, 1);
     for (const uint32_t threads : {2u, 4u, 8u}) {
       EXPECT_EQ(serial, RunScenario(mode, threads))
@@ -241,6 +239,8 @@ std::string FuzzRun(uint64_t seed, TlbShareMode mode) {
   config.host_frames = 131072;
   config.seed = 11;
   config.tlb_mode = mode;
+  // Up to five VMs boot; a partitioned array gives each its window.
+  config.tlb_expected_vms = 5;
   config.daemon_period = 200000;
   osim::Machine machine(config);
   base::Rng rng(seed);
@@ -324,7 +324,7 @@ std::string FuzzRun(uint64_t seed, TlbShareMode mode) {
 TEST(EpochExecutor, FuzzChurnReplaysBitIdentically) {
   for (const TlbShareMode mode :
        {TlbShareMode::kPrivate, TlbShareMode::kShared,
-        TlbShareMode::kDynamic}) {
+        TlbShareMode::kPartitioned}) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       EXPECT_EQ(FuzzRun(seed, mode), FuzzRun(seed, mode))
           << "mode=" << mmu::TlbShareModeName(mode) << " seed=" << seed;

@@ -67,8 +67,9 @@ workload::RunResult SampleResult() {
   r.counters.util_way_hits[0] = 10;
   r.counters.util_way_hits[1] = 5;
   r.counters.util_shadow_misses = 5;
-  // Dynamic repartitioning: a 6-way window after 2 applied repartitions
-  // that dropped 14 stranded entries.
+  // A 6-way window.  tlb_repartitions and tlb_repartition_evictions, which
+  // no simulation fills, stay nonzero so that the pinned renderings show
+  // that neither is exported.
   r.counters.tlb_ways_assigned = 6;
   r.counters.tlb_repartitions = 2;
   r.counters.tlb_repartition_evictions = 14;
@@ -92,7 +93,7 @@ constexpr char kPinnedCsv[] =
     "cross_vm_evictions,vm_invalidated,conflict_evictions,"
     "capacity_evictions,displaced_by_self,displaced_by_other,"
     "util_shadow_hits,util_shadow_misses,util_min_ways_90,"
-    "ways_assigned,repartitions,repartition_evictions,lat_p50,"
+    "ways_assigned,lat_p50,"
     "lat_p90,lat_p99,walk_guest_mem_l4,walk_guest_mem_l3,"
     "walk_guest_mem_l2,walk_guest_mem_l1,walk_guest_pwc_l4,"
     "walk_guest_pwc_l3,walk_host_mem_l4,walk_host_mem_l3,"
@@ -102,10 +103,10 @@ constexpr char kPinnedCsv[] =
     "walk_nested_walk_l3,walk_nested_walk_l2,walk_nested_walk_l1,"
     "walk_memo_hits,walk_memo_upper_hits,busy_cycles,wall_ms,seed\n"
     "Redis,Gemini,1.5,1000,2000,42,6,0.25,0.875,7,9,11,3,5,2,30,12,"
-    "18,private,4,8,4,4,5,9,15,5,2,6,2,14,3,63,255,1,2,3,4,5,6,7,8,9,"
+    "18,private,4,8,4,4,5,9,15,5,2,6,3,63,255,1,2,3,4,5,6,7,8,9,"
     "10,11,12,13,14,15,16,17,18,19,20,21,22,123456,0,0\n"
     "Redis,THP,1.5,1000,2000,42,6,0.25,0.875,7,9,11,3,5,2,30,12,18,"
-    "shared,4,8,4,4,5,9,15,5,2,6,2,14,3,63,255,1,2,3,4,5,6,7,8,9,10,"
+    "shared,4,8,4,4,5,9,15,5,2,6,3,63,255,1,2,3,4,5,6,7,8,9,10,"
     "11,12,13,14,15,16,17,18,19,20,21,22,123456,12.5,99\n";
 
 constexpr char kPinnedJson[] =
@@ -122,8 +123,7 @@ constexpr char kPinnedJson[] =
     "\"capacity_evictions\": 4, \"displaced_by_self\": 5, "
     "\"displaced_by_other\": 9, \"util_shadow_hits\": 15, "
     "\"util_shadow_misses\": 5, \"util_min_ways_90\": 2, "
-    "\"ways_assigned\": 6, \"repartitions\": 2, "
-    "\"repartition_evictions\": 14, \"lat_p50\": 3, \"lat_p90\": 63, "
+    "\"ways_assigned\": 6, \"lat_p50\": 3, \"lat_p90\": 63, "
     "\"lat_p99\": 255, \"walk_guest_mem_l4\": 1, \"walk_guest_mem_l3\": 2, "
     "\"walk_guest_mem_l2\": 3, \"walk_guest_mem_l1\": 4, "
     "\"walk_guest_pwc_l4\": 5, \"walk_guest_pwc_l3\": 6, "
@@ -147,8 +147,8 @@ constexpr char kPinnedJson[] =
     "\"conflict_evictions\": 4, \"capacity_evictions\": 4, "
     "\"displaced_by_self\": 5, \"displaced_by_other\": 9, "
     "\"util_shadow_hits\": 15, \"util_shadow_misses\": 5, "
-    "\"util_min_ways_90\": 2, \"ways_assigned\": 6, \"repartitions\": 2, "
-    "\"repartition_evictions\": 14, \"lat_p50\": 3, \"lat_p90\": 63, "
+    "\"util_min_ways_90\": 2, "
+    "\"ways_assigned\": 6, \"lat_p50\": 3, \"lat_p90\": 63, "
     "\"lat_p99\": 255, \"walk_guest_mem_l4\": 1, \"walk_guest_mem_l3\": 2, "
     "\"walk_guest_mem_l2\": 3, \"walk_guest_mem_l1\": 4, "
     "\"walk_guest_pwc_l4\": 5, \"walk_guest_pwc_l3\": 6, "

@@ -181,6 +181,16 @@ TEST(CheckEnvironment, ChecksEveryKnobAndWarnsOnUnknownNames) {
        nullptr, nullptr},
       {"GEMINI_TLB_MODE", "bogus", "GEMINI_TLB_MODE: unknown mode 'bogus'",
        nullptr, nullptr},
+      {"GEMINI_TLB_MODE", "dynamic",
+       "GEMINI_TLB_MODE: unknown mode 'dynamic'", nullptr, nullptr},
+      {"GEMINI_TLB_MODE", "all", nullptr, "",
+       [] {
+         EXPECT_EQ(bench::TlbModesFromEnv(),
+                   (std::vector<mmu::TlbShareMode>{
+                       mmu::TlbShareMode::kPrivate,
+                       mmu::TlbShareMode::kShared,
+                       mmu::TlbShareMode::kPartitioned}));
+       }},
       {"GEMINI_TLB_MODE", "shared,shared",
        "GEMINI_TLB_MODE: mode 'shared' listed twice", nullptr, nullptr},
       {"GEMINI_TLB_MODE", "shared,partitioned,shared",

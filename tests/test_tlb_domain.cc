@@ -141,6 +141,17 @@ TEST(TlbDomain, PartitionedWindowsConfineEvictions) {
   EXPECT_EQ(v1.entry_count(), 2u);
 }
 
+// A partitioned array holds the VMs it was split for and no more: a third
+// VM's window [2k, 3k) lies past the last way.
+TEST(TlbDomainDeathTest, PartitionedVmBeyondExpectedAborts) {
+  mmu::TlbDomainConfig config = SmallDomain(TlbShareMode::kPartitioned, 1, 4);
+  config.expected_vms = 2;
+  mmu::TlbDomain domain(config);
+  domain.AddVm(0);
+  domain.AddVm(1);
+  EXPECT_DEATH(domain.AddVm(2), "begin \\+ k <= config_.tlb.ways");
+}
+
 TEST(TlbDomain, InvalidateVmCountsEntriesNotFlushes) {
   mmu::TlbDomain domain(SmallDomain(TlbShareMode::kShared, 16, 4));
   mmu::TlbView v0 = domain.AddVm(0);
