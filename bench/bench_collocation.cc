@@ -3,18 +3,12 @@
 //
 //   collocated_64   64 private-TLB VMs on one machine, identical uniform
 //                   workloads, run twice through the identical epoch
-//                   schedule: GEMINI_VM_THREADS forced to 1 (serial) and
-//                   to 8.  The two runs MUST produce bit-identical
-//                   simulation digests (SIM_CHECK — this is the perf-side
-//                   witness of the determinism contract); wall-clock and
-//                   the speedup ratio are then reported honestly.  The
-//                   deterministic parallel-phase op fraction is printed
-//                   alongside: parallel_ops / total_ops bounds the
-//                   achievable speedup on any host (Amdahl), independent
-//                   of how many cores the measuring machine happens to
-//                   have.  On a single-core runner the t8 wall time shows
-//                   pure threading overhead; read the fraction, not the
-//                   ratio, to judge the backend there.
+//                   schedule: on 1 executor thread (serial) and on 8.
+//                   The two runs MUST produce bit-identical simulation
+//                   digests (SIM_CHECK — this is the perf-side witness of
+//                   the determinism contract); wall-clock and the measured
+//                   speedup ratio are then reported.  On a single-core
+//                   runner the t8 wall time shows pure threading overhead.
 //
 //   fig17_scale     Rack-density sweep: N = 2..64 collocated VMs (128 in
 //                   shared mode, where the interference artifact switches
@@ -29,7 +23,7 @@
 //                   INTERFERENCE_scale.txt.
 //
 // The simulated side (ops, TLB counters, epochs, the parallel/serial op
-// split, digests) is deterministic at any GEMINI_VM_THREADS; only wall_ms
+// split, digests) is deterministic at any thread count; only wall_ms
 // and mops_per_s are host-performance numbers.  Each collocated_64 run
 // happens once: the machine is 64 VMs big.
 //
@@ -50,7 +44,6 @@
 #include "harness/experiment.h"
 #include "metrics/export.h"
 #include "mmu/tlb_domain.h"
-#include "workload/epoch_executor.h"
 #include "workload/workload.h"
 
 namespace {
@@ -121,21 +114,14 @@ Row MakeRow(const std::string& scenario, uint32_t threads,
   return row;
 }
 
-double ParallelFrac(const Row& r) {
-  const uint64_t total = r.parallel_ops + r.serial_ops;
-  return total > 0 ? static_cast<double>(r.parallel_ops) /
-                         static_cast<double>(total)
-                   : 0.0;
-}
-
 void PrintRow(const Row& r) {
   std::printf(
-      "%-26s %2u thr  %3llu vms  %9llu ops  %6llu epochs  par %5.1f%%  "
+      "%-26s %2u thr  %3llu vms  %9llu ops  %6llu epochs  "
       "%9.1f ms  %7.3f Mops/s  digest %llu\n",
       r.scenario.c_str(), r.threads, static_cast<unsigned long long>(r.vms),
       static_cast<unsigned long long>(r.ops),
-      static_cast<unsigned long long>(r.epochs), 100.0 * ParallelFrac(r),
-      r.wall_ms, bench::Mops(r.ops, r.wall_ms),
+      static_cast<unsigned long long>(r.epochs), r.wall_ms,
+      bench::Mops(r.ops, r.wall_ms),
       static_cast<unsigned long long>(r.digest));
 }
 
@@ -219,7 +205,7 @@ Row RunScaleCell(mmu::TlbShareMode mode, uint64_t n,
   harness::BedOptions bed = SpeedupBed();
   bed.tlb_mode = mode;
   harness::ScaleOptions scale;
-  scale.quantum = 128;  // threads resolve from GEMINI_VM_THREADS
+  scale.quantum = 128;
   scale.wave_size = std::max<uint64_t>(1, n / 4);
   scale.wave_epochs = 16;
   scale.teardown_on_finish = true;
@@ -235,7 +221,7 @@ Row RunScaleCell(mmu::TlbShareMode mode, uint64_t n,
         "fig17_scale", mode_name,
         {{scenario.str(), &result.interference}});
   }
-  return MakeRow(scenario.str(), workload::VmThreadsFromEnv(), result);
+  return MakeRow(scenario.str(), scale.threads, result);
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +237,6 @@ constexpr auto RowColumns = [](const Row& r, auto& sink) {
   sink("epochs", r.epochs);
   sink("parallel_ops", r.parallel_ops);
   sink("serial_ops", r.serial_ops);
-  sink("parallel_frac", ParallelFrac(r));
   sink("tlb_hits", r.tlb_hits);
   sink("tlb_misses", r.tlb_misses);
   sink("digest", r.digest);
@@ -264,7 +249,7 @@ int main() {
   std::vector<Row> rows;
 
   // Part 1: collocated_64 serial-vs-parallel pair.  The digests MUST be
-  // identical — GEMINI_VM_THREADS is unobservable by contract — before
+  // identical — the thread count is unobservable by contract — before
   // any wall-clock comparison is meaningful.
   rows.push_back(RunSpeedup("collocated_64_serial", 1));
   rows.push_back(RunSpeedup("collocated_64_t8", 8));
@@ -274,12 +259,8 @@ int main() {
   PrintRow(rows[1]);
   const double speedup =
       rows[1].wall_ms > 0.0 ? rows[0].wall_ms / rows[1].wall_ms : 0.0;
-  const double frac = ParallelFrac(rows[0]);
-  const double amdahl = frac < 1.0 ? 1.0 / (1.0 - frac + frac / 8.0) : 8.0;
-  std::printf(
-      "collocated_64: digests identical; speedup t8/serial %.2fx "
-      "(parallel-phase ops %.1f%%, Amdahl bound at 8 threads %.2fx)\n",
-      speedup, 100.0 * frac, amdahl);
+  std::printf("collocated_64: digests identical; speedup t8/serial %.2fx\n",
+              speedup);
 
   // Part 2: rack-density sweep.  Modes from GEMINI_TLB_MODE; partitioned
   // needs >=1 of the 12 ways per VM, so it stops at N=8.

@@ -41,7 +41,6 @@
 #include "metrics/perf_model.h"
 #include "metrics/table.h"
 #include "trace/session.h"
-#include "workload/epoch_executor.h"
 
 namespace bench {
 
@@ -104,9 +103,8 @@ inline double Mops(uint64_t ops, double wall_ms) {
 
 // --- The GEMINI_* environment knobs ---------------------------------------
 // The bench layer is the only reader of the environment; the simulator
-// library takes its configuration as arguments, except GEMINI_VM_THREADS,
-// which the epoch executor reads (workload/epoch_executor.h).  Unset and
-// empty mean the default; a malformed value aborts naming the variable.
+// library takes its configuration as arguments.  Unset and empty mean the
+// default; a malformed value aborts naming the variable.
 
 // Sweep workers from GEMINI_JOBS, a positive integer; 0 when it is unset,
 // which harness::SweepRunner resolves to every hardware thread.
@@ -191,7 +189,6 @@ inline constexpr Knob kKnobs[] = {
     {"GEMINI_JOBS", "all cores", [] { SweepJobs(); }},
     {"GEMINI_EXPORT", "unset", [] { ExportDir(); }},
     {"GEMINI_TRACE", "unset", [] { TraceConfigFromEnv(""); }},
-    {"GEMINI_VM_THREADS", "1", [] { workload::VmThreadsFromEnv(); }},
     {"GEMINI_TLB_MODE", "private", [] { TlbModesFromEnv(); }},
 };
 

@@ -27,9 +27,9 @@
 // differences.
 //
 // Everything printed to stdout is deterministic — a pure function of the
-// seed, independent of GEMINI_VM_THREADS (the CI thread-diff re-runs this
-// binary at 1 and 8 threads and requires byte-identical stdout).  Host
-// wall-clock and Mops/s appear only in the JSON export.
+// seed.  The cells run on one executor thread; tests/test_epoch_executor.cc
+// runs cells of this shape at 1 and 4 threads and requires identical
+// digests.  Host wall-clock and Mops/s appear only in the JSON export.
 //
 // Output: BENCH_overcommit.json in $GEMINI_EXPORT (if set) or the current
 // directory — an array of one object per cell, with the columns
@@ -77,8 +77,8 @@ struct Row {
 using bench::Mix;
 using bench::MixDouble;
 
-// FNV digest over every deterministic field the cell produces: the
-// thread-unobservability witness the CI thread-diff checks via stdout.
+// FNV digest over every deterministic field the cell produces; stdout
+// prints it, so the golden pins every field.
 uint64_t Digest(const harness::CollocatedManyResult& r) {
   uint64_t d = bench::kFnvOffsetBasis;
   Mix(&d, r.epochs);

@@ -11,7 +11,7 @@
 // This simulator drives the monitor as a PeriodicTask tick at daemon
 // boundaries (see os/reclaim_daemon.h), so its observations — like every
 // other daemon's — are a pure function of the simulated access stream and
-// the seed, never of GEMINI_VM_THREADS or batch size.
+// the seed, never of the executor's thread count or batch size.
 //
 // Sampling model.  On real hardware DAMON clears a page's accessed bit at
 // the start of a sampling interval and reads it at the end.  The simulator

@@ -6,7 +6,6 @@
 #include "base/check.h"
 #include "base/rng.h"
 #include "os/reclaim_daemon.h"
-#include "workload/epoch_executor.h"
 
 namespace harness {
 
@@ -167,12 +166,7 @@ CollocatedManyResult RunCollocatedMany(
                         "vm" + std::to_string(i) + " " + specs[i].name);
   }
 
-  workload::EpochExecutorOptions xopt;
-  xopt.threads = scale.threads;
-  xopt.quantum = scale.quantum;
-  xopt.load_phases = scale.load_phases;
-  xopt.load_phase_epochs = scale.load_phase_epochs;
-  workload::EpochExecutor exec(bed.machine.get(), xopt);
+  workload::EpochExecutor exec(bed.machine.get(), scale);
   for (size_t i = 0; i < specs.size(); ++i) {
     workload::LaneSpec lane;
     lane.spec = specs[i];

@@ -16,6 +16,7 @@
 #include "trace/session.h"
 #include "workload/catalog.h"
 #include "workload/driver.h"
+#include "workload/epoch_executor.h"
 
 namespace harness {
 
@@ -91,23 +92,17 @@ workload::RunResult RunGeminiAblation(const workload::WorkloadSpec& spec,
 // Collocated-VM measurement: N VMs under one system on one host, executed
 // by the epoch-barriered parallel backend (workload/epoch_executor.h).
 // The two-VM pairs of §6.5 (fig17, fig18) and the rack-density sweep
-// (bench_collocation) both run here.  Results are deterministic at any
-// thread count; `threads` only changes wall-clock.
-struct ScaleOptions {
-  // Worker threads / ops-per-epoch; 0 means GEMINI_VM_THREADS / 256 ops
-  // (workload/epoch_executor.h).
-  uint32_t threads = 0;
-  uint64_t quantum = 0;
+// (bench_collocation) both run here.  The inherited executor options
+// (quantum, threads, load phases shifted one slot per VM) go to the
+// executor as they are; results are deterministic at any thread count,
+// which only changes wall-clock.
+struct ScaleOptions : workload::EpochExecutorOptions {
   // Boot arrival waves: VM i arrives at epoch (i / wave_size) * wave_epochs.
   // wave_size 0 = everyone boots at epoch 0.
   uint64_t wave_size = 0;
   uint64_t wave_epochs = 32;
   // Tear each VM's VMAs down when its workload completes (shutdown churn).
   bool teardown_on_finish = false;
-  // Diurnal load phases (percent of quantum per slot, phase-shifted one
-  // slot per VM).  Empty = constant load.
-  std::vector<uint32_t> load_phases;
-  uint64_t load_phase_epochs = 64;
   // Daemon period override for the machine (0 = MachineConfig default).
   uint64_t daemon_period = 0;
 };
@@ -118,8 +113,7 @@ struct CollocatedManyResult {
   uint64_t epochs = 0;
   double exec_wall_ms = 0.0;  // host wall-clock of the execution loop
   // Deterministic op split: parallel-phase ops vs serial barrier-phase ops
-  // (faults, driver events).  parallel / (parallel + serial) bounds the
-  // achievable wall-clock speedup on any host (Amdahl).
+  // (faults, driver events).  An op count, not a host-time share.
   uint64_t parallel_ops = 0;
   uint64_t serial_ops = 0;
   // Machine-final state captured before teardown: the shared host buddy's

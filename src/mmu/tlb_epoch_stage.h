@@ -26,7 +26,7 @@
 //
 // The replayed semantics are deterministic at any worker-thread count —
 // a lane's log is a pure function of its own access stream and the frozen
-// array — which is the whole point: GEMINI_VM_THREADS must be
+// array — which is the whole point: the thread count must be
 // unobservable in simulation output (DESIGN.md §3g).  Two deliberate
 // deviations from fully-serial execution, identical at every thread
 // count: a staged insert does not evict anything until replay (the epoch

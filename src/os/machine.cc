@@ -155,7 +155,7 @@ void Machine::EpochBarrier() {
   SIM_CHECK(in_epoch_);
   // Canonical VM-ID-ordered merge of the staged shared-TLB traffic: the
   // replay order — not the racy thread completion order — defines which
-  // entries evict which, so any GEMINI_VM_THREADS produces the same array.
+  // entries evict which, so any thread count produces the same array.
   if (config_.tlb_mode != mmu::TlbShareMode::kPrivate) {
     for (const auto& vm : vms_) {
       vm->engine().tlb().SetEpochStage(nullptr);

@@ -5,7 +5,7 @@
 // is enabled, so every tick fires in Machine::RunDueDaemons at a logical
 // time boundary — never inside an epoch-parallel phase — and the whole
 // reclaim schedule is a deterministic function of (workload, seed), not of
-// GEMINI_VM_THREADS or batch size.
+// the executor's thread count or batch size.
 //
 // Each tick: (1) let the reclaim policy observe (DAMON sampling / LRU
 // aging), (2) compare the shared host buddy's free frames against the low

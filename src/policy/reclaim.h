@@ -86,7 +86,7 @@ struct ReclaimConfig {
   uint64_t far_capacity_pages = 0;
   // Daemon tick period (0 = the machine's daemon_period).  A PeriodicTask,
   // so it only ever fires at logical-time boundaries: reclaim decisions
-  // are byte-identical at any GEMINI_VM_THREADS / batch size.
+  // are byte-identical at any executor thread count / batch size.
   base::Cycles interval = 0;
 };
 

@@ -97,7 +97,7 @@ class WorkloadDriver {
   // interrupted batch and continues with plain Step, on the barrier
   // thread, in canonical lane order.  A lane that never suspends ran
   // entirely in parallel; the op stream, accounting, and latency records
-  // are identical either way, so GEMINI_VM_THREADS is unobservable.
+  // are identical either way, so the thread count is unobservable.
   uint64_t StepEpoch(uint64_t op_budget, bool* suspended);
   uint64_t ResumeSerial(uint64_t op_budget);
 

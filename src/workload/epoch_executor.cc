@@ -1,32 +1,22 @@
 #include "workload/epoch_executor.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "base/check.h"
-#include "base/env.h"
 
 namespace workload {
-
-uint32_t VmThreadsFromEnv() {
-  return static_cast<uint32_t>(
-      base::EnvInt("GEMINI_VM_THREADS", 1,
-                   std::numeric_limits<uint32_t>::max())
-          .value_or(1));
-}
 
 EpochExecutor::EpochExecutor(osim::Machine* machine,
                              const EpochExecutorOptions& options)
     : machine_(machine), options_(options) {
   SIM_CHECK(machine_ != nullptr);
-  threads_ = options_.threads != 0 ? options_.threads : VmThreadsFromEnv();
-  quantum_ = options_.quantum != 0 ? options_.quantum : 256;
-  SIM_CHECK(threads_ >= 1);
+  SIM_CHECK(options_.threads >= 1);
+  SIM_CHECK(options_.quantum >= 1);
   for (const uint32_t percent : options_.load_phases) {
     SIM_CHECK(percent > 0);
   }
-  workers_.reserve(threads_ > 0 ? threads_ - 1 : 0);
-  for (uint32_t i = 1; i < threads_; ++i) {
+  workers_.reserve(options_.threads - 1);
+  for (uint32_t i = 1; i < options_.threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -51,13 +41,14 @@ void EpochExecutor::AddLane(int32_t vm_id, const LaneSpec& spec) {
 
 uint64_t EpochExecutor::LaneQuantum(const Lane& lane) const {
   if (options_.load_phases.empty()) {
-    return quantum_;
+    return options_.quantum;
   }
   const uint64_t slot =
       (epoch_ / std::max<uint64_t>(options_.load_phase_epochs, 1) +
        lane.spec.phase_offset) %
       options_.load_phases.size();
-  return std::max<uint64_t>(1, quantum_ * options_.load_phases[slot] / 100);
+  return std::max<uint64_t>(
+      1, options_.quantum * options_.load_phases[slot] / 100);
 }
 
 std::vector<RunResult> EpochExecutor::Run() {
@@ -128,7 +119,7 @@ void EpochExecutor::StepLane(size_t index) {
 }
 
 void EpochExecutor::RunParallelPhase(const std::vector<size_t>& active) {
-  if (threads_ <= 1 || active.size() <= 1) {
+  if (options_.threads == 1 || active.size() <= 1) {
     for (const size_t index : active) {
       StepLane(index);
     }

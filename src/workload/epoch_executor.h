@@ -10,8 +10,9 @@
 // like churn and GC sweeps) serially, in lane order.  The schedule — which
 // ops run in which epoch, which events fire when — depends only on the
 // lane specs and the quantum, never on the worker-thread count, so
-// simulation output is byte-identical at any GEMINI_VM_THREADS (the
-// determinism tests pin this down across all three GEMINI_TLB_MODEs).
+// simulation output is byte-identical at any EpochExecutorOptions::threads
+// (the determinism tests pin this down across all three TLB sharing modes
+// and under overcommit reclaim).
 //
 // Rack-density lifecycle modelling rides on the same epoch clock:
 //   * arrival waves — a lane Begins at its arrival_epoch (boot churn),
@@ -36,11 +37,6 @@
 
 namespace workload {
 
-// $GEMINI_VM_THREADS: worker threads for the epoch-parallel phase
-// (including the caller's thread).  Default 1 = fully serial execution of
-// the identical epoch schedule.
-uint32_t VmThreadsFromEnv();
-
 struct LaneSpec {
   WorkloadSpec spec;
   DriverOptions options;
@@ -52,11 +48,12 @@ struct LaneSpec {
 };
 
 struct EpochExecutorOptions {
-  // Operations per lane per epoch; 0 means 256, the interleaving grain the
+  // Operations per lane per epoch; 256 is the interleaving grain the
   // serial collocation harness has always used.
-  uint64_t quantum = 0;
-  // Worker threads; 0 resolves from $GEMINI_VM_THREADS.
-  uint32_t threads = 0;
+  uint64_t quantum = 256;
+  // Worker threads for the parallel phase, the caller's included; 1 runs
+  // the identical epoch schedule fully serially.
+  uint32_t threads = 1;
   // Diurnal load: percent-of-quantum per phase slot, e.g. {100, 25} halves
   // time between full and quarter load.  Empty = constant load.
   std::vector<uint32_t> load_phases;
@@ -77,13 +74,12 @@ class EpochExecutor {
   std::vector<RunResult> Run();
 
   uint64_t epochs() const { return epoch_; }
-  uint32_t threads() const { return threads_; }
 
   // Where the operations ran: the parallel phase (clean translations on
   // worker threads) vs the serial barrier phase (faults, driver events,
   // suspended remainders).  Host-independent — the split is part of the
-  // deterministic schedule — so parallel_ops / (parallel_ops + serial_ops)
-  // is the honest Amdahl bound on any machine's wall-clock speedup.
+  // deterministic schedule.  It counts operations, not host time, so it
+  // does not predict the wall-clock speed-up of more threads.
   uint64_t parallel_ops() const { return parallel_ops_; }
   uint64_t serial_ops() const { return serial_ops_; }
 
@@ -108,14 +104,12 @@ class EpochExecutor {
 
   osim::Machine* machine_;
   EpochExecutorOptions options_;
-  uint32_t threads_;
-  uint64_t quantum_;
   std::vector<Lane> lanes_;
   uint64_t epoch_ = 0;
   uint64_t parallel_ops_ = 0;
   uint64_t serial_ops_ = 0;
 
-  // Persistent worker pool (threads_ - 1 workers; the caller participates).
+  // Persistent worker pool (threads - 1 workers; the caller participates).
   // Protocol: the main thread publishes a generation under mu_ — the
   // active-lane list, next_item_ = 0, remaining_ — only once no worker is
   // draining (active_workers_ == 0), so a slow waker can never claim into

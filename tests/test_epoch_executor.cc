@@ -1,5 +1,5 @@
 // Determinism tests for the epoch-barriered parallel backend (DESIGN.md
-// §3g).  The backend's contract is that GEMINI_VM_THREADS is unobservable
+// §3g).  The backend's contract is that its thread count is unobservable
 // in simulation output: the epoch schedule — which ops run in which epoch,
 // when faults and driver events drain, the canonical VM-ID replay order of
 // staged shared-TLB traffic — is fixed by the lane specs alone.  We pin
@@ -7,7 +7,8 @@
 //
 //  * full rack-density scenarios (arrival waves, diurnal load, churn, GC,
 //    latency requests, teardown) digested at 1/2/4/8 worker threads must
-//    be bit-identical, in all three TLB sharing modes;
+//    be bit-identical, in all three TLB sharing modes, and so must
+//    bench_overcommit's cells (reclaim daemon, DAMON, far tier) at 1 and 4;
 //  * the machine-level epoch primitives on pre-faulted (clean) private-
 //    mode streams must match Machine::AccessBatch access-for-access,
 //    including the clock;
@@ -18,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -27,10 +27,12 @@
 #include "harness/systems.h"
 #include "metrics/counters.h"
 #include "os/machine.h"
+#include "policy/reclaim.h"
 
 namespace {
 
 using harness::BedOptions;
+using harness::CollocatedManyResult;
 using harness::ScaleOptions;
 using harness::SystemKind;
 using mmu::TlbShareMode;
@@ -68,6 +70,31 @@ std::string DigestResult(const workload::RunResult& r) {
   return d;
 }
 
+// Every deterministic word of a collocated run: the schedule, each VM's
+// result, the interference rows, and the machine-final reclaim and
+// far-tier state.
+std::string DigestCollocated(const CollocatedManyResult& r) {
+  std::string digest;
+  Append(&digest, "epochs", r.epochs);
+  Append(&digest, "par", r.parallel_ops);
+  Append(&digest, "ser", r.serial_ops);
+  Append(&digest, "passes", r.reclaim_passes);
+  Append(&digest, "demoted", r.reclaim_pages_demoted);
+  Append(&digest, "peak", r.tier_peak_resident);
+  Append(&digest, "fmfi", r.final_host_fmfi);
+  for (const workload::RunResult& vm : r.vms) {
+    digest += DigestResult(vm);
+  }
+  for (const auto& row : r.interference.vms) {
+    digest += row.label + ";";
+    Append(&digest, "rmiss", row.tlb_misses);
+    for (const uint64_t d : row.displaced_by) {
+      Append(&digest, "d", d);
+    }
+  }
+  return digest;
+}
+
 // A 3-VM rack-density slice: a churning key/value store, a GC'd latency
 // server arriving in the second wave, and a gradually-growing throughput
 // job — every driver event class the serial phase must drain.
@@ -95,7 +122,7 @@ std::vector<workload::WorkloadSpec> ScenarioSpecs() {
   return {kv, server, grower};
 }
 
-std::string RunScenario(TlbShareMode mode, uint32_t threads) {
+CollocatedManyResult RunScenario(TlbShareMode mode, uint32_t threads) {
   BedOptions bed;
   bed.host_frames = 131072;
   bed.vm_gfn_count = 16384;
@@ -111,32 +138,69 @@ std::string RunScenario(TlbShareMode mode, uint32_t threads) {
   scale.teardown_on_finish = true;
   scale.load_phases = {100, 25};
   scale.load_phase_epochs = 32;
-  const harness::CollocatedManyResult r = harness::RunCollocatedMany(
-      SystemKind::kGemini, ScenarioSpecs(), bed, scale);
-  std::string digest;
-  Append(&digest, "epochs", r.epochs);
-  for (const workload::RunResult& vm : r.vms) {
-    digest += DigestResult(vm);
-  }
-  for (const auto& row : r.interference.vms) {
-    digest += row.label + ";";
-    Append(&digest, "rmiss", row.tlb_misses);
-    for (const uint64_t d : row.displaced_by) {
-      Append(&digest, "d", d);
-    }
-  }
-  return digest;
+  return harness::RunCollocatedMany(SystemKind::kGemini, ScenarioSpecs(), bed,
+                                    scale);
 }
 
 TEST(EpochExecutor, ThreadCountUnobservableAllModes) {
   for (const TlbShareMode mode :
        {TlbShareMode::kPrivate, TlbShareMode::kShared,
         TlbShareMode::kPartitioned}) {
-    const std::string serial = RunScenario(mode, 1);
+    const std::string serial = DigestCollocated(RunScenario(mode, 1));
     for (const uint32_t threads : {2u, 4u, 8u}) {
-      EXPECT_EQ(serial, RunScenario(mode, threads))
+      EXPECT_EQ(serial, DigestCollocated(RunScenario(mode, threads)))
           << "mode=" << mmu::TlbShareModeName(mode)
           << " threads=" << threads;
+    }
+  }
+}
+
+// bench_overcommit's cell at ratio 1.5: two zipf key-value stores, a scan
+// mix and a uniform batch job on a host sized below their demand, so the
+// reclaim daemon demotes to an unbounded far tier while the lanes run.
+CollocatedManyResult RunOvercommit(SystemKind kind,
+                                   policy::ReclaimPolicyKind reclaim,
+                                   uint32_t threads) {
+  std::vector<workload::WorkloadSpec> specs;
+  for (const workload::AccessPattern access :
+       {workload::AccessPattern::kZipf, workload::AccessPattern::kZipf,
+        workload::AccessPattern::kScanMix, workload::AccessPattern::kUniform}) {
+    workload::WorkloadSpec& spec = specs.emplace_back();
+    spec.name = "tenant" + std::to_string(specs.size());
+    spec.access = access;
+    spec.working_set_pages = 1920;
+    spec.vma_count = access == workload::AccessPattern::kZipf ? 6 : 4;
+    spec.ops = 5000;
+    spec.work_per_access = 200;
+  }
+  BedOptions bed;
+  // 1.3x the committed demand of 4 x (1920 + 205) pages, over ratio 1.5.
+  bed.host_frames = 7366;
+  bed.vm_gfn_count = 4096;
+  bed.fragmented = false;
+  bed.boot_noise_fraction = 0.05;
+  bed.seed = 211;
+  bed.reclaim.enabled = true;
+  bed.reclaim.policy = reclaim;
+  bed.reclaim.far_capacity_pages = 0;
+  ScaleOptions scale;
+  scale.threads = threads;
+  scale.daemon_period = 500'000;
+  return harness::RunCollocatedMany(kind, specs, bed, scale);
+}
+
+TEST(EpochExecutor, ThreadCountUnobservableUnderOvercommit) {
+  for (const SystemKind kind : {SystemKind::kGemini, SystemKind::kThp}) {
+    for (const policy::ReclaimPolicyKind reclaim :
+         {policy::ReclaimPolicyKind::kLruApprox,
+          policy::ReclaimPolicyKind::kDamon}) {
+      const CollocatedManyResult serial = RunOvercommit(kind, reclaim, 1);
+      const std::string where = std::string(harness::SystemName(kind)) + " " +
+                                policy::ReclaimPolicyName(reclaim);
+      EXPECT_GT(serial.reclaim_pages_demoted, 0u) << where;
+      EXPECT_EQ(DigestCollocated(serial),
+                DigestCollocated(RunOvercommit(kind, reclaim, 4)))
+          << where;
     }
   }
 }
@@ -218,17 +282,6 @@ TEST(EpochExecutor, EpochGuardsRejectSerialEntryPoints) {
   EXPECT_DEATH(bed.machine->AdvanceTime(100), "");
   bed.machine->EpochBarrier();
   EXPECT_FALSE(bed.machine->in_epoch());
-}
-
-TEST(EpochExecutor, MalformedVmThreadsAborts) {
-  for (const char* bad : {"abc", "0"}) {
-    EXPECT_DEATH(
-        {
-          ::setenv("GEMINI_VM_THREADS", bad, 1);
-          workload::VmThreadsFromEnv();
-        },
-        std::string("GEMINI_VM_THREADS='") + bad + "'");
-  }
 }
 
 // Seeded fuzz: boots, VMA churn (map/unmap = shutdown noise), scalar

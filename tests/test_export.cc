@@ -355,7 +355,9 @@ TEST(Export, TimeSeriesTableMatchesSamplerHeader) {
 // The "Environment-variable contract" table lists exactly the declared
 // knobs, in order, each with its default, and every quoted "GEMINI_..."
 // literal under src/ and bench/ names a declared knob (the bare prefix
-// "GEMINI_" names none).
+// "GEMINI_" names none).  The bench layer is the only reader of the
+// environment: under src/, only base/env.{h,cc}, the parse rule it reads
+// its knobs with, calls an environment reader.
 TEST(Export, EnvironmentTableMatchesCode) {
   std::vector<Column> declared;
   std::set<std::string> names;
@@ -373,6 +375,14 @@ TEST(Export, EnvironmentTableMatchesCode) {
       }
       std::ifstream in(entry.path());
       const std::string text{std::istreambuf_iterator<char>(in), {}};
+      const std::string file =
+          std::filesystem::relative(entry.path(), GEMINI_SOURCE_DIR).string();
+      for (const char* reader : {"EnvValue(", "EnvInt(", "getenv("}) {
+        EXPECT_TRUE(file.starts_with("bench/") ||
+                    file.starts_with("src/base/env.") ||
+                    text.find(reader) == std::string::npos)
+            << file << " calls " << reader << "; only bench/ reads knobs";
+      }
       for (size_t at = text.find("\"GEMINI_"); at != std::string::npos;
            at = text.find("\"GEMINI_", at + 1)) {
         const size_t end =
